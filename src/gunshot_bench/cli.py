@@ -3,7 +3,8 @@ plus k-fold cross-validation. All commands echo their fully-resolved config
 (defaults and seeds included) into the output directory, and rerunning an
 identical config reproduces identical outputs byte for byte.
 
-Exit codes: 0 ok, 2 usage error, 3 I/O failure, 4 numeric failure.
+Exit codes: 0 ok, 2 usage error (including data the command cannot use),
+3 I/O failure, 4 numeric failure.
 """
 
 import argparse
@@ -18,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dsp, evaluation, models, nncore, synthgun
-from .errors import InvalidParam, NonFiniteLoss
+from .errors import DegenerateData, InvalidParam, NonFiniteLoss, SceneOverflow
 from .manifest import (
     CLASS_NAMES,
     ManifestRow,
@@ -385,13 +386,10 @@ def cmd_evaluate(args):
         raise UsageError(f"feature kind {kind} does not match model ({expected})")
     feats = _load_features(args.features, subset)
 
-    try:
-        report = evaluate_rows(
-            model_bundle, meta, subset, feats, threshold,
-            dataset_hash=manifest_digest(args.manifest), split_seed=split_seed,
-            config={"subset": args.subset, "threshold": threshold})
-    except NonFiniteLoss:
-        raise
+    report = evaluate_rows(
+        model_bundle, meta, subset, feats, threshold,
+        dataset_hash=manifest_digest(args.manifest), split_seed=split_seed,
+        config={"subset": args.subset, "threshold": threshold})
     evaluation.emit_report(report, out_dir / "report.json", "record-file")
     evaluation.emit_report(report, out_dir / "report.txt", "text-table")
     print(evaluation.render_text_report(report))
@@ -560,10 +558,7 @@ def main(argv=None):
         return int(e.code or 0)
     try:
         return args.func(args)
-    except UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except InvalidParam as e:
+    except (UsageError, InvalidParam, DegenerateData, SceneOverflow) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except NonFiniteLoss as e:

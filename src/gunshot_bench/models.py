@@ -42,10 +42,6 @@ class Prediction:
     type_posteriors: np.ndarray      # 5-simplex
     decided_class: str | None        # argmax class if detected, else None
 
-    @property
-    def decided_label(self):
-        return self.decided_class if self.decided_class else "no_gunshot"
-
 
 def _decide(p, posteriors, threshold):
     if p >= threshold:
@@ -403,9 +399,12 @@ def cnn_train(model, train_set, val_set, config):
     """Minibatch momentum SGD with early stopping on validation joint loss.
 
     Returns the training history; the model is left holding the best-val
-    parameters. Raises NonFiniteLoss (with diagnostics) if the loss leaves
-    the finite domain."""
+    parameters. Raises DegenerateData if either set is empty, and
+    NonFiniteLoss (with diagnostics) if the loss leaves the finite domain."""
     config.validate()
+    if len(train_set) == 0 or len(val_set) == 0:
+        raise DegenerateData(f"cnn training needs train and validation clips, "
+                             f"got {len(train_set)} and {len(val_set)}")
     rng = np.random.default_rng(config.seed)
 
     # input standardization from the training distribution

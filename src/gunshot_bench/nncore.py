@@ -5,6 +5,17 @@ single-use graph; backward() walks it in reverse topological order exactly
 once and accumulates gradients into the participating leaves. Graphs are
 rebuilt per step, so there is no reset API: calling backward twice on the
 same graph raises.
+
+Memory layout: conv2d and maxpool2d take and return [B, C, H, W] arrays, but
+their outputs (and the gradients they pass to their inputs) are views of
+channel-major [C, B, H, W] memory. Elementwise ops such as relu keep that
+layout, so a conv -> pool -> relu trunk does its padding, im2col, col2im and
+pooling windows as plain slices. Any other layout is accepted and gives the
+same values bit for bit; only the speed differs. global_avg_pool returns a
+C-contiguous [B, C] array, and anything fed to dense must be C-contiguous
+too: BLAS rounds differently for a transposed operand.
+
+Each op checks its own output for NaN/Inf once, when it wraps it in a Tensor.
 """
 
 import hashlib
@@ -29,8 +40,8 @@ class Tensor:
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_bwd", "_consumed")
 
-    def __init__(self, data, requires_grad=False):
-        self.data = _check_finite(np.asarray(data, dtype=np.float64))
+    def __init__(self, data, requires_grad=False, what="tensor"):
+        self.data = _check_finite(np.asarray(data, dtype=np.float64), what)
         self.grad = None
         self.requires_grad = bool(requires_grad)
         self._parents = ()
@@ -67,7 +78,7 @@ def _as_tensor(x):
 
 
 def _from_op(data, parents, bwd, what):
-    out = Tensor(_check_finite(np.asarray(data, dtype=np.float64), what))
+    out = Tensor(data, what=what)
     live = tuple(p for p in parents if p.requires_grad)
     out.requires_grad = bool(live)
     if out.requires_grad:
@@ -237,21 +248,23 @@ def conv2d(x, w, b, stride=1, pad=0):
     if ho < 1 or wo < 1:
         raise ShapeMismatch("conv2d kernel larger than padded input")
 
-    xp = x.data
-    if p:
-        xp = np.pad(xp, ((0, 0), (0, 0), (p, p), (p, p)))
+    # Work in channel-major [Cin, B, H, W] memory: the transpose is free for
+    # a conv2d or maxpool2d output, and padding, im2col and col2im are slices.
+    xp = np.zeros((cin, bsz, h + 2 * p, wdt + 2 * p))
+    xp[:, :, p : p + h, p : p + wdt] = x.data.transpose(1, 0, 2, 3)
 
     # im2col laid out [Cin*kh*kw, B*Ho*Wo] so both directions of the conv
     # are single large GEMMs.
     kdim = cin * kh * kw
-    cols = np.empty((cin, kh, kw, bsz, ho, wo), dtype=np.float64)
+    cols = np.empty((cin, kh, kw, bsz, ho, wo))
     for i in range(kh):
         for j in range(kw):
-            cols[:, i, j] = xp[:, :, i : i + s * ho : s, j : j + s * wo : s].transpose(1, 0, 2, 3)
+            cols[:, i, j] = xp[:, :, i : i + s * ho : s, j : j + s * wo : s]
     cols_flat = cols.reshape(kdim, bsz * ho * wo)
     w2 = w.data.reshape(cout, kdim)
-    out_data = (w2 @ cols_flat).reshape(cout, bsz, ho, wo).transpose(1, 0, 2, 3) \
-        + b.data[None, :, None, None]
+    out = w2 @ cols_flat
+    out += b.data[:, None]
+    out_data = out.reshape(cout, bsz, ho, wo).transpose(1, 0, 2, 3)
 
     def bwd(g):
         g_flat = g.transpose(1, 0, 2, 3).reshape(cout, bsz * ho * wo)
@@ -259,12 +272,11 @@ def conv2d(x, w, b, stride=1, pad=0):
         _accum(w, (g_flat @ cols_flat.T).reshape(w.data.shape))
         if x.requires_grad:
             dcols = (w2.T @ g_flat).reshape(cin, kh, kw, bsz, ho, wo)
-            dxp = np.zeros((bsz, cin, h + 2 * p, wdt + 2 * p), dtype=np.float64)
+            dxp = np.zeros((cin, bsz, h + 2 * p, wdt + 2 * p))
             for i in range(kh):
                 for j in range(kw):
-                    dxp[:, :, i : i + s * ho : s, j : j + s * wo : s] += \
-                        dcols[:, i, j].transpose(1, 0, 2, 3)
-            _accum(x, dxp[:, :, p : p + h, p : p + wdt])
+                    dxp[:, :, i : i + s * ho : s, j : j + s * wo : s] += dcols[:, i, j]
+            _accum(x, dxp[:, :, p : p + h, p : p + wdt].transpose(1, 0, 2, 3))
 
     return _from_op(out_data, (x, w, b), bwd, "conv2d output")
 
@@ -282,21 +294,30 @@ def maxpool2d(x, k=2, s=2):
     ho = (h - k) // s + 1
     wo = (w - k) // s + 1
 
-    stacked = np.empty((bsz, c, ho, wo, k * k), dtype=np.float64)
-    for i in range(k):
-        for j in range(k):
-            stacked[..., i * k + j] = x.data[:, :, i : i + s * ho : s, j : j + s * wo : s]
-    arg = stacked.argmax(axis=-1)
-    out_data = np.take_along_axis(stacked, arg[..., None], axis=-1)[..., 0]
+    # Windows are strided views of channel-major [C, B, H, W] memory, taken
+    # in row-major window order.
+    taps = [(i, j) for i in range(k) for j in range(k)]
+
+    def window(a, i, j):
+        return a[:, :, i : i + s * ho : s, j : j + s * wo : s]
+
+    xt = x.data.transpose(1, 0, 2, 3)
+    out = window(xt, *taps[0]).copy()
+    for i, j in taps[1:]:
+        np.maximum(out, window(xt, i, j), out=out)
+    out_data = out.transpose(1, 0, 2, 3)
 
     def bwd(g):
-        spread = np.zeros_like(stacked)
-        np.put_along_axis(spread, arg[..., None], g[..., None], axis=-1)
-        dx = np.zeros_like(x.data)
-        for i in range(k):
-            for j in range(k):
-                dx[:, :, i : i + s * ho : s, j : j + s * wo : s] += spread[..., i * k + j]
-        _accum(x, dx)
+        gt = g.transpose(1, 0, 2, 3)
+        dxt = np.zeros((c, bsz, h, w))
+        unrouted = np.ones(out.shape, dtype=bool)
+        for i, j in taps:
+            hit = window(xt, i, j) == out
+            hit &= unrouted
+            unrouted ^= hit
+            dx_win = window(dxt, i, j)
+            dx_win += gt * hit
+        _accum(x, dxt.transpose(1, 0, 2, 3))
 
     return _from_op(out_data, (x,), bwd, "maxpool2d output")
 
@@ -307,10 +328,14 @@ def global_avg_pool(x):
     if x.data.ndim != 4:
         raise ShapeMismatch("global_avg_pool expects x[B,C,H,W]")
     h, w = x.data.shape[2], x.data.shape[3]
-    out_data = x.data.mean(axis=(2, 3))
+    # C-contiguous even for channel-major input: dense's GEMMs round
+    # differently for a transposed operand.
+    out_data = np.ascontiguousarray(x.data.mean(axis=(2, 3)))
 
     def bwd(g):
-        _accum(x, np.broadcast_to(g[:, :, None, None] / (h * w), x.data.shape).copy())
+        dx = np.empty_like(x.data)     # keeps x's memory layout
+        dx[...] = g[:, :, None, None] / (h * w)
+        _accum(x, dx)
 
     return _from_op(out_data, (x,), bwd, "gap output")
 
@@ -517,8 +542,3 @@ def load_checkpoint(path):
         raise CorruptCheckpoint("trailing bytes after last entry")
     return out
 
-
-def checkpoint_digest(path):
-    """Hex sha256 of the full checkpoint file (for reproducibility checks)."""
-    with open(path, "rb") as f:
-        return hashlib.sha256(f.read()).hexdigest()

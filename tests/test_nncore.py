@@ -31,6 +31,42 @@ def conv_naive(x, w, b, stride, pad):
     return out
 
 
+def maxpool_naive(x, g, k, s):
+    """Window-by-window max and gradient routing to the first maximum in
+    row-major window order."""
+    bsz, c, h, w = x.shape
+    ho, wo = (h - k) // s + 1, (w - k) // s + 1
+    out = np.empty((bsz, c, ho, wo))
+    dx = np.zeros_like(x)
+    for bb, cc, i, j in np.ndindex(bsz, c, ho, wo):
+        win = x[bb, cc, i * s : i * s + k, j * s : j * s + k]
+        u, v = np.unravel_index(np.argmax(win), win.shape)
+        out[bb, cc, i, j] = win[u, v]
+        dx[bb, cc, i * s + u, j * s + v] += g[bb, cc, i, j]
+    return out, dx
+
+
+def channel_major(a):
+    """The same [B, C, H, W] values as a view of [C, B, H, W] memory, the
+    layout conv2d and maxpool2d return."""
+    return np.ascontiguousarray(a.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3)
+
+
+LAYOUTS = {"c_contiguous": np.ascontiguousarray, "channel_major": channel_major}
+
+
+def run_both_layouts(op, x_np, g):
+    """op's output and input gradient (upstream gradient g) for x_np given
+    in each layout."""
+    results = []
+    for make in LAYOUTS.values():
+        x = nn.Tensor(make(x_np), requires_grad=True)
+        out = op(x)
+        nn.backward(nn.tsum(nn.mul(out, g)))
+        results.append((out.data, x.grad))
+    return results
+
+
 class TestConv2d:
     def test_identity_kernel(self):
         x = np.random.default_rng(0).normal(size=(2, 3, 5, 5))
@@ -54,6 +90,18 @@ class TestConv2d:
         b = rng.normal(size=4)
         got = nn.conv2d(nn.Tensor(x), nn.Tensor(w), nn.Tensor(b), stride, pad).data
         np.testing.assert_allclose(got, conv_naive(x, w, b, stride, pad), atol=1e-9)
+
+    @pytest.mark.parametrize("stride,pad", [(1, 1), (2, 0)])
+    def test_same_result_for_both_input_layouts(self, stride, pad):
+        rng = np.random.default_rng(17 + stride + pad)
+        x = rng.normal(size=(2, 3, 7, 9))
+        w, b = rng.normal(size=(4, 3, 3, 3)), rng.normal(size=4)
+        g = rng.normal(size=np.shape(conv_naive(x, w, b, stride, pad)))
+        (out_c, dx_c), (out_m, dx_m) = run_both_layouts(
+            lambda t: nn.conv2d(t, nn.Tensor(w), nn.Tensor(b), stride, pad), x, g)
+        assert np.array_equal(out_c, out_m)
+        assert np.array_equal(dx_c, dx_m)
+        np.testing.assert_allclose(out_m, conv_naive(x, w, b, stride, pad), atol=1e-9)
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
@@ -80,11 +128,43 @@ class TestMaxpool:
         assert np.all(g.sum(axis=(3, 5)) == 1.0)
         assert set(np.unique(x.grad)) <= {0.0, 1.0}
 
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    @pytest.mark.parametrize("k,s", [(2, 2), (3, 1), (3, 2)])
+    def test_matches_naive_loops(self, k, s, layout):
+        rng = np.random.default_rng(10 * k + s)
+        # odd H and W leave a remainder; values in {0..3} give many ties;
+        # integer gradients sum exactly in any order where windows overlap
+        x_np = rng.integers(0, 4, size=(2, 3, 7, 9)).astype(np.float64)
+        ho, wo = (7 - k) // s + 1, (9 - k) // s + 1
+        g = rng.integers(-3, 4, size=(2, 3, ho, wo)).astype(np.float64)
+        x = nn.Tensor(LAYOUTS[layout](x_np), requires_grad=True)
+        out = nn.maxpool2d(x, k, s)
+        nn.backward(nn.tsum(nn.mul(out, g)))
+        want_out, want_dx = maxpool_naive(x_np, g, k, s)
+        assert np.array_equal(out.data, want_out)
+        assert np.array_equal(x.grad, want_dx)
+
     def test_tie_routes_to_first_in_row_major(self):
         x = nn.Tensor(np.full((1, 1, 2, 2), 7.0), requires_grad=True)
         loss = nn.tsum(nn.maxpool2d(x))
         nn.backward(loss)
         np.testing.assert_array_equal(x.grad[0, 0], [[1.0, 0.0], [0.0, 0.0]])
+
+
+class TestGlobalAvgPool:
+    def test_same_result_for_both_input_layouts(self):
+        rng = np.random.default_rng(19)
+        x, g = rng.normal(size=(2, 3, 7, 9)), rng.normal(size=(2, 3))
+        (out_c, dx_c), (out_m, dx_m) = run_both_layouts(nn.global_avg_pool, x, g)
+        assert np.array_equal(out_c, out_m)
+        assert np.array_equal(dx_c, dx_m)
+        np.testing.assert_allclose(out_m, x.mean(axis=(2, 3)), atol=1e-12)
+
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    def test_output_is_c_contiguous(self, layout):
+        # dense's GEMMs round differently for a transposed operand
+        x = LAYOUTS[layout](np.random.default_rng(20).normal(size=(4, 8, 5, 5)))
+        assert nn.global_avg_pool(nn.Tensor(x)).data.flags["C_CONTIGUOUS"]
 
 
 class TestDense:
@@ -106,6 +186,14 @@ class TestDense:
 
 
 class TestActivations:
+    def test_relu_same_result_for_both_input_layouts(self):
+        rng = np.random.default_rng(21)
+        x, g = rng.normal(size=(2, 3, 7, 9)), rng.normal(size=(2, 3, 7, 9))
+        (out_c, dx_c), (out_m, dx_m) = run_both_layouts(nn.relu, x, g)
+        assert np.array_equal(out_c, out_m)
+        assert np.array_equal(dx_c, dx_m)
+        assert np.array_equal(out_m, np.maximum(x, 0.0))
+
     def test_softmax_uniform_logits(self):
         out = nn.softmax(nn.Tensor(np.zeros((1, 5))))
         np.testing.assert_allclose(out.data, 0.2)
@@ -218,6 +306,10 @@ class TestFiniteGuard:
     def test_nan_input_rejected(self):
         with pytest.raises(NonFiniteTensor):
             nn.Tensor(np.array([1.0, np.nan]))
+
+    def test_op_output_check_names_the_op(self):
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteTensor, match="mul output"):
+            nn.mul(nn.Tensor(np.array([1e308])), 10.0)
 
     def test_ops_stay_finite_on_random_input(self):
         rng = np.random.default_rng(11)
