@@ -20,14 +20,8 @@ import numpy as np
 
 from . import dsp, evaluation, models, nncore, synthgun
 from .errors import DegenerateData, InvalidParam, NonFiniteLoss, SceneOverflow
-from .manifest import (
-    CLASS_NAMES,
-    ManifestRow,
-    load_manifest,
-    manifest_digest,
-    save_manifest,
-)
-from .synthgun import CLASS_ORDER, FirearmClass
+from .manifest import CLASS_NAMES, load_manifest, manifest_digest
+from .synthgun import CLASS_ORDER
 from .wavio import read_wav
 
 EXIT_OK = 0
@@ -291,13 +285,13 @@ def cmd_train(args):
         meta, history = _train_cnn(rows, feats, split, args, out_dir)
     else:
         meta, history = _train_svm(rows, feats, split, args, out_dir)
-    meta["train_seconds"] = round(time.perf_counter() - t0, 3)
+    seconds = round(time.perf_counter() - t0, 3)
 
     with open(out_dir / "model.meta.json", "w", encoding="utf-8") as f:
         json.dump(meta, f, indent=2, sort_keys=True)
     with open(out_dir / "history.json", "w", encoding="utf-8") as f:
         json.dump(history, f, indent=2, sort_keys=True)
-    print(f"trained {args.model} in {meta['train_seconds']}s; "
+    print(f"trained {args.model} in {seconds}s; "
           f"checkpoint at {out_dir / 'model.ckpt'}")
     return EXIT_OK
 
@@ -337,15 +331,10 @@ def _predict_rows(model_bundle, meta, rows, feats, threshold):
         preds, score_rows = [], []
         for r in rows:
             x = scaler.transform(feats[r.id])
-            preds.append(models.svm_prediction(svm, x, threshold=0.0))
-            score_rows.append(svm_scores_for(svm, x))
+            preds.append(models.svm_prediction(svm, x, threshold=threshold))
+            score_rows.append(models.svm_predict(svm, x)[0])
         scores = np.stack(score_rows)
     return preds, scores
-
-
-def svm_scores_for(svm, x):
-    scores, _ = models.svm_predict(svm, x)
-    return scores
 
 
 def evaluate_rows(model_bundle, meta, rows, feats, threshold, *,

@@ -2,9 +2,9 @@
 log-mel spectrograms (128 bands, 1024-sample window, 512 hop), waveform
 autocorrelation, and bag-of-audio-words encoding.
 
-The FFT is an in-house iterative radix-2 implementation (vectorized over
-leading axes); the resampler is a windowed-sinc polyphase filter. numpy is
-used as the array substrate only.
+Spectra come from numpy.fft: `stft` takes the real FFT of Hann-windowed
+frames, and `autocorrelation` the real FFT of the clip zero-padded to a
+power of two. The resampler is a windowed-sinc polyphase filter.
 """
 
 import functools
@@ -35,44 +35,25 @@ FEATURE_VERSION = 1
 
 
 # ---------------------------------------------------------------------------
-# FFT (iterative radix-2, power-of-two lengths, batched over leading axes)
+# FFT (power-of-two lengths, batched over leading axes)
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=32)
-def _bit_reverse_indices(n):
-    bits = n.bit_length() - 1
-    rev = np.zeros(n, dtype=np.intp)
-    for i in range(1, n):
-        rev[i] = (rev[i >> 1] >> 1) | ((i & 1) << (bits - 1))
-    return rev
-
-
-def _fft_core(x, sign):
+def _pow2_last_axis(x):
+    x = np.asarray(x, dtype=np.complex128)
     n = x.shape[-1]
     if n == 0 or n & (n - 1):
         raise InvalidParam(f"FFT length must be a power of two, got {n}")
-    y = x[..., _bit_reverse_indices(n)].astype(np.complex128)
-    m = 2
-    while m <= n:
-        half = m // 2
-        tw = np.exp(sign * 2j * np.pi * np.arange(half) / m)
-        y = y.reshape(y.shape[:-1] + (n // m, m))
-        a = y[..., :half]
-        b = y[..., half:] * tw
-        y = np.concatenate((a + b, a - b), axis=-1).reshape(y.shape[:-2] + (n,))
-        m *= 2
-    return y
+    return x
 
 
 def fft(x):
     """Forward DFT of the last axis (length must be a power of two)."""
-    return _fft_core(np.asarray(x, dtype=np.complex128), -1.0)
+    return np.fft.fft(_pow2_last_axis(x))
 
 
 def ifft(x):
     """Inverse DFT of the last axis."""
-    x = np.asarray(x, dtype=np.complex128)
-    return _fft_core(x, +1.0) / x.shape[-1]
+    return np.fft.ifft(_pow2_last_axis(x))
 
 
 def _next_pow2(n):
@@ -100,8 +81,7 @@ def stft(clip, win=WIN_SAMPLES, hop=HOP_SAMPLES):
         raise UnsupportedFormat("stft expects a mono clip")
     t = frame_count(len(x), win, hop)
     frames = np.lib.stride_tricks.sliding_window_view(x, win)[::hop][:t]
-    spec = fft(frames * hann_window(win))
-    return spec[:, : win // 2 + 1]
+    return np.fft.rfft(frames * hann_window(win))
 
 
 # ---------------------------------------------------------------------------
@@ -191,8 +171,8 @@ def autocorrelation(clip, max_lag):
     if not 0 <= max_lag < n:
         raise InvalidParam(f"max_lag must be in [0, {n - 1}], got {max_lag}")
     nfft = _next_pow2(n + max_lag + 1)
-    spec = fft(np.concatenate([x, np.zeros(nfft - n)]))
-    r = ifft(spec * np.conj(spec)).real[: max_lag + 1] / n
+    spec = np.fft.rfft(x, nfft)
+    r = np.fft.irfft(spec * np.conj(spec), nfft)[: max_lag + 1] / n
     if r[0] > 0:
         r = r / r[0]
     return r

@@ -165,7 +165,7 @@ def mean_ap(per_class_ap):
 
 def _as_arrays(true_class, pred_gun, pred_class):
     t = [NGI if c is None else int(c) for c in true_class]
-    return (np.asarray(t), np.asarray(pred_gun, dtype=bool),
+    return (np.asarray(t, dtype=np.int64), np.asarray(pred_gun, dtype=bool),
             np.asarray(pred_class, dtype=np.int64))
 
 
@@ -178,10 +178,7 @@ def overall_confusion(true_class, pred_gun, pred_class, n_classes=N_CLASSES):
     lands in row K under the predicted class."""
     t, g, c = _as_arrays(true_class, pred_gun, pred_class)
     m = np.zeros((n_classes + 1, n_classes + 1), dtype=np.int64)
-    for ti, gi, ci in zip(t, g, c):
-        row = n_classes if ti == NGI else ti
-        col = ci if gi else n_classes
-        m[row, col] += 1
+    np.add.at(m, (np.where(t == NGI, n_classes, t), np.where(g, c, n_classes)), 1)
     return m
 
 
@@ -205,8 +202,7 @@ def relevant_confusion(true_class, pred_gun, pred_class, n_classes=N_CLASSES):
     t, g, c = _as_arrays(true_class, pred_gun, pred_class)
     keep = (t != NGI) & g
     m = np.zeros((n_classes, n_classes), dtype=np.int64)
-    for ti, ci in zip(t[keep], c[keep]):
-        m[ti, ci] += 1
+    np.add.at(m, (t[keep], c[keep]), 1)
     return m
 
 
@@ -220,11 +216,10 @@ def relevant_metrics(true_class, pred_gun, pred_class, n_classes=N_CLASSES):
 
 def detection_confusion(true_is_gun, pred_is_gun):
     """2x2 matrix ordered [no_gunshot, gunshot] on both axes."""
-    t = np.asarray(true_is_gun, dtype=bool)
-    p = np.asarray(pred_is_gun, dtype=bool)
+    t = np.asarray(true_is_gun, dtype=bool).astype(np.intp)
+    p = np.asarray(pred_is_gun, dtype=bool).astype(np.intp)
     m = np.zeros((2, 2), dtype=np.int64)
-    for ti, pi in zip(t, p):
-        m[int(ti), int(pi)] += 1
+    np.add.at(m, (t, p), 1)
     return m
 
 

@@ -65,13 +65,6 @@ def load_manifest(path, check_paths=True):
     return rows
 
 
-def save_manifest(rows, path):
-    with open(path, "w", encoding="utf-8") as f:
-        for r in rows:
-            d = r.to_dict() if isinstance(r, ManifestRow) else r
-            f.write(json.dumps(d) + "\n")
-
-
 def manifest_digest(path):
     """Hex sha256 of the manifest file bytes (ties reports to their dataset)."""
     with open(path, "rb") as f:

@@ -270,6 +270,23 @@ class TestOverallRelevant:
                     expect[t, c] += 1
             np.testing.assert_array_equal(conf, expect)
 
+    def test_overall_and_detection_match_counting_oracle(self):
+        rng = np.random.default_rng(10)
+        for n in range(30):
+            truth = [None if rng.random() < 0.3 else int(rng.integers(0, 5))
+                     for _ in range(n)]
+            pred_gun = list(rng.random(n) < 0.7)
+            pred_class = list(rng.integers(0, 5, n))
+            overall = np.zeros((6, 6), dtype=int)
+            detection = np.zeros((2, 2), dtype=int)
+            for t, g, c in zip(truth, pred_gun, pred_class):
+                overall[5 if t is None else t, c if g else 5] += 1
+                detection[int(t is not None), int(g)] += 1
+            np.testing.assert_array_equal(
+                ev.overall_confusion(truth, pred_gun, pred_class), overall)
+            np.testing.assert_array_equal(
+                ev.detection_confusion([t is not None for t in truth], pred_gun), detection)
+
     def test_relevant_set_subset_of_positives(self):
         rng = np.random.default_rng(6)
         truth = [None if rng.random() < 0.5 else int(rng.integers(0, 5))

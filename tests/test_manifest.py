@@ -1,0 +1,93 @@
+"""Manifest contracts: rows round-trip through their dict and JSON-line
+forms, and load_manifest refuses duplicate ids, a class without a gunshot
+label (or the reverse), and unknown classes."""
+
+import json
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from gunshot_bench.errors import InvalidParam
+from gunshot_bench.manifest import CLASS_NAMES, GUNSHOT, NO_GUNSHOT, ManifestRow, load_manifest
+
+FIXTURE_OK = settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@st.composite
+def rows(draw):
+    class_name = draw(st.none() | st.sampled_from(CLASS_NAMES))
+    rid = draw(st.text(min_size=1, max_size=12))
+    return ManifestRow(
+        id=rid, path=f"wav/{rid}.wav",
+        detection_label=NO_GUNSHOT if class_name is None else GUNSHOT,
+        class_name=class_name,
+        duration_s=draw(st.floats(0.1, 60.0)),
+        clean=draw(st.booleans()),
+        seed=draw(st.integers(0, 2**31 - 1)))
+
+
+def unique_rows(min_size=1):
+    return st.lists(rows(), min_size=min_size, max_size=10, unique_by=lambda r: r.id)
+
+
+def _write(path, dicts):
+    path.write_text("".join(json.dumps(d) + "\n" for d in dicts), encoding="utf-8")
+    return path
+
+
+@given(rows())
+def test_row_dict_round_trip(row):
+    assert ManifestRow.from_dict(row.to_dict()) == row
+
+
+@FIXTURE_OK
+@given(unique_rows(min_size=0))
+def test_load_manifest_round_trip(tmp_path, manifest_rows):
+    path = _write(tmp_path / "manifest.jsonl", [r.to_dict() for r in manifest_rows])
+    assert load_manifest(path, check_paths=False) == manifest_rows
+
+
+@FIXTURE_OK
+@given(unique_rows(), st.data())
+def test_duplicate_id_rejected(tmp_path, manifest_rows, data):
+    dup = data.draw(st.sampled_from(manifest_rows)).to_dict()
+    path = _write(tmp_path / "manifest.jsonl", [r.to_dict() for r in manifest_rows] + [dup])
+    with pytest.raises(InvalidParam, match="duplicate"):
+        load_manifest(path, check_paths=False)
+
+
+@FIXTURE_OK
+@given(unique_rows(), st.data())
+def test_class_present_iff_gunshot(tmp_path, manifest_rows, data):
+    dicts = [r.to_dict() for r in manifest_rows]
+    bad = data.draw(st.sampled_from(dicts))
+    if bad["class"] is None:
+        bad["detection_label"] = GUNSHOT         # gunshot without a class
+    else:
+        bad["detection_label"] = NO_GUNSHOT      # class without a gunshot
+    path = _write(tmp_path / "manifest.jsonl", dicts)
+    with pytest.raises(InvalidParam, match="present iff gunshot"):
+        load_manifest(path, check_paths=False)
+
+
+@FIXTURE_OK
+@given(unique_rows(), st.data(), st.text(min_size=1, max_size=12).filter(
+    lambda name: name not in CLASS_NAMES))
+def test_unknown_class_rejected(tmp_path, manifest_rows, data, name):
+    dicts = [r.to_dict() for r in manifest_rows]
+    bad = data.draw(st.sampled_from(dicts))
+    bad.update(detection_label=GUNSHOT, **{"class": name})
+    path = _write(tmp_path / "manifest.jsonl", dicts)
+    with pytest.raises(InvalidParam, match="unknown class"):
+        load_manifest(path, check_paths=False)
+
+
+def test_missing_audio_file_rejected(tmp_path):
+    row = ManifestRow("a", "wav/a.wav", GUNSHOT, CLASS_NAMES[0], 2.0, True, 0)
+    path = _write(tmp_path / "manifest.jsonl", [row.to_dict()])
+    with pytest.raises(InvalidParam, match="missing file"):
+        load_manifest(path)
+    (tmp_path / "wav").mkdir()
+    (tmp_path / "wav" / "a.wav").write_bytes(b"")
+    assert load_manifest(path) == [row]
