@@ -10,6 +10,7 @@ Exit codes: 0 ok, 2 usage error (including data the command cannot use),
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -125,7 +126,6 @@ def cmd_featurize(args):
     manifest_path = Path(args.manifest)
     rows = load_manifest(manifest_path)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     _echo_config(args, out_dir, "featurize")
     base = manifest_path.parent
 
@@ -216,36 +216,38 @@ def _mel_set(rows, feats):
     return models.LabeledMelSet([feats[r.id] for r in rows], y_det, y_type)
 
 
-def _train_cnn(rows, feats, split, args, out_dir):
-    train_rows, val_rows, _ = _split_rows(rows, split)
-    model = models.JointCnnModel(seed=args.seed, t_frames=args.input_frames)
-    config = models.TrainConfig(
-        epochs=args.epochs, batch_size=args.batch_size, lr=args.lr,
-        momentum=args.momentum, lambda_type=args.lambda_type,
-        early_stop_patience=args.patience, seed=args.seed,
-        input_frames=args.input_frames)
-    history = models.cnn_train(model, _mel_set(train_rows, feats),
-                               _mel_set(val_rows, feats), config)
-    nncore.save_checkpoint(out_dir / "model.ckpt", model.named_arrays())
-    meta = {
-        "model": "cnn", "feature_kind": "mel", "threshold": args.threshold,
-        "class_list": CLASS_NAMES, "architecture_hash": model.architecture_hash(),
-        "input_frames": args.input_frames, "n_mels": model.n_mels,
-        "input_mean": model.input_mean, "input_std": model.input_std,
-        "seed": args.seed,
-    }
-    return meta, history
+def _check_kind(model, kind):
+    if (model == "cnn") != (kind == "mel"):
+        need = "kind=mel" if model == "cnn" else "vector (melstats/boaw/autocorr)"
+        raise UsageError(f"{model} needs {need} features, found {kind}")
 
 
-def _train_svm(rows, feats, split, args, out_dir):
-    train_rows, _, _ = _split_rows(rows, split)
+def _fit(args, kind, train_rows, val_rows, feats):
+    """Train `--model` on train_rows (the CNN early-stops on val_rows) and
+    return (bundle, meta, arrays, history), writing nothing: bundle has the
+    shape `load_model` returns, arrays are the checkpoint's contents."""
+    meta = {"model": args.model, "feature_kind": kind, "class_list": CLASS_NAMES,
+            "seed": args.seed}
+    if args.model == "cnn":
+        model = models.JointCnnModel(seed=args.seed, t_frames=args.input_frames)
+        config = models.TrainConfig(
+            epochs=args.epochs, batch_size=args.batch_size, lr=args.lr,
+            momentum=args.momentum, lambda_type=args.lambda_type,
+            early_stop_patience=args.patience, seed=args.seed,
+            input_frames=args.input_frames)
+        history = models.cnn_train(model, _mel_set(train_rows, feats),
+                                   _mel_set(val_rows, feats), config)
+        meta.update(threshold=args.threshold, architecture_hash=model.architecture_hash(),
+                    input_frames=args.input_frames, n_mels=model.n_mels,
+                    input_mean=model.input_mean, input_std=model.input_std)
+        return model, meta, model.named_arrays(), history
+
     x = np.stack([feats[r.id] for r in train_rows])
     _, y_type = _labels_for(train_rows)
     scaler = models.Standardizer.fit(x)
-    model = svm = models.svm_train(scaler.transform(x), y_type, c=args.svm_c,
-                                   epochs=args.epochs, seed=args.seed,
-                                   feature_kind=_feature_kind(args.features),
-                                   n_classes=len(CLASS_NAMES))
+    svm = models.svm_train(scaler.transform(x), y_type, c=args.svm_c,
+                           epochs=args.epochs, seed=args.seed, feature_kind=kind,
+                           n_classes=len(CLASS_NAMES))
     arrays = {
         "weights": svm.weights, "biases": svm.biases,
         "scaler_mean": scaler.mean, "scaler_std": scaler.std,
@@ -253,18 +255,13 @@ def _train_svm(rows, feats, split, args, out_dir):
     if svm.det_weight is not None:
         arrays["det_weight"] = svm.det_weight
         arrays["det_bias"] = np.array([svm.det_bias])
-    nncore.save_checkpoint(out_dir / "model.ckpt", arrays)
-    meta = {
-        "model": "svm", "feature_kind": model.feature_kind, "threshold": 0.0,
-        "class_list": CLASS_NAMES, "c": args.svm_c, "seed": args.seed,
-    }
+    meta.update(threshold=0.0, c=args.svm_c)
     history = [{"machine": i, "objective": h} for i, h in enumerate(svm.objective_history)]
-    return meta, history
+    return (svm, scaler), meta, arrays, history
 
 
 def cmd_train(args):
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     _echo_config(args, out_dir, "train")
     rows = load_manifest(Path(args.manifest))
     if args.split:
@@ -274,19 +271,15 @@ def cmd_train(args):
     split.save(out_dir / "split.json")
 
     kind = _feature_kind(args.features)
-    if args.model == "cnn" and kind != "mel":
-        raise UsageError(f"cnn needs kind=mel features, found {kind}")
-    if args.model == "svm" and kind == "mel":
-        raise UsageError("svm needs vector features (melstats/boaw/autocorr), found mel")
+    _check_kind(args.model, kind)
     feats = _load_features(args.features, rows)
+    train_rows, val_rows, _ = _split_rows(rows, split)
 
     t0 = time.perf_counter()
-    if args.model == "cnn":
-        meta, history = _train_cnn(rows, feats, split, args, out_dir)
-    else:
-        meta, history = _train_svm(rows, feats, split, args, out_dir)
+    _, meta, arrays, history = _fit(args, kind, train_rows, val_rows, feats)
     seconds = round(time.perf_counter() - t0, 3)
 
+    nncore.save_checkpoint(out_dir / "model.ckpt", arrays)
     with open(out_dir / "model.meta.json", "w", encoding="utf-8") as f:
         json.dump(meta, f, indent=2, sort_keys=True)
     with open(out_dir / "history.json", "w", encoding="utf-8") as f:
@@ -352,7 +345,6 @@ def evaluate_rows(model_bundle, meta, rows, feats, threshold, *,
 
 def cmd_evaluate(args):
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     _echo_config(args, out_dir, "evaluate")
     rows = load_manifest(Path(args.manifest))
     model_bundle, meta = load_model(args.checkpoint)
@@ -370,9 +362,8 @@ def cmd_evaluate(args):
         subset = rows
 
     kind = _feature_kind(args.features)
-    expected = "mel" if meta["model"] == "cnn" else meta["feature_kind"]
-    if kind != expected:
-        raise UsageError(f"feature kind {kind} does not match model ({expected})")
+    if kind != meta["feature_kind"]:
+        raise UsageError(f"feature kind {kind} does not match model ({meta['feature_kind']})")
     feats = _load_features(args.features, subset)
 
     report = evaluate_rows(
@@ -391,18 +382,20 @@ def cmd_evaluate(args):
 
 def cmd_crossval(args):
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     _echo_config(args, out_dir, "crossval")
     rows = load_manifest(Path(args.manifest))
+    kind = _feature_kind(args.features)
+    _check_kind(args.model, kind)
     split = evaluation.stratified_split(rows, seed=args.seed)
     pool_ids = set(split.train_ids) | set(split.val_ids)
     pool = [r for r in rows if r.id in pool_ids]
-    by_class = {}
-    for r in pool:
-        by_class.setdefault(r.class_name or "no_gunshot", []).append(r.id)
-    plan = evaluation.kfold(by_class, k=args.k, seed=args.seed)
+    if args.k > len(pool):
+        raise UsageError(f"--k {args.k} exceeds the {len(pool)} clips in the pool")
+    plan = evaluation.kfold(evaluation.strata(pool), k=args.k, seed=args.seed)
     feats = _load_features(args.features, pool)
     by_id = {r.id: r for r in pool}
+    default = 0.5 if args.model == "cnn" else 0.0    # a probability vs an SVM margin
+    threshold = default if args.threshold is None else args.threshold
 
     fold_metrics = []
     for i, fold in enumerate(plan.folds):
@@ -410,28 +403,12 @@ def cmd_crossval(args):
         fold_dir.mkdir(exist_ok=True)
         train_rows = [by_id[x] for x in plan.train_ids(i)]
         test_rows = [by_id[x] for x in fold]
+        val_rows = []
         if args.model == "cnn":
-            model = models.JointCnnModel(seed=args.seed, t_frames=args.input_frames)
-            config = models.TrainConfig(
-                epochs=args.epochs, batch_size=args.batch_size, lr=args.lr,
-                momentum=args.momentum, lambda_type=args.lambda_type,
-                early_stop_patience=args.patience, seed=args.seed,
-                input_frames=args.input_frames)
-            # last 20% of the training pool (per fold) serves as val
-            n_val = max(1, len(train_rows) // 5)
-            models.cnn_train(model, _mel_set(train_rows[:-n_val], feats),
-                             _mel_set(train_rows[-n_val:], feats), config)
-            bundle, meta = model, {"model": "cnn", "feature_kind": "mel"}
-            threshold = args.threshold if args.threshold is not None else 0.5
-        else:
-            x = np.stack([feats[r.id] for r in train_rows])
-            _, y_type = _labels_for(train_rows)
-            scaler = models.Standardizer.fit(x)
-            svm = models.svm_train(scaler.transform(x), y_type, c=args.svm_c,
-                                   epochs=args.epochs, seed=args.seed,
-                                   n_classes=len(CLASS_NAMES))
-            bundle, meta = (svm, scaler), {"model": "svm", "feature_kind": "vector"}
-            threshold = 0.0
+            val_split = evaluation.stratified_split(train_rows, ratios=(0.8, 0.2, 0.0),
+                                                    seed=args.seed)
+            train_rows, val_rows, _ = _split_rows(train_rows, val_split)
+        bundle, meta, _, _ = _fit(args, kind, train_rows, val_rows, feats)
         report = evaluate_rows(bundle, meta, test_rows, feats, threshold,
                                dataset_hash=manifest_digest(args.manifest),
                                split_seed=args.seed, config={"fold": i})
@@ -463,19 +440,39 @@ def cmd_crossval(args):
 # parser
 # ---------------------------------------------------------------------------
 
+def _checked(convert, accept, what):
+    """An argparse `type=`: a value `convert` or `accept` refuses exits 2."""
+    def parse(text):
+        value = convert(text)
+        if not accept(value):
+            raise argparse.ArgumentTypeError(f"{text!r} is not {what}")
+        return value
+    parse.__name__ = convert.__name__    # argparse prints "invalid int value"
+    return parse
+
+
+_positive_int = _checked(int, lambda v: v > 0, "a positive integer")
+_non_negative_int = _checked(int, lambda v: v >= 0, "a non-negative integer")
+_positive = _checked(float, lambda v: 0 < v < math.inf, "a finite number > 0")
+_non_negative = _checked(float, lambda v: 0 <= v < math.inf, "a finite number >= 0")
+_below_one = _checked(float, lambda v: 0 <= v < 1, "a number in [0, 1)")
+_finite = _checked(float, math.isfinite, "a finite number")
+
+
 def _add_train_flags(p):
     p.add_argument("--model", choices=("svm", "cnn"), required=True)
-    p.add_argument("--epochs", type=int, default=30,
+    p.add_argument("--epochs", type=_positive_int, default=30,
                    help="cnn: training epochs; svm: maximum dual-solver sweeps "
                         "per machine (stops earlier once converged)")
-    p.add_argument("--batch-size", type=int, default=16)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--momentum", type=float, default=0.9)
-    p.add_argument("--lambda-type", type=float, default=1.0)
-    p.add_argument("--patience", type=int, default=5)
-    p.add_argument("--input-frames", type=int, default=models.T_FIXED_DEFAULT)
-    p.add_argument("--svm-c", type=float, default=1.0)
-    p.add_argument("--threshold", type=float, default=None)
+    p.add_argument("--batch-size", type=_positive_int, default=16)
+    p.add_argument("--lr", type=_positive, default=1e-3)
+    p.add_argument("--momentum", type=_below_one, default=0.9)
+    p.add_argument("--lambda-type", type=_non_negative, default=1.0)
+    p.add_argument("--patience", type=_non_negative_int, default=5)
+    p.add_argument("--input-frames", type=_positive_int, default=models.T_FIXED_DEFAULT)
+    p.add_argument("--svm-c", type=_positive, default=1.0)
+    p.add_argument("--threshold", type=_finite, default=None,
+                   help="decision threshold; cnn default 0.5, svm 0.0")
 
 
 def build_parser():
@@ -524,7 +521,7 @@ def build_parser():
     e.add_argument("--out", required=True)
     e.add_argument("--split")
     e.add_argument("--subset", choices=("train", "val", "test"), default="test")
-    e.add_argument("--threshold", type=float, default=None)
+    e.add_argument("--threshold", type=_finite, default=None)
     e.set_defaults(func=cmd_evaluate)
 
     c = sub.add_parser("crossval", help="k-fold cross-validation over train+val")

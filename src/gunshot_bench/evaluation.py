@@ -55,7 +55,7 @@ class SplitSpec:
             return cls.from_dict(json.load(f))
 
 
-def _strata(rows):
+def strata(rows):
     """Group row ids by stratum (class name, or no_gunshot), fixed order."""
     groups = {name: [] for name in CLASS_NAMES + ["no_gunshot"]}
     for r in rows:
@@ -70,7 +70,7 @@ def stratified_split(rows, ratios=(0.6, 0.2, 0.2), seed=0):
         raise InvalidParam("ratios must be three values summing to 1")
     rng = np.random.default_rng(seed)
     train, val, test = [], [], []
-    for _, ids in _strata(rows).items():
+    for _, ids in strata(rows).items():
         ids = list(ids)
         rng.shuffle(ids)
         n = len(ids)

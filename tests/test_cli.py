@@ -1,12 +1,14 @@
 """CLI exit codes for inputs the pipeline cannot use: each ends in its
 documented code and a one-line message, never in a traceback; SVM
-evaluation and training honour their flags and rerun byte for byte."""
+evaluation, training and cross-validation honour their flags and rerun
+byte for byte."""
 
 import json
 
+import numpy as np
 import pytest
 
-from gunshot_bench import cli
+from gunshot_bench import cli, models
 
 
 def test_cnn_without_validation_clips_exits_usage(tmp_path, capsys):
@@ -71,3 +73,100 @@ def test_svm_train_rerun_is_byte_identical(melstats_data, tmp_path):
         _train_svm(manifest, feats, tmp_path / run)
     for name in ("model.meta.json", "model.ckpt", "history.json"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--epochs", "0"), ("--batch-size", "0"), ("--lr", "nan"), ("--lr", "abc"),
+    ("--momentum", "1"), ("--lambda-type", "-1"), ("--patience", "-1"),
+    ("--input-frames", "0"), ("--svm-c", "0"), ("--threshold", "inf"),
+])
+def test_bad_train_flag_exits_usage(flag, value, tmp_path, capsys):
+    for command in ("train", "crossval"):
+        code = cli.main([command, "--manifest", "m", "--features", "f",
+                         "--out", str(tmp_path), "--model", "svm", flag, value])
+        assert code == cli.EXIT_USAGE
+        assert f"argument {flag}:" in capsys.readouterr().err.splitlines()[-1]
+
+
+@pytest.fixture(scope="module")
+def small_data(tmp_path_factory):
+    """The 60 clips of `generate --per-class 10 --negatives 10 --seed 1`
+    with mel and melstats caches; the crossval pool holds 8 of each class."""
+    root = tmp_path_factory.mktemp("small")
+    data = root / "data"
+    assert cli.main(["generate", "--out", str(data), "--per-class", "10",
+                     "--negatives", "10", "--seed", "1"]) == cli.EXIT_OK
+    for kind in ("mel", "melstats"):
+        assert cli.main(["featurize", "--manifest", str(data / "manifest.jsonl"),
+                         "--kind", kind, "--out", str(root / kind)]) == cli.EXIT_OK
+    return data / "manifest.jsonl", root
+
+
+def _crossval(manifest, feats, out, model, *extra):
+    return cli.main(["crossval", "--manifest", str(manifest), "--features", str(feats),
+                     "--out", str(out), "--model", model, "--seed", "1", *extra])
+
+
+@pytest.mark.parametrize("model,kind", [("svm", "mel"), ("cnn", "melstats")])
+def test_crossval_wrong_feature_kind_exits_usage(small_data, tmp_path, capsys, model, kind):
+    manifest, root = small_data
+    assert _crossval(manifest, root / kind, tmp_path, model) == cli.EXIT_USAGE
+    assert f"{model} needs" in capsys.readouterr().err
+
+
+def test_crossval_k_above_pool_exits_usage(small_data, tmp_path, capsys):
+    manifest, root = small_data
+    assert _crossval(manifest, root / "melstats", tmp_path, "svm", "--k", "50") == cli.EXIT_USAGE
+    assert "exceeds the 48 clips" in capsys.readouterr().err
+
+
+def test_cnn_crossval_validation_is_stratified(small_data, tmp_path, monkeypatch):
+    manifest, root = small_data
+    seen = []
+
+    def fake_cnn_train(model, train_set, val_set, config):
+        seen.append((np.concatenate([train_set.y_type, val_set.y_type]), val_set.y_type))
+        return []
+
+    monkeypatch.setattr(models, "cnn_train", fake_cnn_train)
+    assert _crossval(manifest, root / "mel", tmp_path, "cnn", "--input-frames", "16") == cli.EXIT_OK
+    assert len(seen) == 5
+    for fold_types, val_types in seen:
+        labels, counts = np.unique(fold_types, return_counts=True)
+        assert set(labels[counts >= 5]) <= set(val_types)
+
+
+@pytest.fixture(scope="module")
+def svm_crossval(melstats_data, tmp_path_factory):
+    manifest, feats = melstats_data
+    out = tmp_path_factory.mktemp("crossval")
+    assert _crossval(manifest, feats, out, "svm") == cli.EXIT_OK
+    return out
+
+
+def test_svm_crossval_fold_reports(svm_crossval):
+    folds = json.loads((svm_crossval / "aggregate.json").read_text())["folds"]
+    assert len(folds) == 5
+    for fold in folds:
+        report = json.loads((svm_crossval / f"fold{fold['fold']}" / "report.json").read_text())
+        assert report["model_meta"]["feature_kind"] == "melstats"
+        assert np.sum(report["detection"]["confusion"]) == fold["test_size"]
+
+
+def test_svm_crossval_rerun_is_byte_identical(melstats_data, svm_crossval, tmp_path):
+    manifest, feats = melstats_data
+    assert _crossval(manifest, feats, tmp_path, "svm") == cli.EXIT_OK
+    name = "aggregate.json"
+    assert (tmp_path / name).read_bytes() == (svm_crossval / name).read_bytes()
+
+
+def test_svm_crossval_honours_threshold(melstats_data, tmp_path):
+    manifest, feats = melstats_data
+    confusions = []
+    for threshold in ("0.0", "5.0"):
+        out = tmp_path / threshold
+        assert _crossval(manifest, feats, out, "svm", "--threshold", threshold) == cli.EXIT_OK
+        reports = [json.loads((out / f"fold{i}" / "report.json").read_text()) for i in range(5)]
+        assert all(r["threshold"] == float(threshold) for r in reports)
+        confusions.append([r["detection"]["confusion"] for r in reports])
+    assert confusions[0] != confusions[1]
