@@ -71,6 +71,8 @@ def _parse_counts(args):
 def cmd_generate(args):
     out_dir = Path(args.out)
     counts = _parse_counts(args)
+    if sum(counts.values()) + args.negatives == 0:
+        raise UsageError("nothing to generate: the requested class mix has 0 clips")
     _echo_config(args, out_dir, "generate")
     rows = synthgun.generate_dataset(counts, args.negatives, not args.noisy,
                                      out_dir, args.seed, duration_s=args.duration)
@@ -125,6 +127,8 @@ def _fit_boaw_codebook(base, rows, k, seed, max_frames_per_clip=32):
 def cmd_featurize(args):
     manifest_path = Path(args.manifest)
     rows = load_manifest(manifest_path)
+    if not rows:
+        raise UsageError(f"manifest {manifest_path} lists no clips")
     out_dir = Path(args.out)
     _echo_config(args, out_dir, "featurize")
     base = manifest_path.parent
@@ -248,6 +252,11 @@ def _fit(args, kind, train_rows, val_rows, feats):
     svm = models.svm_train(scaler.transform(x), y_type, c=args.svm_c,
                            epochs=args.epochs, seed=args.seed, feature_kind=kind,
                            n_classes=len(CLASS_NAMES))
+    capped = svm.converged.count(False)
+    if capped:
+        print(f"svm: {capped} of {len(svm.converged)} machines stopped at the "
+              f"{args.epochs}-sweep cap before KKT tolerance {models.SVM_KKT_TOL:g}",
+              file=sys.stderr)
     arrays = {
         "weights": svm.weights, "biases": svm.biases,
         "scaler_mean": scaler.mean, "scaler_std": scaler.std,
@@ -486,7 +495,7 @@ def build_parser():
     g.add_argument("--per-class", type=int, default=20)
     g.add_argument("--counts", help="comma-separated per-class counts")
     g.add_argument("--preset", choices=("paper-ratio",))
-    g.add_argument("--scale", type=float, default=0.05,
+    g.add_argument("--scale", type=_positive, default=0.05,
                    help="scale factor for the preset class mix")
     g.add_argument("--negatives", type=int, default=0)
     g.add_argument("--noisy", action="store_true",
@@ -499,8 +508,9 @@ def build_parser():
     f.add_argument("--manifest", required=True)
     f.add_argument("--kind", choices=FEATURE_KINDS, required=True)
     f.add_argument("--out", required=True)
-    f.add_argument("--boaw-k", type=int, default=64)
-    f.add_argument("--autocorr-lag", type=int, default=DEFAULT_AUTOCORR_LAG)
+    f.add_argument("--boaw-k", type=_checked(int, lambda v: v >= 2, "an integer >= 2"),
+                   default=64)
+    f.add_argument("--autocorr-lag", type=_non_negative_int, default=DEFAULT_AUTOCORR_LAG)
     f.add_argument("--seed", type=int, default=_default_seed())
     f.set_defaults(func=cmd_featurize)
 

@@ -62,6 +62,7 @@ class SvmModel:
     feature_kind: str
     c: float
     objective_history: list = field(default_factory=list)  # per machine
+    converged: list = field(default_factory=list)  # per machine; not checkpointed
 
 
 def _hinge_objective(x, y, w, b, c):
@@ -75,9 +76,10 @@ SVM_KKT_TOL = 1e-6        # largest KKT violation left in a converged dual solut
 _MIN_CURVATURE = 1e-12    # guards pairs of coincident points (zero curvature)
 
 
-def _train_binary_svm(x, y, c, max_sweeps, gram):
-    """Exact minimizer of ||w||^2 / (2C) + sum_i max(0, 1 - y_i (w . x_i + b))
-    with b unregularized, found by SMO on the dual (Platt 1998):
+def _train_svms(x, ys, c, max_sweeps, gram):
+    """Exact minimizers of ||w||^2 / (2C) + sum_i max(0, 1 - y_i (w . x_i + b))
+    with b unregularized, one machine per row of the [m, n] matrix `ys` of
+    +-1 labels, found by SMO on the dual (Platt 1998):
 
         min_a  a'Qa / 2 - sum(a),   Q_ij = y_i y_j x_i . x_j,
         s.t.   0 <= a_i <= C,  sum_i a_i y_i = 0,
@@ -88,64 +90,89 @@ def _train_binary_svm(x, y, c, max_sweeps, gram):
     sum a_i y_i fixed. The dual gradient G = Qa - 1 is updated in O(n) per
     step from the shared Gram matrix `gram` = x x'.
 
-    Stops once the KKT violation max_up(-y G) - min_low(-y G) is below
-    SVM_KKT_TOL, or after `max_sweeps` sweeps of n steps each. b is the mean
-    of -y G over free a_t, or the midpoint of the feasible KKT interval when
-    no a_t is free (the C -> 0 case).
+    The machines are independent, so all that are still running step
+    together: picking i and j and updating G are [m, n] array ops, with the
+    same per-element arithmetic as a machine solved alone. A machine freezes,
+    and none of its entries is written again, once its KKT violation
+    max_up(-y G) - min_low(-y G) is below SVM_KKT_TOL; the rest run on until
+    they freeze or have made `max_sweeps` sweeps of n steps each. b is the
+    mean of -y G over free a_t, or the midpoint of the feasible KKT interval
+    when no a_t is free (the C -> 0 case).
 
-    Returns (w, b, history); history holds the best primal objective seen so
-    far, at the start and after every sweep, so it is non-increasing."""
-    n = len(y)
-    pos = y > 0
+    Returns (w [m, d], b [m], histories, converged). A history holds the best
+    primal objective seen so far, at the start and after every sweep the
+    machine took part in, so it is non-increasing; converged[r] is False for
+    a machine stopped by the sweep cap."""
+    m, n = ys.shape
+    pos = ys > 0
     diag = np.diag(gram)
-    alpha = np.zeros(n)
-    grad = -np.ones(n)
+    curvature = np.maximum(diag[:, None] + diag - 2.0 * gram, _MIN_CURVATURE)
+    alpha, grad = np.zeros((m, n)), -np.ones((m, n))
 
-    def kkt_state():
-        viol = -y * grad
-        up = np.where(pos, alpha < c, alpha > 0)       # a_t y_t may still rise
-        low = np.where(pos, alpha > 0, alpha < c)      # a_t y_t may still fall
-        return viol, up, low
+    def masks(p, a):
+        # (up, low): a_t y_t may still rise, may still fall
+        return np.where(p, a < c, a > 0), np.where(p, a > 0, a < c)
 
-    def solution():
-        viol, up, low = kkt_state()
+    def solution(r):
+        viol, (up, low) = -ys[r] * grad[r], masks(pos[r], alpha[r])
         free = up & low
         if free.any():
             b = viol[free].mean()
         else:
             b = (viol[up].max() + viol[low].min()) / 2.0
-        return x.T @ (alpha * y), float(b)
+        return x.T @ (alpha[r] * ys[r]), float(b)
 
-    history = [_hinge_objective(x, y, *solution(), c)]
-    converged = False
+    histories = [[_hinge_objective(x, ys[r], *solution(r), c)] for r in range(m)]
+    live = np.arange(m)     # machines still running; y, a, g, up, low hold their rows
+    y, a, g = ys, alpha.copy(), grad.copy()
+    up, low = masks(pos, a)
     for _ in range(max_sweeps):
+        swept, first = live, np.arange(len(live)) * n    # flat index of each row
         for _ in range(n):
-            viol, up, low = kkt_state()
-            i = int(np.argmax(np.where(up, viol, -np.inf)))
-            if viol[i] - viol[low].min() < SVM_KKT_TOL:
-                converged = True
-                break
-            gain = viol[i] - viol
-            curvature = np.maximum(diag[i] + diag - 2.0 * gram[i], _MIN_CURVATURE)
-            j = int(np.argmax(np.where(low & (gain > 0), gain * gain / curvature, -np.inf)))
-            room_i = c - alpha[i] if pos[i] else alpha[i]
-            room_j = alpha[j] if pos[j] else c - alpha[j]
-            step = min(gain[j] / curvature[j], room_i, room_j)
-            old_i, old_j = alpha[i], alpha[j]
-            alpha[i] += y[i] * step
-            alpha[j] -= y[j] * step
-            # land exactly on a bound the step reached, so the point leaves
-            # the candidate set instead of being picked again for a 0 step
-            if step == room_i:
-                alpha[i] = c if pos[i] else 0.0
-            if step == room_j:
-                alpha[j] = 0.0 if pos[j] else c
-            grad += y * ((alpha[i] - old_i) * y[i] * gram[i]
-                         + (alpha[j] - old_j) * y[j] * gram[j])
-        history.append(min(history[-1], _hinge_objective(x, y, *solution(), c)))
-        if converged:
+            viol = -y * g
+            i = np.argmax(np.where(up, viol, -np.inf), axis=1)
+            vi = viol.ravel()[first + i]
+            gap = vi - np.where(low, viol, np.inf).min(axis=1)
+            done = gap < SVM_KKT_TOL
+            if done.any():
+                alpha[live], grad[live] = a, g
+                keep = ~done
+                live, y, a, g, up, low, viol, i, vi = (
+                    v[keep] for v in (live, y, a, g, up, low, viol, i, vi))
+                first = np.arange(len(live)) * n
+                if not len(live):
+                    break
+            gain = vi[:, None] - viol
+            curv = curvature.take(i, axis=0)
+            j = np.argmax(np.where(low & (gain > 0), gain * gain / curv, -np.inf), axis=1)
+            # the pair update is a few scalars per machine: plain floats beat
+            # numpy calls on arrays this short, with the same IEEE arithmetic
+            fij, h = np.concatenate((first + i, first + j)), len(live)
+            y_ij, old = y.ravel()[fij], a.ravel()[fij]
+            yl, new = y_ij.tolist(), old.tolist()
+            for t, (gj, cj) in enumerate(zip(gain.ravel()[fij[h:]].tolist(),
+                                             curv.ravel()[fij[h:]].tolist())):
+                yi, yj, ai, aj = yl[t], yl[t + h], new[t], new[t + h]
+                room_i = c - ai if yi > 0 else ai
+                room_j = aj if yj > 0 else c - aj
+                step = min(gj / cj, room_i, room_j)
+                # land exactly on a bound the step reached, so the point leaves
+                # the candidate set instead of being picked again for a 0 step
+                new[t] = (c if yi > 0 else 0.0) if step == room_i else ai + yi * step
+                new[t + h] = (0.0 if yj > 0 else c) if step == room_j else aj - yj * step
+            new = np.array(new)
+            a.ravel()[fij] = new
+            up.ravel()[fij], low.ravel()[fij] = masks(y_ij > 0, new)
+            delta = ((new - old) * y_ij)[:, None] * gram.take(np.concatenate((i, j)), axis=0)
+            g += y * (delta[:h] + delta[h:])
+        alpha[live], grad[live] = a, g
+        for r in swept:
+            objective = _hinge_objective(x, ys[r], *solution(r), c)
+            histories[r].append(min(histories[r][-1], objective))
+        if not len(live):
             break
-    return (*solution(), history)
+    w, b = zip(*(solution(r) for r in range(m)))
+    return np.array(w), np.array(b), histories, [r not in live for r in range(m)]
 
 
 def svm_train(features, labels, c=1.0, epochs=100, seed=0, feature_kind="melstats",
@@ -157,11 +184,12 @@ def svm_train(features, labels, c=1.0, epochs=100, seed=0, feature_kind="melstat
     the detection task are present, a separate binary detector is fit too.
 
     Each machine is the exact minimizer of ||w||^2 / (2C) + sum of hinge
-    losses with an unregularized bias (see _train_binary_svm), solved to a
-    KKT violation of SVM_KKT_TOL or until `epochs` sweeps of the dual solver,
-    whichever comes first. The Gram matrix is computed once and shared by all
-    machines. The solver has no random visiting order, so `seed` does not
-    change the fit; it is kept because the CLI passes it to every trainer."""
+    losses with an unregularized bias, solved to a KKT violation of
+    SVM_KKT_TOL or until `epochs` sweeps of the dual solver, whichever comes
+    first. All machines share one Gram matrix and are solved together by
+    _train_svms: they step at once, and each freezes when it converges. The
+    solver has no random visiting order, so `seed` does not change the fit;
+    it is kept because the CLI passes it to every trainer."""
     x = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     if x.ndim != 2 or len(labels) != len(x):
@@ -174,23 +202,15 @@ def svm_train(features, labels, c=1.0, epochs=100, seed=0, feature_kind="melstat
         if not np.any(labels == cls):
             raise DegenerateData(f"class {cls} has no training examples")
 
-    gram = x @ x.T
-    weights = np.zeros((k, x.shape[1]))
-    biases = np.zeros(k)
-    histories = []
-    for cls in range(k):
-        y = np.where(labels == cls, 1.0, -1.0)
-        weights[cls], biases[cls], hist = _train_binary_svm(x, y, c, epochs, gram)
-        histories.append(hist)
-
-    det_w, det_b = None, 0.0
-    if fit_detector:
-        y_det = np.where(labels >= 0, 1.0, -1.0)
-        if len(np.unique(y_det)) == 2:
-            det_w, det_b, hist = _train_binary_svm(x, y_det, c, epochs, gram)
-            histories.append(hist)
-
-    return SvmModel(weights, biases, det_w, det_b, feature_kind, float(c), histories)
+    ys = [np.where(labels == cls, 1.0, -1.0) for cls in range(k)]
+    y_det = np.where(labels >= 0, 1.0, -1.0)
+    detector = fit_detector and len(np.unique(y_det)) == 2
+    if detector:
+        ys.append(y_det)
+    w, b, histories, converged = _train_svms(x, np.array(ys), c, epochs, x @ x.T)
+    det_w, det_b = (w[k], float(b[k])) if detector else (None, 0.0)
+    return SvmModel(w[:k], b[:k], det_w, det_b, feature_kind, float(c), histories,
+                    converged)
 
 
 def svm_predict(model, feature):

@@ -1,7 +1,7 @@
 """CLI exit codes for inputs the pipeline cannot use: each ends in its
 documented code and a one-line message, never in a traceback; SVM
-evaluation, training and cross-validation honour their flags and rerun
-byte for byte."""
+evaluation, training and cross-validation honour their flags, rerun byte
+for byte and report machines stopped by the sweep cap."""
 
 import json
 
@@ -31,6 +31,37 @@ def test_scene_overflow_exits_usage(tmp_path, capsys):
                      "--seed", "2"])
     assert code == cli.EXIT_USAGE
     assert "exceeds" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [
+    ["--preset", "paper-ratio", "--scale", "0"],
+    ["--preset", "paper-ratio", "--scale", "1e-6"],
+    ["--per-class", "0"],
+])
+def test_generate_zero_clips_exits_usage(args, tmp_path, capsys):
+    assert cli.main(["generate", "--out", str(tmp_path / "data"), *args]) == cli.EXIT_USAGE
+    assert not (tmp_path / "data" / "manifest.jsonl").exists()
+    assert capsys.readouterr().err.splitlines()[-1].startswith(("error:", "gsb generate: error:"))
+
+
+def test_featurize_empty_manifest_exits_usage(tmp_path, capsys):
+    manifest = tmp_path / "manifest.jsonl"
+    manifest.write_text("")
+    code = cli.main(["featurize", "--manifest", str(manifest), "--kind", "boaw",
+                     "--out", str(tmp_path / "boaw")])
+    assert code == cli.EXIT_USAGE
+    assert "lists no clips" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--autocorr-lag", "-5"), ("--boaw-k", "1"), ("--boaw-k", "0"),
+])
+def test_bad_featurize_flag_exits_usage(flag, value, tmp_path, capsys):
+    # the manifest does not exist: the flag must be refused before it is read
+    code = cli.main(["featurize", "--manifest", str(tmp_path / "none.jsonl"),
+                     "--kind", "autocorr", "--out", str(tmp_path), flag, value])
+    assert code == cli.EXIT_USAGE
+    assert f"argument {flag}:" in capsys.readouterr().err.splitlines()[-1]
 
 
 @pytest.fixture(scope="module")
@@ -118,6 +149,23 @@ def test_crossval_k_above_pool_exits_usage(small_data, tmp_path, capsys):
     manifest, root = small_data
     assert _crossval(manifest, root / "melstats", tmp_path, "svm", "--k", "50") == cli.EXIT_USAGE
     assert "exceeds the 48 clips" in capsys.readouterr().err
+
+
+def test_svm_reports_machines_stopped_at_the_cap(small_data, tmp_path, capsys):
+    manifest, root = small_data
+    lines = {}
+    for epochs in ("1", "1000"):
+        assert cli.main(["train", "--manifest", str(manifest), "--features",
+                         str(root / "melstats"), "--out", str(tmp_path / epochs),
+                         "--model", "svm", "--seed", "1", "--epochs", epochs]) == cli.EXIT_OK
+        lines[epochs] = [x for x in capsys.readouterr().err.splitlines()
+                         if x.startswith("svm:")]
+    assert lines["1"] == [
+        "svm: 6 of 6 machines stopped at the 1-sweep cap before KKT tolerance 1e-06"]
+    assert lines["1000"] == []
+    code = _crossval(manifest, root / "melstats", tmp_path / "cv", "svm", "--epochs", "1")
+    assert code == cli.EXIT_OK
+    assert capsys.readouterr().err.count("machines stopped at the 1-sweep cap") == 5
 
 
 def test_cnn_crossval_validation_is_stratified(small_data, tmp_path, monkeypatch):

@@ -113,6 +113,117 @@ class TestSvm:
         np.testing.assert_allclose(scores[0], scores[1], rtol=0.0, atol=1e-6)
 
 
+def reference_binary_svm(x, y, c, max_sweeps, gram):
+    """One machine solved alone, step by step: the solver `svm_train` ran per
+    machine before the machines were stepped together. Returns
+    (w, b, history, converged)."""
+    n = len(y)
+    pos = y > 0
+    diag = np.diag(gram)
+    alpha = np.zeros(n)
+    grad = -np.ones(n)
+
+    def kkt_state():
+        viol = -y * grad
+        up = np.where(pos, alpha < c, alpha > 0)
+        low = np.where(pos, alpha > 0, alpha < c)
+        return viol, up, low
+
+    def solution():
+        viol, up, low = kkt_state()
+        free = up & low
+        if free.any():
+            b = viol[free].mean()
+        else:
+            b = (viol[up].max() + viol[low].min()) / 2.0
+        return x.T @ (alpha * y), float(b)
+
+    history = [models._hinge_objective(x, y, *solution(), c)]
+    converged = False
+    for _ in range(max_sweeps):
+        for _ in range(n):
+            viol, up, low = kkt_state()
+            i = int(np.argmax(np.where(up, viol, -np.inf)))
+            if viol[i] - viol[low].min() < models.SVM_KKT_TOL:
+                converged = True
+                break
+            gain = viol[i] - viol
+            curvature = np.maximum(diag[i] + diag - 2.0 * gram[i], models._MIN_CURVATURE)
+            j = int(np.argmax(np.where(low & (gain > 0), gain * gain / curvature, -np.inf)))
+            room_i = c - alpha[i] if pos[i] else alpha[i]
+            room_j = alpha[j] if pos[j] else c - alpha[j]
+            step = min(gain[j] / curvature[j], room_i, room_j)
+            old_i, old_j = alpha[i], alpha[j]
+            alpha[i] += y[i] * step
+            alpha[j] -= y[j] * step
+            if step == room_i:
+                alpha[i] = c if pos[i] else 0.0
+            if step == room_j:
+                alpha[j] = 0.0 if pos[j] else c
+            grad += y * ((alpha[i] - old_i) * y[i] * gram[i]
+                         + (alpha[j] - old_j) * y[j] * gram[j])
+        history.append(min(history[-1], models._hinge_objective(x, y, *solution(), c)))
+        if converged:
+            break
+    return (*solution(), history, converged)
+
+
+def overlapping_classes(n_per_class=12, k=4, d=3, seed=0):
+    rng = np.random.default_rng(seed)
+    centres = rng.normal(scale=1.5, size=(k, d))
+    x = np.concatenate([rng.normal(size=(n_per_class, d)) + mu for mu in centres])
+    return x, np.repeat(np.arange(k), n_per_class)
+
+
+class TestBatchedSvmMatchesReference:
+    """svm_train steps all machines together; each must equal, bit for bit,
+    the machine solved alone by the reference."""
+
+    def check(self, x, labels, c, epochs, fit_detector=False):
+        model = models.svm_train(x, labels, c=c, epochs=epochs, fit_detector=fit_detector)
+        ys = [np.where(labels == cls, 1.0, -1.0) for cls in range(len(model.biases))]
+        weights, biases = list(model.weights), list(model.biases)
+        if model.det_weight is not None:
+            ys.append(np.where(labels >= 0, 1.0, -1.0))
+            weights.append(model.det_weight)
+            biases.append(model.det_bias)
+        ref = [reference_binary_svm(x, y, c, epochs, x @ x.T) for y in ys]
+        assert model.objective_history == [history for _, _, history, _ in ref]
+        assert model.converged == [converged for *_, converged in ref]
+        for (w, b, _, _), got_w, got_b in zip(ref, weights, biases, strict=True):
+            assert np.array_equal(got_w, w)
+            assert got_b == b
+        return ref
+
+    def test_machines_converge_at_different_sweeps(self):
+        x, y = overlapping_classes()
+        ref = self.check(x, y, c=1.0, epochs=200)
+        assert all(conv for *_, conv in ref)
+        assert len({len(history) for _, _, history, _ in ref}) > 1
+
+    def test_some_machines_capped(self):
+        x, y = overlapping_classes(seed=1)
+        ref = self.check(x, y, c=1.0, epochs=2)
+        assert {conv for *_, conv in ref} == {True, False}
+
+    def test_no_free_alpha(self):
+        x, y = overlapping_classes(seed=2)
+        self.check(x, y, c=1e-8, epochs=20)
+
+    def test_duplicated_rows_hit_curvature_guard(self):
+        # copies under another class pair points at zero distance with
+        # opposite labels, so j is picked on the _MIN_CURVATURE floor
+        x, y = overlapping_classes(n_per_class=6, k=3, seed=3)
+        x, y = np.concatenate([x, x[:8]]), np.concatenate([y, (y[:8] + 1) % 3])
+        self.check(x, y, c=1.0, epochs=50)
+
+    def test_detector_with_negatives(self):
+        x, y = overlapping_classes(seed=4)
+        y[::5] = models.NEGATIVE_LABEL
+        ref = self.check(x, y, c=0.5, epochs=40, fit_detector=True)
+        assert len(ref) == 5
+
+
 class TestStandardizer:
     def test_fit_transform(self):
         x = np.random.default_rng(0).normal(loc=5.0, scale=3.0, size=(100, 4))
