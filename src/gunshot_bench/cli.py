@@ -11,7 +11,6 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import sys
 import time
 import wave as wave_mod
@@ -20,7 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from . import dsp, evaluation, models, nncore, synthgun
-from .errors import DegenerateData, InvalidParam, NonFiniteLoss, SceneOverflow
+from .errors import (DegenerateData, InsufficientData, InvalidParam, NonFiniteLoss,
+                     SceneOverflow)
 from .manifest import CLASS_NAMES, load_manifest, manifest_digest
 from .synthgun import CLASS_ORDER
 from .wavio import read_wav
@@ -36,11 +36,6 @@ DEFAULT_AUTOCORR_LAG = 2048
 
 class UsageError(Exception):
     pass
-
-
-def _default_seed():
-    env = os.environ.get("GSB_SEED")
-    return int(env) if env else 0
 
 
 def _echo_config(args, out_dir, command):
@@ -165,6 +160,8 @@ def cmd_featurize(args):
         try:
             clip = _load_clip(base, row)
             values = _extract(args.kind, clip, codebook, args.autocorr_lag)
+        except InvalidParam:
+            raise    # a flag the clip cannot meet, such as a lag beyond its length
         except (wave_mod.Error, EOFError, ValueError) as e:
             corrupt.append((row.id, str(e)))
             continue
@@ -325,28 +322,22 @@ def load_model(checkpoint_dir):
 
 def _predict_rows(model_bundle, meta, rows, feats, threshold):
     if meta["model"] == "cnn":
-        preds = models.predict_dataset(model_bundle, [feats[r.id] for r in rows],
-                                       threshold=threshold)
-        scores = models.class_scores(preds)
-    else:
-        svm, scaler = model_bundle
-        preds, score_rows = [], []
-        for r in rows:
-            x = scaler.transform(feats[r.id])
-            preds.append(models.svm_prediction(svm, x, threshold=threshold))
-            score_rows.append(models.svm_predict(svm, x)[0])
-        scores = np.stack(score_rows)
-    return preds, scores
+        return models.predict_dataset(model_bundle, [feats[r.id] for r in rows],
+                                      threshold=threshold)
+    svm, scaler = model_bundle
+    return [models.svm_prediction(svm, scaler.transform(feats[r.id]), threshold=threshold)
+            for r in rows]
 
 
 def evaluate_rows(model_bundle, meta, rows, feats, threshold, *,
                   dataset_hash="", split_seed=None, config=None):
-    preds, scores = _predict_rows(model_bundle, meta, rows, feats, threshold)
+    preds = _predict_rows(model_bundle, meta, rows, feats, threshold)
     true_class = [r.class_index for r in rows]
     pred_gun = [p.decided_class is not None for p in preds]
     pred_class = [int(np.argmax(p.type_posteriors)) for p in preds]
     return evaluation.build_report(
-        true_class, pred_gun, pred_class, scores, threshold=threshold,
+        true_class, pred_gun, pred_class, np.stack([p.scores for p in preds]),
+        threshold=threshold,
         dataset_hash=dataset_hash, split_seed=split_seed,
         model_meta={k: meta[k] for k in ("model", "feature_kind") if k in meta},
         config=config or {})
@@ -369,6 +360,9 @@ def cmd_evaluate(args):
             print("WARNING: evaluating on the training split (leakage)", file=sys.stderr)
     else:
         subset = rows
+    if not subset:
+        raise UsageError(f"no clips to evaluate: the {args.subset} subset is empty"
+                         if args.split else f"manifest {args.manifest} lists no clips")
 
     kind = _feature_kind(args.features)
     if kind != meta["feature_kind"]:
@@ -501,7 +495,7 @@ def build_parser():
     g.add_argument("--noisy", action="store_true",
                    help="low SNR, reverb, random distances (default is clean)")
     g.add_argument("--duration", type=float, default=2.0)
-    g.add_argument("--seed", type=int, default=_default_seed())
+    g.add_argument("--seed", type=int, default=0)
     g.set_defaults(func=cmd_generate)
 
     f = sub.add_parser("featurize", help="extract feature caches for a manifest")
@@ -511,7 +505,7 @@ def build_parser():
     f.add_argument("--boaw-k", type=_checked(int, lambda v: v >= 2, "an integer >= 2"),
                    default=64)
     f.add_argument("--autocorr-lag", type=_non_negative_int, default=DEFAULT_AUTOCORR_LAG)
-    f.add_argument("--seed", type=int, default=_default_seed())
+    f.add_argument("--seed", type=int, default=0)
     f.set_defaults(func=cmd_featurize)
 
     t = sub.add_parser("train", help="train a classifier on cached features")
@@ -519,7 +513,7 @@ def build_parser():
     t.add_argument("--features", required=True)
     t.add_argument("--out", required=True)
     t.add_argument("--split", help="reuse an existing split file")
-    t.add_argument("--seed", type=int, default=_default_seed())
+    t.add_argument("--seed", type=int, default=0)
     _add_train_flags(t)
     t.set_defaults(func=cmd_train)
 
@@ -539,7 +533,7 @@ def build_parser():
     c.add_argument("--features", required=True)
     c.add_argument("--out", required=True)
     c.add_argument("--k", type=int, default=5)
-    c.add_argument("--seed", type=int, default=_default_seed())
+    c.add_argument("--seed", type=int, default=0)
     _add_train_flags(c)
     c.set_defaults(func=cmd_crossval)
 
@@ -554,7 +548,7 @@ def main(argv=None):
         return int(e.code or 0)
     try:
         return args.func(args)
-    except (UsageError, InvalidParam, DegenerateData, SceneOverflow) as e:
+    except (UsageError, InvalidParam, InsufficientData, DegenerateData, SceneOverflow) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except NonFiniteLoss as e:

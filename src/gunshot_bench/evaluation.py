@@ -13,7 +13,7 @@ Zero-division convention throughout: 0/0 -> 0, flagged in the report.
 
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -93,20 +93,19 @@ class FoldPlan:
 
 
 def kfold(ids_by_class, k=5, seed=0):
-    """Stratified k folds: per-class shuffle, then greedy assignment to the
-    currently smallest fold (ties to the lowest index), which keeps overall
-    fold sizes within one of each other and spreads each class across folds."""
+    """Stratified k folds: per-class shuffle, then the classes' ids in turn
+    dealt round-robin over the folds, so each id lands in the currently
+    smallest fold (ties to the lowest index). Overall fold sizes stay within
+    one of each other and each class is spread across folds."""
     if k < 2:
         raise InvalidParam("k must be >= 2")
     rng = np.random.default_rng(seed)
-    folds = [[] for _ in range(k)]
-    for _, ids in ids_by_class.items():
+    order = []
+    for ids in ids_by_class.values():
         ids = list(ids)
         rng.shuffle(ids)
-        for x in ids:
-            sizes = [len(f) for f in folds]
-            folds[int(np.argmin(sizes))].append(x)
-    return FoldPlan(folds, seed)
+        order += ids
+    return FoldPlan([order[i::k] for i in range(k)], seed)
 
 
 # ---------------------------------------------------------------------------
@@ -172,55 +171,44 @@ def _as_arrays(true_class, pred_gun, pred_class):
 NGI = -1   # sentinel index for "no gunshot" rows/columns
 
 
+def _confusion(true_idx, pred_idx, size):
+    """size x size counts of (true, predicted) index pairs."""
+    m = np.zeros((size, size), dtype=np.int64)
+    np.add.at(m, (true_idx, pred_idx), 1)
+    return m
+
+
 def overall_confusion(true_class, pred_gun, pred_class, n_classes=N_CLASSES):
     """(K+1)x(K+1) matrix; index K holds the no-gunshot row/column.
     A miss lands in column K of its true class row; a typed false alarm
     lands in row K under the predicted class."""
     t, g, c = _as_arrays(true_class, pred_gun, pred_class)
-    m = np.zeros((n_classes + 1, n_classes + 1), dtype=np.int64)
-    np.add.at(m, (np.where(t == NGI, n_classes, t), np.where(g, c, n_classes)), 1)
-    return m
+    return _confusion(np.where(t == NGI, n_classes, t), np.where(g, c, n_classes),
+                      n_classes + 1)
 
 
 def overall_metrics(true_class, pred_gun, pred_class, n_classes=N_CLASSES):
     """Per-class P/R/F1 where detection errors propagate into the type task."""
     m = overall_confusion(true_class, pred_gun, pred_class, n_classes)
-    tp = np.diag(m)[:n_classes]
-    pred = m.sum(axis=0)[:n_classes]
-    supp = m.sum(axis=1)[:n_classes]
-    out = []
-    for i in range(n_classes):
-        p = tp[i] / pred[i] if pred[i] > 0 else 0.0
-        r = tp[i] / supp[i] if supp[i] > 0 else 0.0
-        f1 = 2 * p * r / (p + r) if p + r > 0 else 0.0
-        out.append((float(p), float(r), float(f1)))
-    return out, m
-
-
-def relevant_confusion(true_class, pred_gun, pred_class, n_classes=N_CLASSES):
-    """K x K type confusion over true gunshots that were detected as gunshots."""
-    t, g, c = _as_arrays(true_class, pred_gun, pred_class)
-    keep = (t != NGI) & g
-    m = np.zeros((n_classes, n_classes), dtype=np.int64)
-    np.add.at(m, (t[keep], c[keep]), 1)
-    return m
+    return prf1(m)[:n_classes], m
 
 
 def relevant_metrics(true_class, pred_gun, pred_class, n_classes=N_CLASSES):
-    """Per-class P/R/F1 conditioned on correct detection, plus the list of
-    classes with zero support in the conditioned set (reported as 0)."""
-    m = relevant_confusion(true_class, pred_gun, pred_class, n_classes)
+    """Per-class P/R/F1 conditioned on correct detection: the K x K type
+    confusion over true gunshots that were detected as gunshots. Also
+    returns that matrix and the classes with zero support in it (reported
+    as 0)."""
+    t, g, c = _as_arrays(true_class, pred_gun, pred_class)
+    keep = (t != NGI) & g
+    m = _confusion(t[keep], c[keep], n_classes)
     zero_support = [CLASS_NAMES[i] for i in range(n_classes) if m[i].sum() == 0]
     return prf1(m), m, zero_support
 
 
 def detection_confusion(true_is_gun, pred_is_gun):
     """2x2 matrix ordered [no_gunshot, gunshot] on both axes."""
-    t = np.asarray(true_is_gun, dtype=bool).astype(np.intp)
-    p = np.asarray(pred_is_gun, dtype=bool).astype(np.intp)
-    m = np.zeros((2, 2), dtype=np.int64)
-    np.add.at(m, (t, p), 1)
-    return m
+    return _confusion(np.asarray(true_is_gun, dtype=bool).astype(np.intp),
+                      np.asarray(pred_is_gun, dtype=bool).astype(np.intp), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -243,27 +231,7 @@ class EvalReport:
     config: dict = field(default_factory=dict)
 
     def to_dict(self):
-        return {
-            "schema_version": self.schema_version,
-            "dataset_hash": self.dataset_hash,
-            "split_seed": self.split_seed,
-            "model_meta": self.model_meta,
-            "threshold": self.threshold,
-            "detection": self.detection,
-            "type_overall": self.type_overall,
-            "type_relevant": self.type_relevant,
-            "ap_per_class": self.ap_per_class,
-            "mean_ap": self.mean_ap,
-            "flags": self.flags,
-            "config": self.config,
-        }
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(d["schema_version"], d["dataset_hash"], d["split_seed"],
-                   d["model_meta"], d["threshold"], d["detection"],
-                   d["type_overall"], d["type_relevant"], d["ap_per_class"],
-                   d["mean_ap"], d.get("flags", []), d.get("config", {}))
+        return asdict(self)
 
 
 def _prf_block(names, triples):
@@ -277,8 +245,7 @@ def build_report(true_class, pred_gun, pred_class, scores, *, threshold=0.5,
 
     true_class: per-example class index or None; pred_gun: decided detection;
     pred_class: argmax type index; scores: [n, K] ranking scores for AP."""
-    t = [NGI if c is None else int(c) for c in true_class]
-    t_arr = np.asarray(t)
+    t_arr = _as_arrays(true_class, pred_gun, pred_class)[0]
     det_conf = detection_confusion(t_arr != NGI, pred_gun)
     det_prf = prf1(det_conf)
 
@@ -369,4 +336,4 @@ def emit_report(report, path, fmt="record-file"):
 
 def load_report(path):
     with open(path, encoding="utf-8") as f:
-        return EvalReport.from_dict(json.load(f))
+        return EvalReport(**json.load(f))

@@ -41,6 +41,7 @@ class Prediction:
     p_gunshot: float
     type_posteriors: np.ndarray      # 5-simplex
     decided_class: str | None        # argmax class if detected, else None
+    scores: np.ndarray               # [K] ranking scores that AP is computed from
 
 
 def _decide(p, posteriors, threshold):
@@ -231,7 +232,7 @@ def svm_prediction(model, feature, threshold=0.0):
     e = np.exp(scores - scores.max())
     posteriors = e / e.sum()
     decided = CLASS_NAMES[best] if det_score >= threshold else None
-    return Prediction(p, posteriors, decided)
+    return Prediction(p, posteriors, decided, scores)
 
 
 # ---------------------------------------------------------------------------
@@ -361,23 +362,12 @@ class JointCnnModel:
 
 
 def cnn_forward(model, mel_frames, threshold=0.5):
-    """Run one clip through the joint CNN; deterministic."""
+    """Run one clip through the joint CNN; deterministic. A class ranks by
+    p_gunshot * its posterior."""
     x = model.prepare_input(mel_frames)[None, None, :, :]
     p, post = model.forward_arrays(x)
-    posteriors = post[0]
-    return Prediction(float(p[0]), posteriors, _decide(float(p[0]), posteriors, threshold))
-
-
-def joint_loss(pred, detection_label, type_label=None, lambda_type=1.0):
-    """Scalar joint loss for one prediction: detection BCE plus, for true
-    gunshots only, the weighted type cross-entropy."""
-    y = 1.0 if detection_label == "gunshot" or detection_label == 1 else 0.0
-    p = np.clip(pred.p_gunshot, nn.BCE_EPS, 1.0 - nn.BCE_EPS)
-    loss = -(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))
-    if y == 1.0 and type_label is not None:
-        q = np.clip(pred.type_posteriors[int(type_label)], 1e-300, None)
-        loss += lambda_type * -np.log(q)
-    return float(loss)
+    p, posteriors = float(p[0]), post[0]
+    return Prediction(p, posteriors, _decide(p, posteriors, threshold), p * posteriors)
 
 
 def batch_loss_graph(model, x_batch, y_det, y_type, lambda_type):
@@ -486,8 +476,3 @@ def predict_dataset(model, mels, threshold=0.5):
     Clips run one at a time so results match cnn_forward bit for bit
     (batched GEMMs round differently for different batch shapes)."""
     return [cnn_forward(model, m, threshold=threshold) for m in mels]
-
-
-def class_scores(predictions):
-    """Score matrix [n, K] for ranking-based metrics: p_gunshot * posterior."""
-    return np.array([p.p_gunshot * p.type_posteriors for p in predictions])

@@ -1,9 +1,11 @@
 """CLI exit codes for inputs the pipeline cannot use: each ends in its
-documented code and a one-line message, never in a traceback; SVM
-evaluation, training and cross-validation honour their flags, rerun byte
-for byte and report machines stopped by the sweep cap."""
+documented code and a one-line message, never in a traceback (an
+unreadable WAV fails with the I/O code, a flag no clip can meet with the
+usage code); SVM evaluation, training and cross-validation honour their
+flags, rerun byte for byte and report machines stopped by the sweep cap."""
 
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -65,6 +67,40 @@ def test_bad_featurize_flag_exits_usage(flag, value, tmp_path, capsys):
 
 
 @pytest.fixture(scope="module")
+def tiny_data(tmp_path_factory):
+    """The 5 clips of `generate --per-class 1 --seed 1`, 2 s each."""
+    data = tmp_path_factory.mktemp("tiny") / "data"
+    assert cli.main(["generate", "--out", str(data), "--per-class", "1",
+                     "--seed", "1"]) == cli.EXIT_OK
+    return data / "manifest.jsonl"
+
+
+@pytest.mark.parametrize("kind,flag,value,message", [
+    ("boaw", "--boaw-k", "100000", "descriptors for k=100000"),
+    ("autocorr", "--autocorr-lag", "200000", "max_lag must be in [0, 88199]"),
+])
+def test_featurize_flag_the_clips_cannot_meet_exits_usage(tiny_data, tmp_path, capsys,
+                                                          kind, flag, value, message):
+    code = cli.main(["featurize", "--manifest", str(tiny_data), "--kind", kind,
+                     "--out", str(tmp_path), flag, value])
+    assert code == cli.EXIT_USAGE
+    assert message in capsys.readouterr().err.splitlines()[-1]
+
+
+def test_featurize_unreadable_wav_fails_with_io(tiny_data, tmp_path, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(tiny_data.parent, data)
+    first = json.loads((data / "manifest.jsonl").read_text().splitlines()[0])
+    (data / first["path"]).write_bytes(b"not a wav file")
+    code = cli.main(["featurize", "--manifest", str(data / "manifest.jsonl"),
+                     "--kind", "autocorr", "--out", str(tmp_path / "autocorr")])
+    assert code == cli.EXIT_IO
+    captured = capsys.readouterr()
+    assert "4 computed, 0 up-to-date, 1 failed" in captured.out
+    assert f"FAILED {first['id']}:" in captured.err
+
+
+@pytest.fixture(scope="module")
 def melstats_data(tmp_path_factory):
     """The 140-clip dataset of `generate --per-class 20 --negatives 40 --seed 1`
     with its melstats caches."""
@@ -96,6 +132,22 @@ def test_svm_evaluate_honours_threshold(melstats_data, tmp_path):
         assert report["threshold"] == float(threshold)
         confusions.append(report["detection"]["confusion"])
     assert confusions[0] != confusions[1]
+
+
+def test_evaluate_empty_subset_exits_usage(melstats_data, tmp_path, capsys):
+    manifest, feats = melstats_data
+    _train_svm(manifest, feats, tmp_path / "svm")
+    split = json.loads((tmp_path / "svm" / "split.json").read_text())
+    split["train_ids"] += split["val_ids"]
+    split["val_ids"] = []
+    (tmp_path / "split.json").write_text(json.dumps(split))
+    code = cli.main(["evaluate", "--checkpoint", str(tmp_path / "svm"),
+                     "--manifest", str(manifest), "--features", str(feats),
+                     "--out", str(tmp_path / "eval"), "--split", str(tmp_path / "split.json"),
+                     "--subset", "val"])
+    assert code == cli.EXIT_USAGE
+    assert "the val subset is empty" in capsys.readouterr().err
+    assert not (tmp_path / "eval" / "report.json").exists()
 
 
 def test_svm_train_rerun_is_byte_identical(melstats_data, tmp_path):

@@ -4,6 +4,8 @@ overall/relevant conditioning."""
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gunshot_bench import evaluation as ev
 from gunshot_bench.errors import InvalidParam
@@ -63,7 +65,30 @@ class TestStratifiedSplit:
         assert again.to_dict() == split.to_dict()
 
 
+def greedy_kfold(ids_by_class, k, seed):
+    """Reference fold plan: per-class shuffle, then each id to the currently
+    smallest fold, ties to the lowest index."""
+    rng = np.random.default_rng(seed)
+    folds = [[] for _ in range(k)]
+    for ids in ids_by_class.values():
+        ids = list(ids)
+        rng.shuffle(ids)
+        for x in ids:
+            folds[int(np.argmin([len(f) for f in folds]))].append(x)
+    return folds
+
+
+@st.composite
+def ids_by_class(draw):
+    sizes = draw(st.lists(st.integers(0, 25), min_size=1, max_size=6))
+    return {f"class{c}": [f"c{c}x{i}" for i in range(n)] for c, n in enumerate(sizes)}
+
+
 class TestKfold:
+    @given(ids_by_class(), st.integers(2, 9), st.integers(0, 2**32 - 1))
+    def test_matches_greedy_reference(self, ids, k, seed):
+        assert ev.kfold(ids, k=k, seed=seed).folds == greedy_kfold(ids, k, seed)
+
     def test_25_items_five_folds_of_five(self):
         plan = ev.kfold({"a": [f"x{i}" for i in range(25)]}, k=5, seed=0)
         assert sorted(len(f) for f in plan.folds) == [5] * 5
@@ -204,7 +229,40 @@ class TestMeanAp:
         assert abs(float(np.mean(maps)) - 0.2) < 0.05
 
 
+def overall_prf1_loop(confusion, n_classes):
+    """Reference overall P/R/F1: one class at a time from the (K+1)x(K+1)
+    matrix, ignoring the no-gunshot row and column."""
+    tp = np.diag(confusion)[:n_classes]
+    pred = confusion.sum(axis=0)[:n_classes]
+    supp = confusion.sum(axis=1)[:n_classes]
+    out = []
+    for i in range(n_classes):
+        p = tp[i] / pred[i] if pred[i] > 0 else 0.0
+        r = tp[i] / supp[i] if supp[i] > 0 else 0.0
+        f1 = 2 * p * r / (p + r) if p + r > 0 else 0.0
+        out.append((float(p), float(r), float(f1)))
+    return out
+
+
+@st.composite
+def detections(draw):
+    """(n_classes, true_class, pred_gun, pred_class) of one random run."""
+    k = draw(st.integers(2, 6))
+    n = draw(st.integers(0, 60))
+    truth = draw(st.lists(st.none() | st.integers(0, k - 1), min_size=n, max_size=n))
+    pred_gun = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    pred_class = draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+    return k, truth, pred_gun, pred_class
+
+
 class TestOverallRelevant:
+    @given(detections())
+    def test_overall_matches_loop_reference_bit_for_bit(self, run):
+        k, truth, pred_gun, pred_class = run
+        triples, conf = ev.overall_metrics(truth, pred_gun, pred_class, n_classes=k)
+        hexes = lambda ts: [tuple(map(float.hex, t)) for t in ts]
+        assert hexes(triples) == hexes(overall_prf1_loop(conf, k))
+
     def test_perfect_pipeline_all_ones(self):
         truth = [0, 1, 2, 3, 4, None, None]
         pred_gun = [True] * 5 + [False] * 2
