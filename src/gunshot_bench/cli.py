@@ -1,6 +1,7 @@
 """Operator-facing pipeline: generate -> featurize -> train -> evaluate,
-plus k-fold cross-validation. All commands echo their fully-resolved config
-(defaults and seeds included) into the output directory, and rerunning an
+plus k-fold cross-validation. Once a command has checked its input, it
+echoes its fully-resolved config (defaults and seeds included) into the
+output directory, so a refused run leaves no config behind; rerunning an
 identical config reproduces identical outputs byte for byte.
 
 Exit codes: 0 ok, 2 usage error (including data the command cannot use),
@@ -21,7 +22,8 @@ import numpy as np
 from . import dsp, evaluation, models, nncore, synthgun
 from .errors import (DegenerateData, InsufficientData, InvalidParam, NonFiniteLoss,
                      SceneOverflow)
-from .manifest import CLASS_NAMES, load_manifest, manifest_digest
+from .manifest import (CLASS_NAMES, GUNSHOT, N_CLASSES, NEGATIVE_LABEL, NO_GUNSHOT,
+                       load_manifest, manifest_digest)
 from .synthgun import CLASS_ORDER
 from .wavio import read_wav
 
@@ -55,10 +57,13 @@ def _parse_counts(args):
     if args.preset == "paper-ratio":
         return synthgun.reference_counts(args.scale)
     if args.counts:
-        vals = [int(v) for v in args.counts.split(",")]
-        if len(vals) != len(CLASS_ORDER):
-            raise UsageError(f"--counts needs {len(CLASS_ORDER)} comma-separated values "
-                             f"(order: {', '.join(fc.value for fc in CLASS_ORDER)})")
+        try:
+            vals = [int(v) for v in args.counts.split(",")]
+        except ValueError:
+            vals = []
+        if len(vals) != len(CLASS_ORDER) or min(vals) < 0:
+            raise UsageError(f"--counts needs {len(CLASS_ORDER)} comma-separated integers "
+                             f">= 0 (order: {', '.join(fc.value for fc in CLASS_ORDER)})")
         return dict(zip(CLASS_ORDER, vals))
     return {fc: args.per_class for fc in CLASS_ORDER}
 
@@ -73,7 +78,7 @@ def cmd_generate(args):
                                      out_dir, args.seed, duration_s=args.duration)
     hist = {fc.value: counts.get(fc, 0) for fc in CLASS_ORDER}
     print(f"wrote {len(rows)} clips to {out_dir}")
-    print("class histogram: " + json.dumps(hist) + f' + {{"no_gunshot": {args.negatives}}}')
+    print(f"class histogram: {json.dumps(hist)} + {json.dumps({NO_GUNSHOT: args.negatives})}")
     return EXIT_OK
 
 
@@ -200,9 +205,9 @@ def _load_features(features_dir, rows):
 
 
 def _labels_for(rows):
-    y_det = np.array([1 if r.detection_label == "gunshot" else 0 for r in rows])
+    y_det = np.array([1 if r.detection_label == GUNSHOT else 0 for r in rows])
     y_type = np.array([r.class_index if r.class_index is not None
-                       else models.NEGATIVE_LABEL for r in rows])
+                       else NEGATIVE_LABEL for r in rows])
     return y_det, y_type
 
 
@@ -248,7 +253,7 @@ def _fit(args, kind, train_rows, val_rows, feats):
     scaler = models.Standardizer.fit(x)
     svm = models.svm_train(scaler.transform(x), y_type, c=args.svm_c,
                            epochs=args.epochs, seed=args.seed, feature_kind=kind,
-                           n_classes=len(CLASS_NAMES))
+                           n_classes=N_CLASSES)
     capped = svm.converged.count(False)
     if capped:
         print(f"svm: {capped} of {len(svm.converged)} machines stopped at the "
@@ -268,14 +273,11 @@ def _fit(args, kind, train_rows, val_rows, feats):
 
 def cmd_train(args):
     out_dir = Path(args.out)
-    _echo_config(args, out_dir, "train")
     rows = load_manifest(Path(args.manifest))
     if args.split:
         split = evaluation.SplitSpec.load(args.split)
     else:
         split = evaluation.stratified_split(rows, seed=args.seed)
-    split.save(out_dir / "split.json")
-
     kind = _feature_kind(args.features)
     _check_kind(args.model, kind)
     feats = _load_features(args.features, rows)
@@ -285,6 +287,8 @@ def cmd_train(args):
     _, meta, arrays, history = _fit(args, kind, train_rows, val_rows, feats)
     seconds = round(time.perf_counter() - t0, 3)
 
+    _echo_config(args, out_dir, "train")
+    split.save(out_dir / "split.json")
     nncore.save_checkpoint(out_dir / "model.ckpt", arrays)
     with open(out_dir / "model.meta.json", "w", encoding="utf-8") as f:
         json.dump(meta, f, indent=2, sort_keys=True)
@@ -345,7 +349,6 @@ def evaluate_rows(model_bundle, meta, rows, feats, threshold, *,
 
 def cmd_evaluate(args):
     out_dir = Path(args.out)
-    _echo_config(args, out_dir, "evaluate")
     rows = load_manifest(Path(args.manifest))
     model_bundle, meta = load_model(args.checkpoint)
     threshold = args.threshold if args.threshold is not None else meta.get("threshold", 0.5)
@@ -368,6 +371,7 @@ def cmd_evaluate(args):
     if kind != meta["feature_kind"]:
         raise UsageError(f"feature kind {kind} does not match model ({meta['feature_kind']})")
     feats = _load_features(args.features, subset)
+    _echo_config(args, out_dir, "evaluate")
 
     report = evaluate_rows(
         model_bundle, meta, subset, feats, threshold,
@@ -385,7 +389,6 @@ def cmd_evaluate(args):
 
 def cmd_crossval(args):
     out_dir = Path(args.out)
-    _echo_config(args, out_dir, "crossval")
     rows = load_manifest(Path(args.manifest))
     kind = _feature_kind(args.features)
     _check_kind(args.model, kind)
@@ -396,6 +399,7 @@ def cmd_crossval(args):
         raise UsageError(f"--k {args.k} exceeds the {len(pool)} clips in the pool")
     plan = evaluation.kfold(evaluation.strata(pool), k=args.k, seed=args.seed)
     feats = _load_features(args.features, pool)
+    _echo_config(args, out_dir, "crossval")
     by_id = {r.id: r for r in pool}
     default = 0.5 if args.model == "cnn" else 0.0    # a probability vs an SVM margin
     threshold = default if args.threshold is None else args.threshold
@@ -419,7 +423,7 @@ def cmd_crossval(args):
         fold_metrics.append({
             "fold": i,
             "test_size": len(test_rows),
-            "detection_f1_gunshot": report.detection["per_class"]["gunshot"]["f1"],
+            "detection_f1_gunshot": report.detection["per_class"][GUNSHOT]["f1"],
             "type_macro_f1_overall": evaluation.macro_f1(report.type_overall["per_class"]),
             "type_macro_f1_relevant": evaluation.macro_f1(report.type_relevant["per_class"]),
             "mean_ap": report.mean_ap,
@@ -486,15 +490,15 @@ def build_parser():
 
     g = sub.add_parser("generate", help="synthesize a labeled WAV dataset")
     g.add_argument("--out", required=True)
-    g.add_argument("--per-class", type=int, default=20)
+    g.add_argument("--per-class", type=_non_negative_int, default=20)
     g.add_argument("--counts", help="comma-separated per-class counts")
     g.add_argument("--preset", choices=("paper-ratio",))
     g.add_argument("--scale", type=_positive, default=0.05,
                    help="scale factor for the preset class mix")
-    g.add_argument("--negatives", type=int, default=0)
+    g.add_argument("--negatives", type=_non_negative_int, default=0)
     g.add_argument("--noisy", action="store_true",
                    help="low SNR, reverb, random distances (default is clean)")
-    g.add_argument("--duration", type=float, default=2.0)
+    g.add_argument("--duration", type=_positive, default=2.0)
     g.add_argument("--seed", type=int, default=0)
     g.set_defaults(func=cmd_generate)
 

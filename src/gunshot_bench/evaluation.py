@@ -18,11 +18,10 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import InvalidParam
-from .manifest import CLASS_NAMES
+from .manifest import CLASS_NAMES, GUNSHOT, N_CLASSES, NEGATIVE_LABEL, NO_GUNSHOT
 
 SCHEMA_VERSION = 1
-N_CLASSES = len(CLASS_NAMES)
-DETECTION_NAMES = ["no_gunshot", "gunshot"]
+DETECTION_NAMES = [NO_GUNSHOT, GUNSHOT]
 
 
 # ---------------------------------------------------------------------------
@@ -57,9 +56,9 @@ class SplitSpec:
 
 def strata(rows):
     """Group row ids by stratum (class name, or no_gunshot), fixed order."""
-    groups = {name: [] for name in CLASS_NAMES + ["no_gunshot"]}
+    groups = {name: [] for name in CLASS_NAMES + [NO_GUNSHOT]}
     for r in rows:
-        key = r.class_name if r.class_name else "no_gunshot"
+        key = r.class_name if r.class_name else NO_GUNSHOT
         groups[key].append(r.id)
     return {k: v for k, v in groups.items() if v}
 
@@ -163,12 +162,9 @@ def mean_ap(per_class_ap):
 # ---------------------------------------------------------------------------
 
 def _as_arrays(true_class, pred_gun, pred_class):
-    t = [NGI if c is None else int(c) for c in true_class]
+    t = [NEGATIVE_LABEL if c is None else int(c) for c in true_class]
     return (np.asarray(t, dtype=np.int64), np.asarray(pred_gun, dtype=bool),
             np.asarray(pred_class, dtype=np.int64))
-
-
-NGI = -1   # sentinel index for "no gunshot" rows/columns
 
 
 def _confusion(true_idx, pred_idx, size):
@@ -183,8 +179,8 @@ def overall_confusion(true_class, pred_gun, pred_class, n_classes=N_CLASSES):
     A miss lands in column K of its true class row; a typed false alarm
     lands in row K under the predicted class."""
     t, g, c = _as_arrays(true_class, pred_gun, pred_class)
-    return _confusion(np.where(t == NGI, n_classes, t), np.where(g, c, n_classes),
-                      n_classes + 1)
+    return _confusion(np.where(t == NEGATIVE_LABEL, n_classes, t),
+                      np.where(g, c, n_classes), n_classes + 1)
 
 
 def overall_metrics(true_class, pred_gun, pred_class, n_classes=N_CLASSES):
@@ -199,7 +195,7 @@ def relevant_metrics(true_class, pred_gun, pred_class, n_classes=N_CLASSES):
     returns that matrix and the classes with zero support in it (reported
     as 0)."""
     t, g, c = _as_arrays(true_class, pred_gun, pred_class)
-    keep = (t != NGI) & g
+    keep = (t != NEGATIVE_LABEL) & g
     m = _confusion(t[keep], c[keep], n_classes)
     zero_support = [CLASS_NAMES[i] for i in range(n_classes) if m[i].sum() == 0]
     return prf1(m), m, zero_support
@@ -246,7 +242,7 @@ def build_report(true_class, pred_gun, pred_class, scores, *, threshold=0.5,
     true_class: per-example class index or None; pred_gun: decided detection;
     pred_class: argmax type index; scores: [n, K] ranking scores for AP."""
     t_arr = _as_arrays(true_class, pred_gun, pred_class)[0]
-    det_conf = detection_confusion(t_arr != NGI, pred_gun)
+    det_conf = detection_confusion(t_arr != NEGATIVE_LABEL, pred_gun)
     det_prf = prf1(det_conf)
 
     ov_prf, ov_conf = overall_metrics(true_class, pred_gun, pred_class)

@@ -1,14 +1,26 @@
-"""Manifest rows: one line-delimited JSON record per clip."""
+"""The dataset's label vocabulary and its manifest: one line-delimited JSON
+record per clip."""
 
 import hashlib
 import json
 from dataclasses import dataclass
+from enum import Enum
 from pathlib import Path
 
 from .errors import InvalidParam
-from .synthgun import FirearmClass
+
+
+class FirearmClass(Enum):
+    RIFLE = "rifle"
+    SUBMACHINE_GUN = "submachine_gun"
+    HANDGUN_PISTOL = "handgun_pistol"
+    MACHINE_GUN = "machine_gun"
+    SHOTGUN = "shotgun"
+
 
 CLASS_NAMES = [fc.value for fc in FirearmClass]
+N_CLASSES = len(CLASS_NAMES)
+NEGATIVE_LABEL = -1          # gun-type index of a clip without a gunshot
 NO_GUNSHOT = "no_gunshot"
 GUNSHOT = "gunshot"
 
@@ -38,6 +50,13 @@ class ManifestRow:
     def from_dict(cls, d):
         return cls(d["id"], d["path"], d["detection_label"], d.get("class"),
                    float(d["duration_s"]), bool(d["clean"]), int(d["seed"]))
+
+
+def write_manifest(path, rows):
+    """Write rows as line-delimited JSON, one `to_dict` record per line."""
+    with open(path, "w", encoding="utf-8") as f:
+        for row in rows:
+            f.write(json.dumps(row.to_dict()) + "\n")
 
 
 def load_manifest(path, check_paths=True):

@@ -10,11 +10,9 @@ import numpy as np
 
 from . import nncore as nn
 from .errors import DegenerateData, NonFiniteLoss, NonFiniteTensor, ShapeMismatch
-from .manifest import CLASS_NAMES
+from .manifest import CLASS_NAMES, N_CLASSES, NEGATIVE_LABEL
 from .dsp import LOG_EPS
 
-N_CLASSES = len(CLASS_NAMES)
-NEGATIVE_LABEL = -1          # type label for no-gunshot examples
 PAD_VALUE = float(np.log(LOG_EPS))   # log-mel silence floor used for padding
 
 

@@ -4,11 +4,12 @@ A shot is modeled as a muzzle blast (Friedlander pulse band-shaped around a
 class-typical peak frequency) optionally preceded by a ballistic shockwave
 (a ~200-400 microsecond N-wave); automatic weapons emit bursts. Scenes mix
 events with comb-filter reverberation, 1/distance attenuation, and white
-noise at a target SNR. Generation is a pure function of (arguments, seed):
+noise at a target SNR. `synth_clip` is the recipe for one dataset clip, a
+shot scene or a background scene, and `generate_dataset` applies it to every
+clip of a class mix. Generation is a pure function of (arguments, seed):
 every clip derives its own RNG stream from (seed, clip index).
 """
 
-import json
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -16,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvalidParam, SceneOverflow
+from .manifest import GUNSHOT, NO_GUNSHOT, FirearmClass, ManifestRow, write_manifest
 from .wavio import write_wav
 
 SAMPLE_RATE = 44100
@@ -26,14 +28,6 @@ SPL_REFERENCE_DB = 165.0
 # acoustic ranges that overlap no firearm class band, for distractor impulses
 THUMP_FREQ_RANGE = (30.0, 80.0)
 CLICK_FREQ_RANGE = (4000.0, 12000.0)
-
-
-class FirearmClass(Enum):
-    RIFLE = "rifle"
-    SUBMACHINE_GUN = "submachine_gun"
-    HANDGUN_PISTOL = "handgun_pistol"
-    MACHINE_GUN = "machine_gun"
-    SHOTGUN = "shotgun"
 
 
 class ShockwaveRate(Enum):
@@ -158,7 +152,6 @@ class SceneConfig:
     snr_db: float = 40.0
     reverb: ReverbConfig = field(default_factory=ReverbConfig)
     distance_m: float = 1.0
-    seed: int = 0
 
     def validate(self):
         if self.duration_s <= 0:
@@ -397,14 +390,31 @@ def _distractor(rng, sample_rate):
                      {"kind": "distractor", "peak_freq": freq})
 
 
-def generate_dataset(class_counts, negatives, clean, out_dir, seed,
-                     duration_s=2.0, specs=None):
-    """Write WAV files plus a line-delimited manifest; returns manifest rows.
+def synth_clip(firearm, rng, duration_s, clean):
+    """One dataset clip: a scene around one trigger pull of `firearm`, or,
+    for firearm=None, a background scene of noise alone or noise and one
+    out-of-band impulse distractor. The clip is a pure function of the
+    arguments and the state of rng, which it draws from in a fixed order."""
+    if firearm is not None:
+        _, shot = synth_shot(DEFAULT_CLASS_SPECS[firearm], rng)
+        cfg = _sample_scene_config(rng, duration_s, clean)
+        events = [(_sample_onset(rng, duration_s, shot.duration_s), shot)]
+    else:
+        cfg = _sample_scene_config(rng, duration_s, clean)
+        events = []
+        if rng.random() < 2.0 / 3.0:    # impulse distractor; else pure noise
+            clip = _distractor(rng, SAMPLE_RATE)
+            events = [(_sample_onset(rng, duration_s, clip.duration_s), clip)]
+    return compose_scene(events, cfg, rng)
+
+
+def generate_dataset(class_counts, negatives, clean, out_dir, seed, duration_s=2.0):
+    """Write WAV files plus a line-delimited manifest; returns the ManifestRows.
 
     clean=True: SNR >= 30 dB, no reverb, 1 m. clean=False: SNR in [0, 15] dB,
-    reverb on, distances in [1, 50] m. Negatives are noise-only scenes or
-    impulse distractors. Deterministic: clip i uses rng stream (seed, i)."""
-    specs = specs or DEFAULT_CLASS_SPECS
+    reverb on, distances in [1, 50] m. Clips come class by class in
+    CLASS_ORDER, then the negatives. Deterministic: clip i uses rng stream
+    (seed, i)."""
     for fc, cnt in class_counts.items():
         if cnt < 0:
             raise InvalidParam(f"negative count for {fc}")
@@ -412,47 +422,18 @@ def generate_dataset(class_counts, negatives, clean, out_dir, seed,
         raise InvalidParam("negative count of negatives")
 
     out_dir = Path(out_dir)
-    wav_dir = out_dir / "wav"
-    wav_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "wav").mkdir(parents=True, exist_ok=True)
+    plan = [fc for fc in CLASS_ORDER for _ in range(class_counts.get(fc, 0))]
+    plan += [None] * negatives
 
     rows = []
-    idx = 0
-    for fc in CLASS_ORDER:
-        for _ in range(class_counts.get(fc, 0)):
-            rng = np.random.default_rng([seed, idx])
-            _, shot_clip = synth_shot(specs[fc], rng)
-            cfg = _sample_scene_config(rng, duration_s, clean)
-            onset = _sample_onset(rng, duration_s, shot_clip.duration_s)
-            scene = compose_scene([(onset, shot_clip)], cfg, rng)
-            clip_id = f"{idx:05d}_{fc.value}"
-            rel = f"wav/{clip_id}.wav"
-            write_wav(out_dir / rel, scene.samples, SAMPLE_RATE)
-            rows.append({
-                "id": clip_id, "path": rel, "detection_label": "gunshot",
-                "class": fc.value, "duration_s": duration_s,
-                "clean": bool(clean), "seed": int(seed),
-            })
-            idx += 1
-
-    for _ in range(negatives):
-        rng = np.random.default_rng([seed, idx])
-        cfg = _sample_scene_config(rng, duration_s, clean)
-        events = []
-        if rng.random() < 2.0 / 3.0:    # impulse distractor; else pure noise
-            clip = _distractor(rng, SAMPLE_RATE)
-            events = [(_sample_onset(rng, duration_s, clip.duration_s), clip)]
-        scene = compose_scene(events, cfg, rng)
-        clip_id = f"{idx:05d}_background"
+    for idx, fc in enumerate(plan):
+        scene = synth_clip(fc, np.random.default_rng([seed, idx]), duration_s, clean)
+        class_name = None if fc is None else fc.value
+        clip_id = f"{idx:05d}_{class_name or 'background'}"
         rel = f"wav/{clip_id}.wav"
         write_wav(out_dir / rel, scene.samples, SAMPLE_RATE)
-        rows.append({
-            "id": clip_id, "path": rel, "detection_label": "no_gunshot",
-            "class": None, "duration_s": duration_s,
-            "clean": bool(clean), "seed": int(seed),
-        })
-        idx += 1
-
-    with open(out_dir / "manifest.jsonl", "w", encoding="utf-8") as f:
-        for row in rows:
-            f.write(json.dumps(row) + "\n")
+        rows.append(ManifestRow(clip_id, rel, NO_GUNSHOT if fc is None else GUNSHOT,
+                                class_name, duration_s, bool(clean), int(seed)))
+    write_manifest(out_dir / "manifest.jsonl", rows)
     return rows

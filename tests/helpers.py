@@ -1,9 +1,10 @@
-"""Shared test utilities: finite-difference gradient checking and small
-synthetic dataset builders."""
+"""Shared test utilities: finite-difference gradient checking, inputs safe
+for it, and detection F1. A test that needs a labeled clip calls
+`synthgun.synth_clip`, the recipe `generate_dataset` writes each clip with."""
 
 import numpy as np
 
-from gunshot_bench import dsp, models, nncore as nn, synthgun as sg
+from gunshot_bench import nncore as nn
 
 FD_STEP = 1e-3
 FD_TOL = 1e-4
@@ -51,36 +52,6 @@ def safe_random(rng, shape, low=0.1, high=1.0):
     mag = rng.uniform(low, high, size=shape)
     sign = np.where(rng.random(shape) < 0.5, -1.0, 1.0)
     return mag * sign
-
-
-def make_clip_set(per_class, negatives, clean, seed, duration=2.0):
-    """In-memory labeled mel set mirroring generate_dataset's sampling."""
-    mels, y_det, y_type = [], [], []
-    idx = 0
-    for ci, fc in enumerate(sg.CLASS_ORDER):
-        for _ in range(per_class):
-            rng = np.random.default_rng([seed, idx])
-            idx += 1
-            _, shot = sg.synth_shot(sg.DEFAULT_CLASS_SPECS[fc], rng)
-            cfg = sg._sample_scene_config(rng, duration, clean)
-            onset = sg._sample_onset(rng, duration, shot.duration_s)
-            scene = sg.compose_scene([(onset, shot)], cfg, rng)
-            mels.append(dsp.mel_spectrogram(scene).frames)
-            y_det.append(1)
-            y_type.append(ci)
-    for _ in range(negatives):
-        rng = np.random.default_rng([seed, idx])
-        idx += 1
-        cfg = sg._sample_scene_config(rng, duration, clean)
-        events = []
-        if rng.random() < 2 / 3:
-            clip = sg._distractor(rng, sg.SAMPLE_RATE)
-            events = [(sg._sample_onset(rng, duration, clip.duration_s), clip)]
-        scene = sg.compose_scene(events, cfg, rng)
-        mels.append(dsp.mel_spectrogram(scene).frames)
-        y_det.append(0)
-        y_type.append(models.NEGATIVE_LABEL)
-    return mels, np.array(y_det), np.array(y_type)
 
 
 def detection_f1(y_true, y_pred):

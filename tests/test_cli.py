@@ -1,8 +1,10 @@
 """CLI exit codes for inputs the pipeline cannot use: each ends in its
 documented code and a one-line message, never in a traceback (an
 unreadable WAV fails with the I/O code, a flag no clip can meet with the
-usage code); SVM evaluation, training and cross-validation honour their
-flags, rerun byte for byte and report machines stopped by the sweep cap."""
+usage code), and a refused command leaves no config.json; SVM evaluation,
+training and cross-validation honour their flags, rerun byte for byte and
+report machines stopped by the sweep cap; and every command runs end to
+end on a tiny dataset, the CNN included."""
 
 import json
 import shutil
@@ -25,6 +27,7 @@ def test_cnn_without_validation_clips_exits_usage(tmp_path, capsys):
                      "--model", "cnn", "--seed", "1"])
     assert code == cli.EXIT_USAGE
     assert "validation" in capsys.readouterr().err
+    assert not (tmp_path / "cnn").exists()
 
 
 def test_scene_overflow_exits_usage(tmp_path, capsys):
@@ -39,10 +42,17 @@ def test_scene_overflow_exits_usage(tmp_path, capsys):
     ["--preset", "paper-ratio", "--scale", "0"],
     ["--preset", "paper-ratio", "--scale", "1e-6"],
     ["--per-class", "0"],
+    ["--duration", "nan"],
+    ["--duration", "inf"],
+    ["--counts", "a,1,1,1,1"],
+    ["--counts", "1,1,1,1,-1"],
+    ["--per-class", "-1"],
+    ["--negatives", "-1"],
 ])
 def test_generate_zero_clips_exits_usage(args, tmp_path, capsys):
     assert cli.main(["generate", "--out", str(tmp_path / "data"), *args]) == cli.EXIT_USAGE
     assert not (tmp_path / "data" / "manifest.jsonl").exists()
+    assert not (tmp_path / "data").exists()
     assert capsys.readouterr().err.splitlines()[-1].startswith(("error:", "gsb generate: error:"))
 
 
@@ -148,6 +158,7 @@ def test_evaluate_empty_subset_exits_usage(melstats_data, tmp_path, capsys):
     assert code == cli.EXIT_USAGE
     assert "the val subset is empty" in capsys.readouterr().err
     assert not (tmp_path / "eval" / "report.json").exists()
+    assert not (tmp_path / "eval" / "config.json").exists()
 
 
 def test_svm_train_rerun_is_byte_identical(melstats_data, tmp_path):
@@ -195,12 +206,19 @@ def test_crossval_wrong_feature_kind_exits_usage(small_data, tmp_path, capsys, m
     manifest, root = small_data
     assert _crossval(manifest, root / kind, tmp_path, model) == cli.EXIT_USAGE
     assert f"{model} needs" in capsys.readouterr().err
+    code = cli.main(["train", "--manifest", str(manifest), "--features", str(root / kind),
+                     "--out", str(tmp_path / "train"), "--model", model])
+    assert code == cli.EXIT_USAGE
+    assert f"{model} needs" in capsys.readouterr().err
+    assert not (tmp_path / "config.json").exists()
+    assert not (tmp_path / "train").exists()
 
 
 def test_crossval_k_above_pool_exits_usage(small_data, tmp_path, capsys):
     manifest, root = small_data
     assert _crossval(manifest, root / "melstats", tmp_path, "svm", "--k", "50") == cli.EXIT_USAGE
     assert "exceeds the 48 clips" in capsys.readouterr().err
+    assert not (tmp_path / "config.json").exists()
 
 
 def test_svm_reports_machines_stopped_at_the_cap(small_data, tmp_path, capsys):
@@ -270,3 +288,43 @@ def test_svm_crossval_honours_threshold(melstats_data, tmp_path):
         assert all(r["threshold"] == float(threshold) for r in reports)
         confusions.append([r["detection"]["confusion"] for r in reports])
     assert confusions[0] != confusions[1]
+
+
+def _run_pipeline(root):
+    """Every command on a 30-clip dataset; returns {command and target: exit code}."""
+    data = root / "data"
+    manifest = str(data / "manifest.jsonl")
+    codes = {"generate": cli.main(["generate", "--out", str(data), "--per-class", "5",
+                                   "--negatives", "5", "--seed", "1"])}
+    for kind in cli.FEATURE_KINDS:
+        codes[f"featurize {kind}"] = cli.main([
+            "featurize", "--manifest", manifest, "--kind", kind, "--out", str(root / kind),
+            "--boaw-k", "8", "--seed", "1"])
+    models_by_kind = {"melstats": ["svm"], "boaw": ["svm"], "autocorr": ["svm"],
+                      "mel": ["cnn", "--epochs", "1", "--input-frames", "32"]}
+    for kind, model in models_by_kind.items():
+        ckpt = root / f"{model[0]}_{kind}"
+        codes[f"train {kind}"] = cli.main([
+            "train", "--manifest", manifest, "--features", str(root / kind),
+            "--out", str(ckpt), "--seed", "1", "--model", *model])
+        codes[f"evaluate {kind}"] = cli.main([
+            "evaluate", "--checkpoint", str(ckpt), "--manifest", manifest,
+            "--features", str(root / kind), "--out", str(root / f"eval_{kind}"),
+            "--split", str(ckpt / "split.json"), "--threshold", "0.5"])
+    codes["crossval"] = _crossval(manifest, root / "melstats", root / "crossval", "svm")
+    return codes
+
+
+def test_pipeline_runs_end_to_end_and_reruns_byte_for_byte(tmp_path):
+    runs = [tmp_path / "a", tmp_path / "b"]
+    for root in runs:
+        codes = _run_pipeline(root)
+        assert codes == dict.fromkeys(codes, cli.EXIT_OK)
+    files = sorted(p.relative_to(runs[0]) for p in runs[0].rglob("*") if p.is_file())
+    # each command writes config.json; generate 30 WAVs and a manifest, featurize
+    # 30 caches and an index, train 4 files, evaluate 2 reports, crossval 5 + 1
+    assert len(files) == 32 + 4 * 32 + 4 * 5 + 4 * 3 + 7
+    assert files == sorted(p.relative_to(runs[1]) for p in runs[1].rglob("*") if p.is_file())
+    for name in files:
+        if name.name != "config.json":    # it echoes the output paths
+            assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes(), name

@@ -1,12 +1,15 @@
 """Synthesizer contracts: pulse shapes, class-conditional sampling,
 scene composition, and dataset generation determinism."""
 
+import json
+
 import numpy as np
 import pytest
 
 from gunshot_bench import synthgun as sg
 from gunshot_bench.errors import InvalidParam, SceneOverflow
 from gunshot_bench.manifest import load_manifest
+from gunshot_bench.wavio import write_wav
 
 
 def spectral_peak_hz(samples, nfft=16384, rate=44100):
@@ -195,7 +198,7 @@ class TestGenerateDataset:
         assert len(rows) == 24
         assert len(list((tmp_path / "wav").glob("*.wav"))) == 24
         loaded = load_manifest(tmp_path / "manifest.jsonl")
-        assert len(loaded) == 24
+        assert loaded == rows
         assert sum(1 for r in loaded if r.detection_label == "gunshot") == 20
 
     def test_reference_mix_handgun_largest(self):
@@ -225,6 +228,71 @@ class TestGenerateDataset:
     def test_negative_counts_rejected(self, tmp_path):
         with pytest.raises(InvalidParam):
             sg.generate_dataset({sg.FirearmClass.RIFLE: -1}, 0, True, tmp_path, 0)
+
+
+def reference_generate_dataset(class_counts, negatives, clean, out_dir, seed,
+                               duration_s=2.0):
+    """generate_dataset written out as two loops, shots then negatives, each
+    spelling out its draws from the clip's rng and building its manifest
+    row by hand."""
+    out_dir.joinpath("wav").mkdir(parents=True)
+    rows = []
+    idx = 0
+    for fc in sg.CLASS_ORDER:
+        for _ in range(class_counts.get(fc, 0)):
+            rng = np.random.default_rng([seed, idx])
+            _, shot_clip = sg.synth_shot(sg.DEFAULT_CLASS_SPECS[fc], rng)
+            cfg = sg._sample_scene_config(rng, duration_s, clean)
+            onset = sg._sample_onset(rng, duration_s, shot_clip.duration_s)
+            scene = sg.compose_scene([(onset, shot_clip)], cfg, rng)
+            clip_id = f"{idx:05d}_{fc.value}"
+            rel = f"wav/{clip_id}.wav"
+            write_wav(out_dir / rel, scene.samples, sg.SAMPLE_RATE)
+            rows.append({
+                "id": clip_id, "path": rel, "detection_label": "gunshot",
+                "class": fc.value, "duration_s": duration_s,
+                "clean": bool(clean), "seed": int(seed),
+            })
+            idx += 1
+    for _ in range(negatives):
+        rng = np.random.default_rng([seed, idx])
+        cfg = sg._sample_scene_config(rng, duration_s, clean)
+        events = []
+        if rng.random() < 2.0 / 3.0:
+            clip = sg._distractor(rng, sg.SAMPLE_RATE)
+            events = [(sg._sample_onset(rng, duration_s, clip.duration_s), clip)]
+        scene = sg.compose_scene(events, cfg, rng)
+        clip_id = f"{idx:05d}_background"
+        rel = f"wav/{clip_id}.wav"
+        write_wav(out_dir / rel, scene.samples, sg.SAMPLE_RATE)
+        rows.append({
+            "id": clip_id, "path": rel, "detection_label": "no_gunshot",
+            "class": None, "duration_s": duration_s,
+            "clean": bool(clean), "seed": int(seed),
+        })
+        idx += 1
+    with open(out_dir / "manifest.jsonl", "w", encoding="utf-8") as f:
+        for row in rows:
+            f.write(json.dumps(row) + "\n")
+
+
+@pytest.mark.parametrize("per_class,negatives,clean", [
+    (2, 3, True),      # clean
+    (2, 3, False),     # noisy
+    (2, 0, True),      # guns only
+    (0, 6, False),     # negatives only
+], ids=["clean", "noisy", "guns-only", "negatives-only"])
+def test_generate_dataset_matches_two_loop_reference(tmp_path, per_class, negatives, clean):
+    counts = {fc: per_class for fc in sg.CLASS_ORDER}
+    sg.generate_dataset(counts, negatives, clean, tmp_path / "new", seed=3)
+    reference_generate_dataset(counts, negatives, clean, tmp_path / "ref", seed=3)
+    names = sorted(p.relative_to(tmp_path / "ref") for p in (tmp_path / "ref").rglob("*.*"))
+    assert len(names) == 5 * per_class + negatives + 1
+    assert names == sorted(p.relative_to(tmp_path / "new")
+                           for p in (tmp_path / "new").rglob("*.*"))
+    for name in names:
+        assert (tmp_path / "new" / name).read_bytes() == \
+            (tmp_path / "ref" / name).read_bytes(), name
 
 
 class TestClassSpecs:
