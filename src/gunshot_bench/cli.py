@@ -2,16 +2,20 @@
 plus k-fold cross-validation. Once a command has checked its input, it
 echoes its fully-resolved config (defaults and seeds included) into the
 output directory, so a refused run leaves no config behind; rerunning an
-identical config reproduces identical outputs byte for byte.
+identical config reproduces identical outputs byte for byte. `generate`
+moves its dataset into place only once every clip is written, so a failed
+run leaves none behind.
 
 Exit codes: 0 ok, 2 usage error (including data the command cannot use),
-3 I/O failure, 4 numeric failure.
+3 I/O failure (including a corrupt checkpoint), 4 numeric failure.
 """
 
 import argparse
 import hashlib
 import json
 import math
+import os
+import shutil
 import sys
 import time
 import wave as wave_mod
@@ -20,8 +24,8 @@ from pathlib import Path
 import numpy as np
 
 from . import dsp, evaluation, models, nncore, synthgun
-from .errors import (DegenerateData, InsufficientData, InvalidParam, NonFiniteLoss,
-                     SceneOverflow)
+from .errors import (CorruptCheckpoint, DegenerateData, InsufficientData, InvalidParam,
+                     NonFiniteLoss, SceneOverflow)
 from .manifest import (CLASS_NAMES, GUNSHOT, N_CLASSES, NEGATIVE_LABEL, NO_GUNSHOT,
                        load_manifest, manifest_digest)
 from .synthgun import CLASS_ORDER
@@ -73,9 +77,25 @@ def cmd_generate(args):
     counts = _parse_counts(args)
     if sum(counts.values()) + args.negatives == 0:
         raise UsageError("nothing to generate: the requested class mix has 0 clips")
-    _echo_config(args, out_dir, "generate")
-    rows = synthgun.generate_dataset(counts, args.negatives, not args.noisy,
-                                     out_dir, args.seed, duration_s=args.duration)
+    # Build the dataset beside out_dir and move it in once every clip is
+    # written, so a run that fails part way (a burst longer than the clip)
+    # leaves no partial dataset. A new out_dir is one rename; into an
+    # existing one the files move one by one, the manifest last.
+    staging = out_dir.parent / f".{out_dir.name}.partial-{os.getpid()}"
+    try:
+        _echo_config(args, staging, "generate")
+        rows = synthgun.generate_dataset(counts, args.negatives, not args.noisy,
+                                         staging, args.seed, duration_s=args.duration)
+        if not out_dir.exists():
+            staging.rename(out_dir)
+        else:
+            for src in sorted(staging.rglob("*"), key=lambda p: p.name == "manifest.jsonl"):
+                if src.is_file():
+                    dest = out_dir / src.relative_to(staging)
+                    dest.parent.mkdir(parents=True, exist_ok=True)
+                    os.replace(src, dest)
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
     hist = {fc.value: counts.get(fc, 0) for fc in CLASS_ORDER}
     print(f"wrote {len(rows)} clips to {out_dir}")
     print(f"class histogram: {json.dumps(hist)} + {json.dumps({NO_GUNSHOT: args.negatives})}")
@@ -194,13 +214,14 @@ def _feature_kind(features_dir):
 
 
 def _load_features(features_dir, rows):
+    """The cached features of `rows` only, kept as the cache's float32: every
+    consumer casts to float64, which is exact."""
     feats = {}
     for row in rows:
         path = Path(features_dir) / f"{row.id}.feat"
         if not path.exists():
             raise UsageError(f"missing feature cache for {row.id}; run featurize first")
-        values, _ = dsp.load_feature(path)
-        feats[row.id] = values.astype(np.float64)
+        feats[row.id], _ = dsp.load_feature(path)
     return feats
 
 
@@ -252,8 +273,7 @@ def _fit(args, kind, train_rows, val_rows, feats):
     _, y_type = _labels_for(train_rows)
     scaler = models.Standardizer.fit(x)
     svm = models.svm_train(scaler.transform(x), y_type, c=args.svm_c,
-                           epochs=args.epochs, seed=args.seed, feature_kind=kind,
-                           n_classes=N_CLASSES)
+                           epochs=args.epochs, feature_kind=kind, n_classes=N_CLASSES)
     capped = svm.converged.count(False)
     if capped:
         print(f"svm: {capped} of {len(svm.converged)} machines stopped at the "
@@ -280,8 +300,8 @@ def cmd_train(args):
         split = evaluation.stratified_split(rows, seed=args.seed)
     kind = _feature_kind(args.features)
     _check_kind(args.model, kind)
-    feats = _load_features(args.features, rows)
     train_rows, val_rows, _ = _split_rows(rows, split)
+    feats = _load_features(args.features, train_rows + val_rows)
 
     t0 = time.perf_counter()
     _, meta, arrays, history = _fit(args, kind, train_rows, val_rows, feats)
@@ -558,7 +578,7 @@ def main(argv=None):
     except NonFiniteLoss as e:
         print(f"numeric failure: {e}", file=sys.stderr)
         return EXIT_NUMERIC
-    except OSError as e:
+    except (OSError, CorruptCheckpoint) as e:
         print(f"I/O failure: {e}", file=sys.stderr)
         return EXIT_IO
 

@@ -142,7 +142,6 @@ def default_filterbank():
 class MelSpectrogram:
     frames: np.ndarray        # [T, n_mels] log energies
     frame_rate: float         # frames per second
-    source_id: str = ""
 
 
 def mel_spectrogram(clip, bank=None):
@@ -153,8 +152,7 @@ def mel_spectrogram(clip, bank=None):
     spec = stft(clip, win=bank.n_fft, hop=HOP_SAMPLES)
     power = spec.real**2 + spec.imag**2
     mel = power @ bank.weights.T
-    source = clip.meta.get("id", "") if isinstance(clip, AudioClip) else ""
-    return MelSpectrogram(np.log(mel + LOG_EPS), SAMPLE_RATE / HOP_SAMPLES, source)
+    return MelSpectrogram(np.log(mel + LOG_EPS), SAMPLE_RATE / HOP_SAMPLES)
 
 
 # ---------------------------------------------------------------------------

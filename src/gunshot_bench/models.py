@@ -174,7 +174,7 @@ def _train_svms(x, ys, c, max_sweeps, gram):
     return np.array(w), np.array(b), histories, [r not in live for r in range(m)]
 
 
-def svm_train(features, labels, c=1.0, epochs=100, seed=0, feature_kind="melstats",
+def svm_train(features, labels, c=1.0, epochs=100, feature_kind="melstats",
               n_classes=None, fit_detector=True):
     """Fit one-vs-rest binary machines on standardized features.
 
@@ -187,8 +187,7 @@ def svm_train(features, labels, c=1.0, epochs=100, seed=0, feature_kind="melstat
     SVM_KKT_TOL or until `epochs` sweeps of the dual solver, whichever comes
     first. All machines share one Gram matrix and are solved together by
     _train_svms: they step at once, and each freezes when it converges. The
-    solver has no random visiting order, so `seed` does not change the fit;
-    it is kept because the CLI passes it to every trainer."""
+    solver has no random visiting order, so the fit takes no seed."""
     x = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     if x.ndim != 2 or len(labels) != len(x):
@@ -295,7 +294,7 @@ class JointCnnModel:
         return list(self.params.values())
 
     def named_arrays(self):
-        out = {name: t.data for name, t in self.params.items()}
+        out = self.param_arrays()
         out["input_stats"] = np.array([self.input_mean, self.input_std])
         return out
 
@@ -333,10 +332,20 @@ class JointCnnModel:
 
     # -- forward ------------------------------------------------------------
 
-    def forward_graph(self, x_batch):
+    def param_arrays(self):
+        """The parameters as plain arrays (the Tensors' `.data`, not copies)."""
+        return {name: t.data for name, t in self.params.items()}
+
+    def forward_graph(self, x_batch, params=None):
         """x_batch: np [B, 1, T, M] (already standardized).
-        Returns (p_gunshot Tensor [B], type_logits Tensor [B, 5])."""
-        p = self.params
+        Returns (p_gunshot Tensor [B], type_logits Tensor [B, 5]).
+
+        params maps each parameter name to a Tensor or to a plain array, and
+        defaults to the model's Tensors, whose gradient the outputs then
+        carry. With arrays (`param_arrays()`) the same ops run on the same
+        values but nothing requires a gradient, so no graph is recorded and
+        every activation is freed as soon as the next op has read it."""
+        p = self.params if params is None else params
         h = nn.Tensor(x_batch)
         for li in range(1, len(TRUNK_CHANNELS) + 1):
             h = nn.conv2d(h, p[f"conv{li}.w"], p[f"conv{li}.b"], stride=1, pad=1)
@@ -353,10 +362,10 @@ class JointCnnModel:
         return p_gun, type_logits
 
     def forward_arrays(self, x_batch):
-        """Forward pass without gradient tracking; returns numpy arrays."""
-        p_gun, logits = self.forward_graph(x_batch)
-        post = nn.softmax(logits, axis=1)
-        return p_gun.data.copy(), post.data.copy()
+        """Forward pass on the parameter arrays, so it records no graph;
+        returns numpy arrays (p_gunshot [B], type posteriors [B, 5])."""
+        p_gun, logits = self.forward_graph(x_batch, self.param_arrays())
+        return p_gun.data, nn.softmax(logits, axis=1).data
 
 
 def cnn_forward(model, mel_frames, threshold=0.5):
@@ -368,10 +377,11 @@ def cnn_forward(model, mel_frames, threshold=0.5):
     return Prediction(p, posteriors, _decide(p, posteriors, threshold), p * posteriors)
 
 
-def batch_loss_graph(model, x_batch, y_det, y_type, lambda_type):
+def batch_loss_graph(model, x_batch, y_det, y_type, lambda_type, params=None):
     """Joint loss over a batch as a graph node: mean detection BCE plus
-    lambda * masked type cross-entropy (positives only)."""
-    p_gun, type_logits = model.forward_graph(x_batch)
+    lambda * masked type cross-entropy (positives only). `params` is passed
+    to forward_graph: arrays give the same loss with no graph behind it."""
+    p_gun, type_logits = model.forward_graph(x_batch, params)
     det_loss = nn.bce(p_gun, y_det.astype(np.float64))
     mask = ((y_det == 1) & (y_type >= 0)).astype(np.float64)
     safe_cls = np.where(y_type >= 0, y_type, 0)
@@ -395,10 +405,13 @@ def _stack_inputs(model, mels):
 
 
 def _eval_loss(model, x, y_det, y_type, lam, batch_size=64):
+    """Mean joint loss over x; runs on the parameter arrays, so no backward
+    pass's activations are kept."""
+    params = model.param_arrays()
     total = 0.0
     for i in range(0, len(x), batch_size):
         sl = slice(i, min(i + batch_size, len(x)))
-        loss = batch_loss_graph(model, x[sl], y_det[sl], y_type[sl], lam)
+        loss = batch_loss_graph(model, x[sl], y_det[sl], y_type[sl], lam, params)
         total += float(loss.data) * (sl.stop - sl.start)
     return total / len(x)
 

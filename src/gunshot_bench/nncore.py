@@ -1,10 +1,14 @@
 """Dense/convolutional tensor ops with reverse-mode autodiff and momentum SGD.
 
-Everything runs in float64 on numpy arrays. A forward pass records a
-single-use graph; backward() walks it in reverse topological order exactly
-once and accumulates gradients into the participating leaves. Graphs are
-rebuilt per step, so there is no reset API: calling backward twice on the
-same graph raises.
+Everything runs in float64 on numpy arrays. Every op takes Tensors or plain
+arrays (an array is a Tensor that requires no gradient) and records a graph
+node only when one of its inputs requires a gradient: a forward pass over
+trainable Tensors records a single-use graph, and the same pass over plain
+arrays records nothing and keeps no activation once the next op has read
+it. backward() walks a graph in reverse topological order exactly once and
+accumulates gradients into the participating leaves. Graphs are rebuilt per
+step, so there is no reset API: calling backward twice on the same graph
+raises.
 
 Memory layout: conv2d and maxpool2d take and return [B, C, H, W] arrays, but
 their outputs (and the gradients they pass to their inputs) are views of
@@ -499,13 +503,13 @@ def load_checkpoint(path):
     with open(path, "rb") as f:
         blob = f.read()
     if len(blob) < 44 or blob[:4] != CHECKPOINT_MAGIC:
-        raise CorruptCheckpoint("bad magic or truncated file")
+        raise CorruptCheckpoint(f"{path}: bad magic or truncated file")
     payload, digest = blob[:-32], blob[-32:]
     if hashlib.sha256(payload).digest() != digest:
-        raise CorruptCheckpoint("checksum mismatch")
+        raise CorruptCheckpoint(f"{path}: checksum mismatch")
     version, count = struct.unpack_from("<II", payload, 4)
     if version != CHECKPOINT_VERSION:
-        raise CorruptCheckpoint(f"unsupported version {version}")
+        raise CorruptCheckpoint(f"{path}: unsupported version {version}")
     out = {}
     off = 12
     for _ in range(count):
@@ -522,6 +526,6 @@ def load_checkpoint(path):
         off += 8 * size
         out[name] = arr.astype(np.float64)
     if off != len(payload):
-        raise CorruptCheckpoint("trailing bytes after last entry")
+        raise CorruptCheckpoint(f"{path}: trailing bytes after last entry")
     return out
 

@@ -1,13 +1,15 @@
 """CLI exit codes for inputs the pipeline cannot use: each ends in its
 documented code and a one-line message, never in a traceback (an
-unreadable WAV fails with the I/O code, a flag no clip can meet with the
-usage code), and a refused command leaves no config.json; SVM evaluation,
-training and cross-validation honour their flags, rerun byte for byte and
-report machines stopped by the sweep cap; and every command runs end to
-end on a tiny dataset, the CNN included."""
+unreadable WAV or a cut checkpoint fails with the I/O code, a flag no clip
+can meet with the usage code), a refused command leaves no config.json and
+a failed generate no dataset; training reads no test-split cache; SVM
+evaluation, training and cross-validation honour their flags, rerun byte
+for byte and report machines stopped by the sweep cap; and every command
+runs end to end on a tiny dataset, the CNN included."""
 
 import json
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,12 +32,36 @@ def test_cnn_without_validation_clips_exits_usage(tmp_path, capsys):
     assert not (tmp_path / "cnn").exists()
 
 
+# a burst of this mix does not fit its 1.5 s clip after 63 clips are written
+OVERFLOWING_MIX = ["--preset", "paper-ratio", "--scale", "0.025", "--negatives", "25",
+                   "--duration", "1.5", "--seed", "2"]
+
+
 def test_scene_overflow_exits_usage(tmp_path, capsys):
-    code = cli.main(["generate", "--out", str(tmp_path / "data"), "--preset", "paper-ratio",
-                     "--scale", "0.025", "--negatives", "25", "--duration", "1.5",
-                     "--seed", "2"])
+    code = cli.main(["generate", "--out", str(tmp_path / "data"), *OVERFLOWING_MIX])
     assert code == cli.EXIT_USAGE
     assert "exceeds" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []    # neither the dataset nor its staging copy
+
+
+def test_generate_into_an_existing_directory(tmp_path):
+    fresh, existing = tmp_path / "fresh", tmp_path / "existing"
+    existing.mkdir()
+    (existing / "notes.txt").write_text("kept")
+    for out in (fresh, existing):
+        assert cli.main(["generate", "--out", str(out), "--per-class", "1",
+                         "--seed", "1"]) == cli.EXIT_OK
+    files = sorted(p.relative_to(fresh) for p in fresh.rglob("*") if p.is_file())
+    assert (sorted(p.relative_to(existing) for p in existing.rglob("*") if p.is_file())
+            == sorted(files + [Path("notes.txt")]))
+    for name in files:
+        if name.name != "config.json":    # it echoes the output path
+            assert (fresh / name).read_bytes() == (existing / name).read_bytes(), name
+    # a run that fails part way leaves the existing dataset as it was
+    before = {p: p.read_bytes() for p in existing.rglob("*") if p.is_file()}
+    assert cli.main(["generate", "--out", str(existing), *OVERFLOWING_MIX]) == cli.EXIT_USAGE
+    assert {p: p.read_bytes() for p in existing.rglob("*") if p.is_file()} == before
+    assert sorted(tmp_path.iterdir()) == [existing, fresh]
 
 
 @pytest.mark.parametrize("args", [
@@ -169,6 +195,22 @@ def test_svm_train_rerun_is_byte_identical(melstats_data, tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
 
 
+def test_evaluate_truncated_checkpoint_exits_io(melstats_data, tmp_path, capsys):
+    manifest, feats = melstats_data
+    _train_svm(manifest, feats, tmp_path / "svm")
+    ckpt = tmp_path / "svm" / "model.ckpt"
+    blob = ckpt.read_bytes()
+    ckpt.write_bytes(blob[: len(blob) // 2])
+    capsys.readouterr()
+    code = cli.main(["evaluate", "--checkpoint", str(tmp_path / "svm"),
+                     "--manifest", str(manifest), "--features", str(feats),
+                     "--out", str(tmp_path / "eval")])
+    assert code == cli.EXIT_IO
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("I/O failure:") and "model.ckpt" in err[0]
+    assert not (tmp_path / "eval").exists()
+
+
 @pytest.mark.parametrize("flag,value", [
     ("--epochs", "0"), ("--batch-size", "0"), ("--lr", "nan"), ("--lr", "abc"),
     ("--momentum", "1"), ("--lambda-type", "-1"), ("--patience", "-1"),
@@ -194,6 +236,28 @@ def small_data(tmp_path_factory):
         assert cli.main(["featurize", "--manifest", str(data / "manifest.jsonl"),
                          "--kind", kind, "--out", str(root / kind)]) == cli.EXIT_OK
     return data / "manifest.jsonl", root
+
+
+@pytest.mark.parametrize("model,kind,extra", [
+    ("svm", "melstats", []),
+    ("cnn", "mel", ["--epochs", "1", "--input-frames", "16"]),
+])
+def test_train_reads_no_test_split_cache(small_data, tmp_path, model, kind, extra):
+    manifest, root = small_data
+    feats = tmp_path / kind
+    shutil.copytree(root / kind, feats)
+
+    def train(out):
+        return cli.main(["train", "--manifest", str(manifest), "--features", str(feats),
+                         "--out", str(tmp_path / out), "--model", model, "--seed", "1",
+                         *extra])
+
+    assert train("all") == cli.EXIT_OK
+    for clip_id in json.loads((tmp_path / "all" / "split.json").read_text())["test_ids"]:
+        (feats / f"{clip_id}.feat").unlink()
+    assert train("no_test") == cli.EXIT_OK
+    assert ((tmp_path / "all" / "model.ckpt").read_bytes()
+            == (tmp_path / "no_test" / "model.ckpt").read_bytes())
 
 
 def _crossval(manifest, feats, out, model, *extra):

@@ -1,6 +1,8 @@
 """Classifier contracts: SVM training/prediction behavior, joint CNN
 forward/loss/training semantics, and prediction plumbing."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -22,27 +24,27 @@ def toy_two_class(n=20, gap=4.0, seed=0):
 class TestSvm:
     def test_separable_two_class_perfect(self):
         x, y = toy_two_class()
-        model = models.svm_train(x, y, c=1.0, epochs=150, seed=0, fit_detector=False)
+        model = models.svm_train(x, y, c=1.0, epochs=150, fit_detector=False)
         pred = np.array([models.svm_predict(model, xi)[1] for xi in x])
         assert (pred == y).mean() == 1.0
 
     def test_c_to_zero_scores_collapse_to_bias(self):
         x, y = toy_two_class()
-        model = models.svm_train(x, y, c=1e-8, epochs=60, seed=0, fit_detector=False)
+        model = models.svm_train(x, y, c=1e-8, epochs=60, fit_detector=False)
         assert np.abs(model.weights).max() < 1e-3
         scores, _ = models.svm_predict(model, x[0])
         np.testing.assert_allclose(scores, model.biases, atol=1e-2)
 
     def test_objective_non_increasing(self):
         x, y = toy_two_class(seed=3)
-        model = models.svm_train(x, y, c=1.0, epochs=80, seed=1, fit_detector=False)
+        model = models.svm_train(x, y, c=1.0, epochs=80, fit_detector=False)
         for hist in model.objective_history:
             assert all(hist[i + 1] <= hist[i] + 1e-12 for i in range(len(hist) - 1))
 
     def test_hinge_objective_near_grid_oracle(self):
         x, y = toy_two_class(n=20, gap=2.0, seed=5)
         yy = np.where(y == 0, 1.0, -1.0)
-        model = models.svm_train(x, y, c=1.0, epochs=400, seed=2, fit_detector=False)
+        model = models.svm_train(x, y, c=1.0, epochs=400, fit_detector=False)
         got = models._hinge_objective(x, yy, model.weights[0], model.biases[0], 1.0)
         # coarse grid over (w1, w2, b)
         grid = np.linspace(-3.0, 3.0, 61)
@@ -97,29 +99,18 @@ class TestSvm:
     def test_non_support_point_removal_barely_moves_decision(self):
         x, y = toy_two_class(n=20, gap=4.0, seed=7)
         yy = np.where(y == 0, 1.0, -1.0)
-        full = models.svm_train(x, y, c=1.0, epochs=3000, seed=3, fit_detector=False)
+        full = models.svm_train(x, y, c=1.0, epochs=3000, fit_detector=False)
         w, b = full.weights[0], full.biases[0]
         margins = yy * (x @ w + b)
         loose = int(np.argmax(margins))          # far outside the margin
         assert margins[loose] > 1.0
         keep = np.arange(len(x)) != loose
-        reduced = models.svm_train(x[keep], y[keep], c=1.0, epochs=3000, seed=3,
+        reduced = models.svm_train(x[keep], y[keep], c=1.0, epochs=3000,
                                    fit_detector=False)
         held_out = np.random.default_rng(9).normal(size=(10, 2))
         s_full = held_out @ full.weights[0] + full.biases[0]
         s_red = held_out @ reduced.weights[0] + reduced.biases[0]
         assert np.abs(s_full - s_red).max() < 1e-3
-
-    def test_fit_does_not_depend_on_seed(self):
-        # overlapping classes: many margin violators, so only a solver that
-        # reaches the optimum lands on the same (w, b) whatever the seed
-        x, y = toy_two_class(gap=1.0)
-        held_out = np.random.default_rng(4).normal(size=(10, 2))
-        scores = []
-        for seed in (0, 1):
-            model = models.svm_train(x, y, c=1.0, epochs=200, seed=seed, fit_detector=False)
-            scores.append(held_out @ model.weights[0] + model.biases[0])
-        np.testing.assert_allclose(scores[0], scores[1], rtol=0.0, atol=1e-6)
 
 
 def reference_binary_svm(x, y, c, max_sweeps, gram):
@@ -319,6 +310,52 @@ class TestJointLoss:
         g_joint = trunk_grad(1.0, False)         # both heads
         assert np.abs(g_det_only).sum() > 0
         assert np.abs(g_joint - g_det_only).sum() > 0   # type head adds its share
+
+
+class TestArrayParams:
+    """forward_graph and batch_loss_graph on the parameter arrays: the same
+    values, and no graph behind them."""
+
+    @staticmethod
+    def _batch(n, t):
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=(n, 1, t, 128))
+        y_det = np.arange(n) % 2
+        y_type = np.where(y_det == 1, np.arange(n) % 5, models.NEGATIVE_LABEL)
+        return x, y_det, y_type
+
+    def test_bit_identical_to_the_tensor_forward_and_loss(self):
+        model = models.JointCnnModel(seed=5, t_frames=16)
+        x, y_det, y_type = self._batch(6, 16)
+        arrays = model.param_arrays()
+        for tracked, plain in zip(model.forward_graph(x), model.forward_graph(x, arrays)):
+            assert tracked.requires_grad and not plain.requires_grad
+            assert plain.data.tobytes() == tracked.data.tobytes()
+        tracked = models.batch_loss_graph(model, x, y_det, y_type, 0.7)
+        plain = models.batch_loss_graph(model, x, y_det, y_type, 0.7, arrays)
+        assert tracked.requires_grad and not plain.requires_grad
+        assert plain.data.tobytes() == tracked.data.tobytes()
+        p_gun, post = model.forward_arrays(x)
+        assert p_gun.tobytes() == model.forward_graph(x)[0].data.tobytes()
+        assert post.tobytes() == nn.softmax(model.forward_graph(x)[1], axis=1).data.tobytes()
+
+    def test_eval_loss_keeps_no_activations(self):
+        # a graph holds every layer's activations and im2col columns until it
+        # is dropped; without one, only the largest single op's are live at once
+        model = models.JointCnnModel(seed=5, t_frames=32)
+        x, y_det, y_type = self._batch(16, 32)
+
+        def peak_bytes(fn):
+            tracemalloc.start()
+            try:
+                fn()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        graph = peak_bytes(lambda: models.batch_loss_graph(model, x, y_det, y_type, 1.0))
+        plain = peak_bytes(lambda: models._eval_loss(model, x, y_det, y_type, 1.0))
+        assert plain < 0.6 * graph
 
 
 class TestCnnTrain:
