@@ -284,8 +284,16 @@ def _hann_taper(t, width):
     return w
 
 
+RESAMPLE_BLOCK = 4096    # output samples per window gather in resample
+
+
 def resample(x, sr_in, sr_out, half_width=32):
-    """Rational-rate windowed-sinc polyphase resampling."""
+    """Rational-rate windowed-sinc polyphase resampling.
+
+    Each output sample is the dot product of one [2w+2] window of the input
+    with one phase of the kernel. The windows are gathered RESAMPLE_BLOCK
+    outputs at a time, so the gathered matrix stays small for any clip length;
+    rows are independent, so the blocks give the same values bit for bit."""
     x = np.asarray(x, dtype=np.float64)
     g = math.gcd(int(sr_in), int(sr_out))
     up, down = sr_out // g, sr_in // g
@@ -304,8 +312,13 @@ def resample(x, sr_in, sr_out, half_width=32):
     kernel /= kernel.sum(axis=1, keepdims=True)   # exact unit DC gain per phase
 
     xp = np.concatenate([np.zeros(w + 1), x, np.zeros(w + 2)])
-    windows = xp[n0[:, None] + (offs[None, :] + w + 1)]
-    return (windows * kernel[phase]).sum(axis=1)
+    taps = offs + w + 1
+    out = np.empty(n_out)
+    for i in range(0, n_out, RESAMPLE_BLOCK):
+        sl = slice(i, i + RESAMPLE_BLOCK)
+        windows = xp[n0[sl, None] + taps]
+        out[sl] = (windows * kernel[phase[sl]]).sum(axis=1)
+    return out
 
 
 def quantize16(x):

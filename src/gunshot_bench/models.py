@@ -239,6 +239,7 @@ def svm_prediction(model, feature, threshold=0.0):
 TRUNK_CHANNELS = (16, 32, 64)
 HEAD_WIDTH = 32
 T_FIXED_DEFAULT = 128
+TRUNK_CHUNK = 4        # clips per trunk pass when no gradient is recorded
 
 
 @dataclass
@@ -336,16 +337,8 @@ class JointCnnModel:
         """The parameters as plain arrays (the Tensors' `.data`, not copies)."""
         return {name: t.data for name, t in self.params.items()}
 
-    def forward_graph(self, x_batch, params=None):
-        """x_batch: np [B, 1, T, M] (already standardized).
-        Returns (p_gunshot Tensor [B], type_logits Tensor [B, 5]).
-
-        params maps each parameter name to a Tensor or to a plain array, and
-        defaults to the model's Tensors, whose gradient the outputs then
-        carry. With arrays (`param_arrays()`) the same ops run on the same
-        values but nothing requires a gradient, so no graph is recorded and
-        every activation is freed as soon as the next op has read it."""
-        p = self.params if params is None else params
+    def _trunk(self, x_batch, p):
+        """Conv/pool/relu trunk and global average pool: [B, 1, T, M] -> [B, 64]."""
         h = nn.Tensor(x_batch)
         for li in range(1, len(TRUNK_CHANNELS) + 1):
             h = nn.conv2d(h, p[f"conv{li}.w"], p[f"conv{li}.b"], stride=1, pad=1)
@@ -353,7 +346,28 @@ class JointCnnModel:
             # pooling first runs the activation on a 4x smaller tensor.
             h = nn.maxpool2d(h, 2, 2)
             h = nn.relu(h)
-        h = nn.global_avg_pool(h)
+        return nn.global_avg_pool(h)
+
+    def forward_graph(self, x_batch, params=None):
+        """x_batch: np [B, 1, T, M] (already standardized).
+        Returns (p_gunshot Tensor [B], type_logits Tensor [B, 5]).
+
+        params maps each parameter name to a Tensor or to a plain array, and
+        defaults to the model's Tensors, whose gradient the outputs then
+        carry. When no parameter requires a gradient (`param_arrays()`), no
+        graph is recorded, every activation is freed as soon as the next op
+        has read it, and the trunk runs over TRUNK_CHUNK clips at a time, so
+        its im2col columns stay small at any batch size. A clip's trunk
+        output does not depend on the clips beside it, so the chunked values
+        equal the whole-batch ones bit for bit. The dense heads do round
+        differently for different batch sizes, so they always see the whole
+        batch."""
+        p = self.params if params is None else params
+        if any(getattr(v, "requires_grad", False) for v in p.values()):
+            h = self._trunk(x_batch, p)
+        else:
+            h = np.concatenate([self._trunk(x_batch[i : i + TRUNK_CHUNK], p).data
+                                for i in range(0, len(x_batch), TRUNK_CHUNK)])
         det = nn.relu(nn.dense(h, p["det1.w"], p["det1.b"]))
         det = nn.dense(det, p["det2.w"], p["det2.b"])
         p_gun = nn.reshape(nn.sigmoid(det), (-1,))
@@ -404,40 +418,56 @@ def _stack_inputs(model, mels):
     return np.stack([model.prepare_input(m) for m in mels])[:, None, :, :]
 
 
-def _eval_loss(model, x, y_det, y_type, lam, batch_size=64):
-    """Mean joint loss over x; runs on the parameter arrays, so no backward
-    pass's activations are kept."""
+def _input_stats(mels):
+    """Mean and std of every value of every mel, equal bit for bit to
+    np.mean / np.std of their float64 concatenation, from one float64 buffer
+    that the squared deviations overwrite in place."""
+    flat = np.concatenate([np.ravel(m) for m in mels], dtype=np.float64)
+    mean = flat.mean()
+    flat -= mean
+    flat *= flat
+    return float(mean), float(np.sqrt(flat.sum() / flat.size))
+
+
+def _eval_loss(model, data, lam, batch_size=64):
+    """Mean joint loss over a LabeledMelSet. Each batch is stacked from
+    data.mels only when it runs, and runs on the parameter arrays, so no
+    backward pass's activations are kept and the trunk runs in chunks."""
     params = model.param_arrays()
     total = 0.0
-    for i in range(0, len(x), batch_size):
-        sl = slice(i, min(i + batch_size, len(x)))
-        loss = batch_loss_graph(model, x[sl], y_det[sl], y_type[sl], lam, params)
+    for i in range(0, len(data), batch_size):
+        sl = slice(i, min(i + batch_size, len(data)))
+        loss = batch_loss_graph(model, _stack_inputs(model, data.mels[sl]),
+                                data.y_det[sl], data.y_type[sl], lam, params)
         total += float(loss.data) * (sl.stop - sl.start)
-    return total / len(x)
+    return total / len(data)
 
 
 def cnn_train(model, train_set, val_set, config):
     """Minibatch momentum SGD with early stopping on validation joint loss.
 
+    The input mean and std are taken over every training mel value; each
+    batch is then standardized and stacked from the mels as it runs, so no
+    float64 copy of either set is held. Memory beyond the mels themselves is
+    one float64 copy of the training mels while the stats are taken, then one
+    batch's graph.
+
     Returns the training history; the model is left holding the best-val
     parameters. Raises DegenerateData if either set is empty, and
-    NonFiniteLoss (with diagnostics) if the loss leaves the finite domain."""
+    NonFiniteLoss if the loss or a parameter leaves the finite domain; its
+    message names the epoch and batch and the epoch's last finite batch loss."""
     config.validate()
     if len(train_set) == 0 or len(val_set) == 0:
         raise DegenerateData(f"cnn training needs train and validation clips, "
                              f"got {len(train_set)} and {len(val_set)}")
     rng = np.random.default_rng(config.seed)
 
-    # input standardization from the training distribution
-    flat = np.concatenate([np.asarray(m, dtype=np.float64).ravel() for m in train_set.mels])
-    model.input_mean = float(flat.mean())
-    model.input_std = float(max(flat.std(), 1e-8))
+    mean, std = _input_stats(train_set.mels)
+    model.input_mean, model.input_std = mean, max(std, 1e-8)
 
-    x_train = _stack_inputs(model, train_set.mels)
-    x_val = _stack_inputs(model, val_set.mels)
     params = model.parameters()
     state = nn.OptimizerState(config.lr, config.momentum)
-    n = len(x_train)
+    n = len(train_set)
 
     history = []
     best_val = np.inf
@@ -446,22 +476,26 @@ def cnn_train(model, train_set, val_set, config):
     for epoch in range(config.epochs):
         order = rng.permutation(n)
         epoch_loss = 0.0
+        last_finite = None
         for start in range(0, n, config.batch_size):
             idx = order[start : start + config.batch_size]
+            where = (f"epoch {epoch}, batch at {start} (last finite batch loss "
+                     f"{'none' if last_finite is None else repr(last_finite)})")
             try:
-                loss = batch_loss_graph(model, x_train[idx], train_set.y_det[idx],
+                x = _stack_inputs(model, [train_set.mels[i] for i in idx])
+                loss = batch_loss_graph(model, x, train_set.y_det[idx],
                                         train_set.y_type[idx], config.lambda_type)
+                if not np.isfinite(loss.data):
+                    raise NonFiniteLoss(f"{where}: loss={loss.data}")
+                nn.zero_grads(params)
+                nn.backward(loss)
+                nn.sgd_step(params, [p.grad for p in params], state)
             except NonFiniteTensor as e:
-                raise NonFiniteLoss(f"epoch {epoch}, batch at {start}: {e}") from e
-            if not np.isfinite(loss.data):
-                raise NonFiniteLoss(f"epoch {epoch}, batch at {start}: loss={loss.data}")
-            nn.zero_grads(params)
-            nn.backward(loss)
-            nn.sgd_step(params, [p.grad for p in params], state)
-            epoch_loss += float(loss.data) * len(idx)
+                raise NonFiniteLoss(f"{where}: {e}") from e
+            last_finite = float(loss.data)
+            epoch_loss += last_finite * len(idx)
         train_loss = epoch_loss / n
-        val_loss = _eval_loss(model, x_val, val_set.y_det, val_set.y_type,
-                              config.lambda_type)
+        val_loss = _eval_loss(model, val_set, config.lambda_type)
         if not np.isfinite(val_loss):
             raise NonFiniteLoss(f"epoch {epoch}: validation loss={val_loss}")
         history.append({"epoch": epoch, "train_loss": train_loss, "val_loss": val_loss})

@@ -2,6 +2,8 @@
 mel filterbank geometry, spectrogram behavior, autocorrelation, k-means,
 BoAW encoding, summary stats, and input normalization."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -286,6 +288,55 @@ class TestMelStats:
         var = ((x - mean) ** 2).sum(axis=0) / 10
         np.testing.assert_allclose(v[:128], mean, atol=1e-9)
         np.testing.assert_allclose(v[128:], np.sqrt(var), atol=1e-9)
+
+
+def resample_single_gather(x, sr_in, sr_out, half_width=32):
+    """dsp.resample with every output's window gathered in one [n_out, 2w+2]
+    matrix: the oracle for the blocked gather."""
+    x = np.asarray(x, dtype=np.float64)
+    g = math.gcd(int(sr_in), int(sr_out))
+    up, down = sr_out // g, sr_in // g
+    fc = min(1.0, up / down)
+    w = int(np.ceil(half_width / fc))
+    n_out = int(np.ceil(len(x) * up / down))
+    pos = np.arange(n_out) * down
+    n0 = pos // up
+    phase = pos % up
+    offs = np.arange(-w, w + 2)
+    t = (np.arange(up)[:, None] / up) - offs[None, :]
+    kernel = fc * np.sinc(fc * t) * dsp._hann_taper(t, w + 1)
+    kernel /= kernel.sum(axis=1, keepdims=True)
+    xp = np.concatenate([np.zeros(w + 1), x, np.zeros(w + 2)])
+    windows = xp[n0[:, None] + (offs[None, :] + w + 1)]
+    return (windows * kernel[phase]).sum(axis=1)
+
+
+class TestResample:
+    @staticmethod
+    def _input_for(n_out, sr_in):
+        # the shortest input that resamples to at least n_out samples at
+        # 44.1 kHz (from 22.05 kHz only even counts are reachable)
+        n = n_out * sr_in // dsp.SAMPLE_RATE
+        while int(np.ceil(n * dsp.SAMPLE_RATE / sr_in)) < n_out:
+            n += 1
+        return np.random.default_rng(n_out).uniform(-1, 1, size=n)
+
+    @pytest.mark.parametrize("sr_in", [48000, 22050, 96000])
+    @pytest.mark.parametrize("blocks", [1, 2, 3])
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_blocks_match_the_single_gather(self, sr_in, blocks, extra):
+        n_out = blocks * dsp.RESAMPLE_BLOCK + extra
+        x = self._input_for(n_out, sr_in)
+        y = dsp.resample(x, sr_in, dsp.SAMPLE_RATE)
+        assert len(y) - n_out in (0, 1)
+        assert y.tobytes() == resample_single_gather(x, sr_in, dsp.SAMPLE_RATE).tobytes()
+
+    @pytest.mark.parametrize("sr_in", [48000, 22050, 96000])
+    def test_small_blocks_match_the_single_gather(self, sr_in, monkeypatch):
+        monkeypatch.setattr(dsp, "RESAMPLE_BLOCK", 7)
+        x = np.random.default_rng(5).uniform(-1, 1, size=1001)
+        y = dsp.resample(x, sr_in, dsp.SAMPLE_RATE)
+        assert y.tobytes() == resample_single_gather(x, sr_in, dsp.SAMPLE_RATE).tobytes()
 
 
 class TestNormalizeInput:

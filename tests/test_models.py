@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from gunshot_bench import models, nncore as nn
-from gunshot_bench.errors import DegenerateData, ShapeMismatch
+from gunshot_bench.errors import DegenerateData, NonFiniteLoss, ShapeMismatch
 
 from helpers import detection_f1
 
@@ -353,9 +353,24 @@ class TestArrayParams:
             finally:
                 tracemalloc.stop()
 
+        data = models.LabeledMelSet(list(x[:, 0]), y_det, y_type)
         graph = peak_bytes(lambda: models.batch_loss_graph(model, x, y_det, y_type, 1.0))
-        plain = peak_bytes(lambda: models._eval_loss(model, x, y_det, y_type, 1.0))
+        plain = peak_bytes(lambda: models._eval_loss(model, data, 1.0))
         assert plain < 0.6 * graph
+
+    @pytest.mark.parametrize("n", [1, 5, 9])
+    def test_chunked_trunk_matches_the_whole_batch(self, n):
+        # batch sizes that are not multiples of TRUNK_CHUNK: the array forward
+        # runs the trunk in chunks, the tracked one over the whole batch
+        assert n % models.TRUNK_CHUNK
+        model = models.JointCnnModel(seed=6, t_frames=16)
+        x, y_det, y_type = self._batch(n, 16)
+        arrays = model.param_arrays()
+        for tracked, plain in zip(model.forward_graph(x), model.forward_graph(x, arrays)):
+            assert plain.data.tobytes() == tracked.data.tobytes()
+        tracked = models.batch_loss_graph(model, x, y_det, y_type, 0.7)
+        plain = models.batch_loss_graph(model, x, y_det, y_type, 0.7, arrays)
+        assert plain.data.tobytes() == tracked.data.tobytes()
 
 
 class TestCnnTrain:
@@ -375,6 +390,77 @@ class TestCnnTrain:
         mk = models.LabeledMelSet
         return (mk(mels[:k], np.array(y_det[:k]), np.array(y_type[:k])),
                 mk(mels[k:], np.array(y_det[k:]), np.array(y_type[k:])))
+
+    @staticmethod
+    def _mel_set(n, frames, seed):
+        rng = np.random.default_rng(seed)
+        mels = [(rng.normal(size=(frames, 128)) * 3.0 - 7.0).astype(np.float32)
+                for _ in range(n)]
+        y_det = np.arange(n) % 2
+        y_type = np.where(y_det == 1, np.arange(n) % 5, models.NEGATIVE_LABEL)
+        return models.LabeledMelSet(mels, y_det, y_type)
+
+    def test_input_stats_equal_numpy_on_the_concatenated_mels(self):
+        train, val = self._mel_set(7, 24, seed=1), self._mel_set(3, 24, seed=2)
+        train.mels[3] = train.mels[3][:11]          # clips of unequal length
+        model = models.JointCnnModel(seed=0, t_frames=16)
+        cfg = models.TrainConfig(epochs=1, batch_size=4, input_frames=16)
+        models.cnn_train(model, train, val, cfg)
+        flat = np.concatenate([np.asarray(m, dtype=np.float64).ravel() for m in train.mels])
+        assert model.input_mean == float(flat.mean())
+        assert model.input_std == float(np.std(flat))
+
+    def test_peak_memory_grows_by_one_float64_copy_per_clip(self):
+        # Mels 64x longer than the model's input make the stats phase the
+        # peak. The one float64 buffer the stats take grows by one copy per
+        # extra clip; a second full-size array next to it (a list of per-clip
+        # copies being concatenated, np.std's temporary, a float64 stack of
+        # the training set) makes that two.
+        frames, t = 512, 8
+        val = self._mel_set(4, frames, seed=3)
+
+        def peak(n):
+            train = self._mel_set(n, frames, seed=4)
+            model = models.JointCnnModel(seed=1, t_frames=t)
+            cfg = models.TrainConfig(epochs=1, batch_size=2, input_frames=t)
+            tracemalloc.start()
+            try:
+                models.cnn_train(model, train, val, cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        extra_float64_bytes = 16 * frames * 128 * 8
+        assert peak(24) - peak(8) < 1.5 * extra_float64_bytes
+
+    def test_non_finite_loss_reports_the_last_finite_batch_loss(self, monkeypatch):
+        train, val = self._tiny_sets()
+        finite = []
+        real = models.batch_loss_graph
+
+        def recording(*args, **kwargs):
+            loss = real(*args, **kwargs)
+            finite.append(float(loss.data))
+            return loss
+
+        monkeypatch.setattr(models, "batch_loss_graph", recording)
+        model = models.JointCnnModel(seed=0, t_frames=16)
+        cfg = models.TrainConfig(epochs=1, batch_size=3, lr=1e300, input_frames=16)
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteLoss) as err:
+            models.cnn_train(model, train, val, cfg)
+        assert finite, "the first batch's loss is finite"
+        assert f"epoch 0, batch at {3 * len(finite)}" in str(err.value)
+        assert f"last finite batch loss {finite[-1]!r}" in str(err.value)
+
+    def test_parameter_overflow_ends_in_non_finite_loss(self):
+        # the first step's update itself leaves float64 range
+        train, val = self._tiny_sets()
+        model = models.JointCnnModel(seed=0, t_frames=16)
+        cfg = models.TrainConfig(epochs=1, batch_size=3, lr=1e308, input_frames=16)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NonFiniteLoss, match=r"batch at 0 \(last finite batch "
+                                                   r"loss none\): parameter after sgd_step"):
+            models.cnn_train(model, train, val, cfg)
 
     def test_patience_zero_runs_exactly_one_epoch(self):
         train, val = self._tiny_sets()
