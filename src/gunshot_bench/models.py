@@ -5,6 +5,7 @@ detection + gun-type CNN (shared conv trunk, two heads), with training loops.
 import hashlib
 import json
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -239,7 +240,7 @@ def svm_prediction(model, feature, threshold=0.0):
 TRUNK_CHANNELS = (16, 32, 64)
 HEAD_WIDTH = 32
 T_FIXED_DEFAULT = 128
-TRUNK_CHUNK = 4        # clips per trunk pass when no gradient is recorded
+TRUNK_CHUNK = 4        # clips per trunk pass when no cache is kept
 
 
 @dataclass
@@ -264,7 +265,7 @@ class TrainConfig:
 class JointCnnModel:
     """Shared conv trunk (3x3 convs, 16->32->64 channels, 2x2 max pools,
     global average pool) feeding a sigmoid detection head and a softmax
-    gun-type head."""
+    gun-type head. `params` maps each parameter name to its float64 array."""
 
     def __init__(self, seed=0, t_frames=T_FIXED_DEFAULT, n_mels=128):
         self.t_frames = int(t_frames)
@@ -276,40 +277,37 @@ class JointCnnModel:
         cin = 1
         for li, cout in enumerate(TRUNK_CHANNELS, start=1):
             p[f"conv{li}.w"] = self._he(rng, (cout, cin, 3, 3), cin * 9)
-            p[f"conv{li}.b"] = nn.Tensor(np.zeros(cout), requires_grad=True)
+            p[f"conv{li}.b"] = np.zeros(cout)
             cin = cout
         trunk_out = TRUNK_CHANNELS[-1]
         for head, width_out in (("det", 1), ("typ", N_CLASSES)):
             p[f"{head}1.w"] = self._he(rng, (HEAD_WIDTH, trunk_out), trunk_out)
-            p[f"{head}1.b"] = nn.Tensor(np.zeros(HEAD_WIDTH), requires_grad=True)
+            p[f"{head}1.b"] = np.zeros(HEAD_WIDTH)
             p[f"{head}2.w"] = self._he(rng, (width_out, HEAD_WIDTH), HEAD_WIDTH)
-            p[f"{head}2.b"] = nn.Tensor(np.zeros(width_out), requires_grad=True)
+            p[f"{head}2.b"] = np.zeros(width_out)
         self.params = p
 
     @staticmethod
     def _he(rng, shape, fan_in):
         bound = np.sqrt(6.0 / fan_in)
-        return nn.Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True)
-
-    def parameters(self):
-        return list(self.params.values())
+        return rng.uniform(-bound, bound, size=shape)
 
     def named_arrays(self):
-        out = self.param_arrays()
+        out = dict(self.params)
         out["input_stats"] = np.array([self.input_mean, self.input_std])
         return out
 
     def load_arrays(self, arrays):
-        for name, t in self.params.items():
+        for name, old in self.params.items():
             arr = arrays[name]
-            if arr.shape != t.data.shape:
+            if arr.shape != old.shape:
                 raise ShapeMismatch(f"checkpoint entry {name} has shape {arr.shape}")
-            t.data = arr.astype(np.float64).copy()
+            self.params[name] = arr.astype(np.float64)
         if "input_stats" in arrays:
             self.input_mean, self.input_std = map(float, arrays["input_stats"])
 
     def architecture_hash(self):
-        desc = json.dumps({name: list(t.data.shape) for name, t in self.params.items()},
+        desc = json.dumps({name: list(a.shape) for name, a in self.params.items()},
                           sort_keys=True)
         return hashlib.sha256(desc.encode()).hexdigest()[:16]
 
@@ -333,74 +331,91 @@ class JointCnnModel:
 
     # -- forward ------------------------------------------------------------
 
-    def param_arrays(self):
-        """The parameters as plain arrays (the Tensors' `.data`, not copies)."""
-        return {name: t.data for name, t in self.params.items()}
+    def _layer(self, steps, forward, backward, x, names=(), **kwargs):
+        """y of forward(x, *the named params, **kwargs); appends the layer's
+        (backward, cache, names) step to `steps` unless it is None."""
+        y, cache = forward(x, *(self.params[n] for n in names), **kwargs)
+        if steps is not None:
+            steps.append((backward, cache, names))
+        return y
 
-    def _trunk(self, x_batch, p):
+    def _trunk(self, x_batch, steps=None):
         """Conv/pool/relu trunk and global average pool: [B, 1, T, M] -> [B, 64]."""
-        h = nn.Tensor(x_batch)
+        h = x_batch
         for li in range(1, len(TRUNK_CHANNELS) + 1):
-            h = nn.conv2d(h, p[f"conv{li}.w"], p[f"conv{li}.b"], stride=1, pad=1)
+            # the first conv reads the input clips, which need no gradient
+            conv_backward = (nn.conv2d_backward if li > 1
+                             else partial(nn.conv2d_backward, need_dx=False))
+            h = self._layer(steps, nn.conv2d, conv_backward, h,
+                            (f"conv{li}.w", f"conv{li}.b"), stride=1, pad=1)
             # relu(maxpool(x)) == maxpool(relu(x)) (values and gradients);
             # pooling first runs the activation on a 4x smaller tensor.
-            h = nn.maxpool2d(h, 2, 2)
-            h = nn.relu(h)
-        return nn.global_avg_pool(h)
+            h = self._layer(steps, nn.maxpool2d, nn.maxpool2d_backward, h, k=2, s=2)
+            h = self._layer(steps, nn.relu, nn.relu_backward, h)
+        return self._layer(steps, nn.global_avg_pool, nn.global_avg_pool_backward, h)
 
-    def forward_graph(self, x_batch, params=None):
-        """x_batch: np [B, 1, T, M] (already standardized).
-        Returns (p_gunshot Tensor [B], type_logits Tensor [B, 5]).
+    def _head(self, h, head, steps):
+        """dense, relu, dense: [B, 64] -> [B, out]."""
+        h = self._layer(steps, nn.dense, nn.dense_backward, h, (f"{head}1.w", f"{head}1.b"))
+        h = self._layer(steps, nn.relu, nn.relu_backward, h)
+        return self._layer(steps, nn.dense, nn.dense_backward, h, (f"{head}2.w", f"{head}2.b"))
 
-        params maps each parameter name to a Tensor or to a plain array, and
-        defaults to the model's Tensors, whose gradient the outputs then
-        carry. When no parameter requires a gradient (`param_arrays()`), no
-        graph is recorded, every activation is freed as soon as the next op
-        has read it, and the trunk runs over TRUNK_CHUNK clips at a time, so
-        its im2col columns stay small at any batch size. A clip's trunk
-        output does not depend on the clips beside it, so the chunked values
-        equal the whole-batch ones bit for bit. The dense heads do round
-        differently for different batch sizes, so they always see the whole
-        batch."""
-        p = self.params if params is None else params
-        if any(getattr(v, "requires_grad", False) for v in p.values()):
-            h = self._trunk(x_batch, p)
+    def forward(self, x_batch, keep_caches=False):
+        """x_batch: np [B, 1, T, M] (already standardized). Returns
+        (p_gunshot [B], type_logits [B, 5], steps).
+
+        With keep_caches (a training step), the trunk runs over the whole
+        batch, and steps is (trunk, det, typ): the (layer backward, cache,
+        parameter names) steps of the trunk and of each head, in forward
+        order, as nncore.backward walks them. Without it (inference and the
+        validation loss), steps is None, no cache outlives its layer, and the
+        trunk runs over TRUNK_CHUNK clips at a time, so its im2col columns
+        stay small at any batch size. A clip's trunk output does not depend
+        on the clips beside it, so the chunked values equal the whole-batch
+        ones bit for bit. The dense heads do round differently for different
+        batch sizes, so they always see the whole batch."""
+        if keep_caches:
+            trunk, det, typ = [], [], []
+            h = self._trunk(x_batch, trunk)
         else:
-            h = np.concatenate([self._trunk(x_batch[i : i + TRUNK_CHUNK], p).data
+            trunk = det = typ = None
+            h = np.concatenate([self._trunk(x_batch[i : i + TRUNK_CHUNK])
                                 for i in range(0, len(x_batch), TRUNK_CHUNK)])
-        det = nn.relu(nn.dense(h, p["det1.w"], p["det1.b"]))
-        det = nn.dense(det, p["det2.w"], p["det2.b"])
-        p_gun = nn.reshape(nn.sigmoid(det), (-1,))
-        typ = nn.relu(nn.dense(h, p["typ1.w"], p["typ1.b"]))
-        type_logits = nn.dense(typ, p["typ2.w"], p["typ2.b"])
-        return p_gun, type_logits
-
-    def forward_arrays(self, x_batch):
-        """Forward pass on the parameter arrays, so it records no graph;
-        returns numpy arrays (p_gunshot [B], type posteriors [B, 5])."""
-        p_gun, logits = self.forward_graph(x_batch, self.param_arrays())
-        return p_gun.data, nn.softmax(logits, axis=1).data
+        p_gun = self._layer(det, nn.sigmoid, nn.sigmoid_backward, self._head(h, "det", det))
+        if det is not None:
+            det.append((np.reshape, p_gun.shape, ()))    # back from [B] to [B, 1]
+        type_logits = self._head(h, "typ", typ)
+        return p_gun.reshape(-1), type_logits, None if trunk is None else (trunk, det, typ)
 
 
 def cnn_forward(model, mel_frames, threshold=0.5):
     """Run one clip through the joint CNN; deterministic. A class ranks by
     p_gunshot * its posterior."""
     x = model.prepare_input(mel_frames)[None, None, :, :]
-    p, post = model.forward_arrays(x)
-    p, posteriors = float(p[0]), post[0]
+    p_gun, logits, _ = model.forward(x)
+    p, posteriors = float(p_gun[0]), nn.softmax(logits, axis=1)[0]
     return Prediction(p, posteriors, _decide(p, posteriors, threshold), p * posteriors)
 
 
-def batch_loss_graph(model, x_batch, y_det, y_type, lambda_type, params=None):
-    """Joint loss over a batch as a graph node: mean detection BCE plus
-    lambda * masked type cross-entropy (positives only). `params` is passed
-    to forward_graph: arrays give the same loss with no graph behind it."""
-    p_gun, type_logits = model.forward_graph(x_batch, params)
-    det_loss = nn.bce(p_gun, y_det.astype(np.float64))
+def batch_loss_graph(model, x_batch, y_det, y_type, lambda_type, keep_caches=False):
+    """Joint loss over a batch: mean detection BCE plus lambda * masked type
+    cross-entropy (positives only). Returns (loss, graph). With keep_caches,
+    graph is the (trunk, heads) pair that nncore.backward takes: each head's
+    steps end in its loss, paired with that loss's weight (1 and lambda).
+    Without it, graph is None and the forward keeps no cache."""
+    lam = float(lambda_type)
+    p_gun, type_logits, steps = model.forward(x_batch, keep_caches)
+    det_loss, det_cache = nn.bce(p_gun, y_det.astype(np.float64))
     mask = ((y_det == 1) & (y_type >= 0)).astype(np.float64)
     safe_cls = np.where(y_type >= 0, y_type, 0)
-    type_loss = nn.cross_entropy(type_logits, safe_cls, sample_weight=mask)
-    return nn.add(det_loss, nn.mul(type_loss, float(lambda_type)))
+    type_loss, type_cache = nn.cross_entropy(type_logits, safe_cls, sample_weight=mask)
+    loss = det_loss + type_loss * lam
+    if steps is None:
+        return loss, None
+    trunk, det, typ = steps
+    det.append((nn.bce_backward, det_cache, ()))
+    typ.append((nn.cross_entropy_backward, type_cache, ()))
+    return loss, (trunk, [(det, 1.0), (typ, lam)])
 
 
 @dataclass
@@ -431,15 +446,14 @@ def _input_stats(mels):
 
 def _eval_loss(model, data, lam, batch_size=64):
     """Mean joint loss over a LabeledMelSet. Each batch is stacked from
-    data.mels only when it runs, and runs on the parameter arrays, so no
-    backward pass's activations are kept and the trunk runs in chunks."""
-    params = model.param_arrays()
+    data.mels only when it runs, and its forward keeps no cache, so the
+    trunk runs in chunks."""
     total = 0.0
     for i in range(0, len(data), batch_size):
         sl = slice(i, min(i + batch_size, len(data)))
-        loss = batch_loss_graph(model, _stack_inputs(model, data.mels[sl]),
-                                data.y_det[sl], data.y_type[sl], lam, params)
-        total += float(loss.data) * (sl.stop - sl.start)
+        loss, _ = batch_loss_graph(model, _stack_inputs(model, data.mels[sl]),
+                                   data.y_det[sl], data.y_type[sl], lam)
+        total += loss * (sl.stop - sl.start)
     return total / len(data)
 
 
@@ -449,13 +463,15 @@ def cnn_train(model, train_set, val_set, config):
     The input mean and std are taken over every training mel value; each
     batch is then standardized and stacked from the mels as it runs, so no
     float64 copy of either set is held. Memory beyond the mels themselves is
-    one float64 copy of the training mels while the stats are taken, then one
-    batch's graph.
+    one float64 copy of the training mels while the stats are taken, then
+    the layer caches of one training step (of two while a step's forward
+    runs, since the previous step's caches are still referenced).
 
     Returns the training history; the model is left holding the best-val
     parameters. Raises DegenerateData if either set is empty, and
     NonFiniteLoss if the loss or a parameter leaves the finite domain; its
-    message names the epoch and batch and the epoch's last finite batch loss."""
+    message names the epoch and batch and the epoch's last finite batch
+    loss, and for a parameter, its name."""
     config.validate()
     if len(train_set) == 0 or len(val_set) == 0:
         raise DegenerateData(f"cnn training needs train and validation clips, "
@@ -465,7 +481,6 @@ def cnn_train(model, train_set, val_set, config):
     mean, std = _input_stats(train_set.mels)
     model.input_mean, model.input_std = mean, max(std, 1e-8)
 
-    params = model.parameters()
     state = nn.OptimizerState(config.lr, config.momentum)
     n = len(train_set)
 
@@ -483,16 +498,19 @@ def cnn_train(model, train_set, val_set, config):
                      f"{'none' if last_finite is None else repr(last_finite)})")
             try:
                 x = _stack_inputs(model, [train_set.mels[i] for i in idx])
-                loss = batch_loss_graph(model, x, train_set.y_det[idx],
-                                        train_set.y_type[idx], config.lambda_type)
-                if not np.isfinite(loss.data):
-                    raise NonFiniteLoss(f"{where}: loss={loss.data}")
-                nn.zero_grads(params)
-                nn.backward(loss)
-                nn.sgd_step(params, [p.grad for p in params], state)
+                # `graph` still holds the previous step's caches while this
+                # forward runs, so malloc reuses their memory instead of
+                # faulting in fresh pages: dropping them first made the
+                # clean-cnn benchmark's training 16-18% slower.
+                loss, graph = batch_loss_graph(model, x, train_set.y_det[idx],
+                                               train_set.y_type[idx], config.lambda_type,
+                                               keep_caches=True)
+                if not np.isfinite(loss):
+                    raise NonFiniteLoss(f"{where}: loss={loss}")
+                nn.sgd_step(model.params, nn.backward(*graph), state)
             except NonFiniteTensor as e:
                 raise NonFiniteLoss(f"{where}: {e}") from e
-            last_finite = float(loss.data)
+            last_finite = loss
             epoch_loss += last_finite * len(idx)
         train_loss = epoch_loss / n
         val_loss = _eval_loss(model, val_set, config.lambda_type)
@@ -502,7 +520,7 @@ def cnn_train(model, train_set, val_set, config):
 
         if val_loss < best_val:
             best_val = val_loss
-            best_snapshot = {k: t.data.copy() for k, t in model.params.items()}
+            best_snapshot = {k: a.copy() for k, a in model.params.items()}
             bad_epochs = 0
         else:
             bad_epochs += 1
@@ -510,8 +528,7 @@ def cnn_train(model, train_set, val_set, config):
             break
 
     if best_snapshot is not None:
-        for k, t in model.params.items():
-            t.data = best_snapshot[k]
+        model.params.update(best_snapshot)
     return history
 
 

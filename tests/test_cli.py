@@ -4,11 +4,15 @@ unreadable WAV or a cut checkpoint fails with the I/O code, a flag no clip
 can meet with the usage code), a refused command leaves no config.json and
 a failed generate no dataset; training reads no test-split cache; SVM
 evaluation, training and cross-validation honour their flags, rerun byte
-for byte and report machines stopped by the sweep cap; and every command
-runs end to end on a tiny dataset, the CNN included."""
+for byte and report machines stopped by the sweep cap; every command
+runs end to end on a tiny dataset, the CNN included; and the CNN pipeline
+gives the same bytes when rerun in a fresh process."""
 
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -389,6 +393,42 @@ def test_pipeline_runs_end_to_end_and_reruns_byte_for_byte(tmp_path):
     # 30 caches and an index, train 4 files, evaluate 2 reports, crossval 5 + 1
     assert len(files) == 32 + 4 * 32 + 4 * 5 + 4 * 3 + 7
     assert files == sorted(p.relative_to(runs[1]) for p in runs[1].rglob("*") if p.is_file())
+    for name in files:
+        if name.name != "config.json":    # it echoes the output paths
+            assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes(), name
+
+
+def _run_cnn_pipeline_in_fresh_processes(root, hash_seed):
+    """generate, featurize --kind mel, train --model cnn and evaluate, each as
+    its own `python -m gunshot_bench.cli` process with the given
+    PYTHONHASHSEED, importing the package under test."""
+    package_root = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONHASHSEED=str(hash_seed),
+               PYTHONPATH=os.pathsep.join(filter(None, [package_root,
+                                                        os.environ.get("PYTHONPATH")])))
+    manifest, mel, ckpt = root / "data" / "manifest.jsonl", root / "mel", root / "cnn"
+    for argv in (
+        ["generate", "--out", root / "data", "--per-class", "4", "--negatives", "6",
+         "--seed", "1"],
+        ["featurize", "--manifest", manifest, "--kind", "mel", "--out", mel],
+        ["train", "--manifest", manifest, "--features", mel, "--out", ckpt, "--model", "cnn",
+         "--seed", "1", "--epochs", "2", "--batch-size", "4", "--input-frames", "32"],
+        ["evaluate", "--checkpoint", ckpt, "--manifest", manifest, "--features", mel,
+         "--out", root / "eval", "--split", ckpt / "split.json", "--threshold", "0.5"],
+    ):
+        subprocess.run([sys.executable, "-m", "gunshot_bench.cli", *map(str, argv)],
+                       env=env, check=True, capture_output=True)
+
+
+def test_cnn_pipeline_reruns_byte_for_byte_in_a_fresh_process(tmp_path):
+    # boaw is left out: its codebook sample still hashes with Python's
+    # per-process salt (the benchmark fault boaw-rerun-bytes)
+    runs = [tmp_path / "hash1", tmp_path / "hash2"]
+    for hash_seed, root in enumerate(runs, start=1):
+        _run_cnn_pipeline_in_fresh_processes(root, hash_seed)
+    files = sorted(p.relative_to(runs[0]) for p in runs[0].rglob("*") if p.is_file())
+    assert files == sorted(p.relative_to(runs[1]) for p in runs[1].rglob("*") if p.is_file())
+    assert {"cnn/model.ckpt", "cnn/history.json", "eval/report.json"} <= set(map(str, files))
     for name in files:
         if name.name != "config.json":    # it echoes the output paths
             assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes(), name

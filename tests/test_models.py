@@ -1,6 +1,7 @@
 """Classifier contracts: SVM training/prediction behavior, joint CNN
 forward/loss/training semantics, and prediction plumbing."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from gunshot_bench import models, nncore as nn
 from gunshot_bench.errors import DegenerateData, NonFiniteLoss, ShapeMismatch
 
-from helpers import detection_f1
+from helpers import detection_f1, gradcheck
 
 
 def toy_two_class(n=20, gap=4.0, seed=0):
@@ -243,7 +244,7 @@ class TestCnnForward:
         model = models.JointCnnModel(seed=0, t_frames=32)
         for name in ("det1.w", "det1.b", "det2.w", "det2.b",
                      "typ1.w", "typ1.b", "typ2.w", "typ2.b"):
-            model.params[name].data[:] = 0.0
+            model.params[name][:] = 0.0
         mel = np.zeros((32, 128))
         pred = models.cnn_forward(model, mel)
         assert pred.p_gunshot == 0.5
@@ -277,7 +278,7 @@ class TestCnnForward:
         model = models.JointCnnModel(seed=2, t_frames=32)
         mel = np.random.default_rng(1).normal(size=(32, 128))
         before = models.cnn_forward(model, mel).type_posteriors
-        model.params["det1.w"].data *= 2.0      # heads are independent after trunk
+        model.params["det1.w"] *= 2.0      # heads are independent after trunk
         after = models.cnn_forward(model, mel).type_posteriors
         np.testing.assert_array_equal(before, after)
 
@@ -286,13 +287,11 @@ class TestJointLoss:
     def test_lambda_zero_kills_type_gradient(self):
         model = models.JointCnnModel(seed=3, t_frames=16)
         x = np.random.default_rng(0).normal(size=(2, 1, 16, 128))
-        loss = models.batch_loss_graph(model, x, np.array([1, 1]),
-                                       np.array([2, 4]), lambda_type=0.0)
-        nn.zero_grads(model.parameters())
-        nn.backward(loss)
+        _, graph = models.batch_loss_graph(model, x, np.array([1, 1]),
+                                           np.array([2, 4]), lambda_type=0.0, keep_caches=True)
+        grads = nn.backward(*graph)
         for name in ("typ1.w", "typ1.b", "typ2.w", "typ2.b"):
-            g = model.params[name].grad
-            assert g is None or np.all(g == 0.0)
+            assert np.all(grads[name] == 0.0)
 
     def test_trunk_receives_gradient_from_both_heads(self):
         model = models.JointCnnModel(seed=4, t_frames=16)
@@ -301,20 +300,38 @@ class TestJointLoss:
         y_type = np.array([0, 1, 2, 3])
 
         def trunk_grad(lam, det_only):
-            loss = models.batch_loss_graph(model, x, y_det, y_type, lam)
-            nn.zero_grads(model.parameters())
-            nn.backward(loss)
-            return model.params["conv3.w"].grad.copy()
+            _, graph = models.batch_loss_graph(model, x, y_det, y_type, lam, keep_caches=True)
+            return nn.backward(*graph)["conv3.w"]
 
         g_det_only = trunk_grad(0.0, True)       # only detection path
         g_joint = trunk_grad(1.0, False)         # both heads
         assert np.abs(g_det_only).sum() > 0
         assert np.abs(g_joint - g_det_only).sum() > 0   # type head adds its share
 
+    def test_gradient_of_every_parameter_matches_finite_differences(self):
+        # a [4, 1, 8, 8] batch with both heads active and a negative clip;
+        # the 8x8 input halves to 4x4, 2x2 and 1x1 through the three pools
+        model = models.JointCnnModel(seed=12, t_frames=8, n_mels=8)
+        x = np.random.default_rng(4).normal(size=(4, 1, 8, 8))
+        y_det = np.array([1, 0, 1, 1])
+        y_type = np.array([3, models.NEGATIVE_LABEL, 0, 4])
+
+        def loss_and_grads(params):     # gradcheck perturbs model.params in place
+            loss, graph = models.batch_loss_graph(model, x, y_det, y_type, 0.7,
+                                                  keep_caches=True)
+            return loss, nn.backward(*graph)
+
+        # every entry moves every pool window's candidates, so at the default
+        # 1e-3 step some difference straddles a tie or a relu kink; at 1e-5
+        # none does, and rounding stays far below FD_TOL
+        assert len(model.params) == 14
+        gradcheck(loss_and_grads, model.params, samples=12, step=1e-5)
+
 
 class TestArrayParams:
-    """forward_graph and batch_loss_graph on the parameter arrays: the same
-    values, and no graph behind them."""
+    """JointCnnModel.forward on its parameter arrays, with the layer caches
+    kept (a training step) and without (inference and the validation loss):
+    the same values, and no activation kept by the second."""
 
     @staticmethod
     def _batch(n, t):
@@ -324,24 +341,10 @@ class TestArrayParams:
         y_type = np.where(y_det == 1, np.arange(n) % 5, models.NEGATIVE_LABEL)
         return x, y_det, y_type
 
-    def test_bit_identical_to_the_tensor_forward_and_loss(self):
-        model = models.JointCnnModel(seed=5, t_frames=16)
-        x, y_det, y_type = self._batch(6, 16)
-        arrays = model.param_arrays()
-        for tracked, plain in zip(model.forward_graph(x), model.forward_graph(x, arrays)):
-            assert tracked.requires_grad and not plain.requires_grad
-            assert plain.data.tobytes() == tracked.data.tobytes()
-        tracked = models.batch_loss_graph(model, x, y_det, y_type, 0.7)
-        plain = models.batch_loss_graph(model, x, y_det, y_type, 0.7, arrays)
-        assert tracked.requires_grad and not plain.requires_grad
-        assert plain.data.tobytes() == tracked.data.tobytes()
-        p_gun, post = model.forward_arrays(x)
-        assert p_gun.tobytes() == model.forward_graph(x)[0].data.tobytes()
-        assert post.tobytes() == nn.softmax(model.forward_graph(x)[1], axis=1).data.tobytes()
-
     def test_eval_loss_keeps_no_activations(self):
-        # a graph holds every layer's activations and im2col columns until it
-        # is dropped; without one, only the largest single op's are live at once
+        # kept caches hold every layer's activations and im2col columns until
+        # they are dropped; without them, only the largest single op's are
+        # live at once
         model = models.JointCnnModel(seed=5, t_frames=32)
         x, y_det, y_type = self._batch(16, 32)
 
@@ -354,23 +357,28 @@ class TestArrayParams:
                 tracemalloc.stop()
 
         data = models.LabeledMelSet(list(x[:, 0]), y_det, y_type)
-        graph = peak_bytes(lambda: models.batch_loss_graph(model, x, y_det, y_type, 1.0))
+        kept = peak_bytes(lambda: models.batch_loss_graph(model, x, y_det, y_type, 1.0,
+                                                          keep_caches=True))
         plain = peak_bytes(lambda: models._eval_loss(model, data, 1.0))
-        assert plain < 0.6 * graph
+        assert plain < 0.6 * kept
 
     @pytest.mark.parametrize("n", [1, 5, 9])
     def test_chunked_trunk_matches_the_whole_batch(self, n):
-        # batch sizes that are not multiples of TRUNK_CHUNK: the array forward
-        # runs the trunk in chunks, the tracked one over the whole batch
+        # batch sizes that are not multiples of TRUNK_CHUNK: the forward that
+        # keeps no cache runs the trunk in chunks, the training one over the
+        # whole batch
         assert n % models.TRUNK_CHUNK
         model = models.JointCnnModel(seed=6, t_frames=16)
         x, y_det, y_type = self._batch(n, 16)
-        arrays = model.param_arrays()
-        for tracked, plain in zip(model.forward_graph(x), model.forward_graph(x, arrays)):
-            assert plain.data.tobytes() == tracked.data.tobytes()
-        tracked = models.batch_loss_graph(model, x, y_det, y_type, 0.7)
-        plain = models.batch_loss_graph(model, x, y_det, y_type, 0.7, arrays)
-        assert plain.data.tobytes() == tracked.data.tobytes()
+        *kept, steps = model.forward(x, keep_caches=True)
+        *plain, no_steps = model.forward(x)
+        assert steps is not None and no_steps is None
+        for a, b in zip(kept, plain, strict=True):
+            assert a.tobytes() == b.tobytes()
+        kept, graph = models.batch_loss_graph(model, x, y_det, y_type, 0.7, keep_caches=True)
+        plain, no_graph = models.batch_loss_graph(model, x, y_det, y_type, 0.7)
+        assert graph is not None and no_graph is None
+        assert plain == kept
 
 
 class TestCnnTrain:
@@ -439,9 +447,9 @@ class TestCnnTrain:
         real = models.batch_loss_graph
 
         def recording(*args, **kwargs):
-            loss = real(*args, **kwargs)
-            finite.append(float(loss.data))
-            return loss
+            loss, graph = real(*args, **kwargs)
+            finite.append(loss)
+            return loss, graph
 
         monkeypatch.setattr(models, "batch_loss_graph", recording)
         model = models.JointCnnModel(seed=0, t_frames=16)
@@ -457,9 +465,10 @@ class TestCnnTrain:
         train, val = self._tiny_sets()
         model = models.JointCnnModel(seed=0, t_frames=16)
         cfg = models.TrainConfig(epochs=1, batch_size=3, lr=1e308, input_frames=16)
+        names = "|".join(map(re.escape, model.params))
         with np.errstate(over="ignore", invalid="ignore"), \
-                pytest.raises(NonFiniteLoss, match=r"batch at 0 \(last finite batch "
-                                                   r"loss none\): parameter after sgd_step"):
+                pytest.raises(NonFiniteLoss, match=rf"batch at 0 \(last finite batch loss "
+                                                   rf"none\): parameter ({names}) after sgd_step"):
             models.cnn_train(model, train, val, cfg)
 
     def test_patience_zero_runs_exactly_one_epoch(self):
@@ -478,7 +487,7 @@ class TestCnnTrain:
             cfg = models.TrainConfig(epochs=3, early_stop_patience=3, seed=5,
                                      input_frames=16)
             history = models.cnn_train(model, train, val, cfg)
-            digest = b"".join(t.data.tobytes() for t in model.parameters())
+            digest = b"".join(a.tobytes() for a in model.params.values())
             runs.append((history, digest))
         assert runs[0][0] == runs[1][0]
         assert runs[0][1] == runs[1][1]
