@@ -7,7 +7,8 @@ moves its dataset into place only once every clip is written, so a failed
 run leaves none behind.
 
 Exit codes: 0 ok, 2 usage error (including data the command cannot use),
-3 I/O failure (including a corrupt checkpoint), 4 numeric failure.
+3 I/O failure (including a corrupt checkpoint or a model directory that
+cannot be used), 4 numeric failure.
 """
 
 import argparse
@@ -25,7 +26,7 @@ import numpy as np
 
 from . import dsp, evaluation, models, nncore, synthgun
 from .errors import (CorruptCheckpoint, DegenerateData, InsufficientData, InvalidParam,
-                     NonFiniteLoss, SceneOverflow)
+                     NonFiniteLoss, NonFiniteTensor, SceneOverflow)
 from .manifest import (CLASS_NAMES, GUNSHOT, N_CLASSES, NEGATIVE_LABEL, NO_GUNSHOT,
                        load_manifest, manifest_digest)
 from .synthgun import CLASS_ORDER
@@ -260,20 +261,18 @@ def _fit(args, kind, train_rows, val_rows, feats):
         config = models.TrainConfig(
             epochs=args.epochs, batch_size=args.batch_size, lr=args.lr,
             momentum=args.momentum, lambda_type=args.lambda_type,
-            early_stop_patience=args.patience, seed=args.seed,
-            input_frames=args.input_frames)
+            early_stop_patience=args.patience, seed=args.seed)
         history = models.cnn_train(model, _mel_set(train_rows, feats),
                                    _mel_set(val_rows, feats), config)
-        meta.update(threshold=args.threshold, architecture_hash=model.architecture_hash(),
-                    input_frames=args.input_frames, n_mels=model.n_mels,
-                    input_mean=model.input_mean, input_std=model.input_std)
+        meta.update(threshold=args.threshold, input_frames=args.input_frames,
+                    n_mels=model.n_mels)
         return model, meta, model.named_arrays(), history
 
     x = np.stack([feats[r.id] for r in train_rows])
     _, y_type = _labels_for(train_rows)
     scaler = models.Standardizer.fit(x)
     svm = models.svm_train(scaler.transform(x), y_type, c=args.svm_c,
-                           epochs=args.epochs, feature_kind=kind, n_classes=N_CLASSES)
+                           epochs=args.epochs, n_classes=N_CLASSES)
     capped = svm.converged.count(False)
     if capped:
         print(f"svm: {capped} of {len(svm.converged)} machines stopped at the "
@@ -324,22 +323,42 @@ def cmd_train(args):
 # ---------------------------------------------------------------------------
 
 def load_model(checkpoint_dir):
+    """The (bundle, meta) that `train` wrote to checkpoint_dir: a
+    JointCnnModel or an (SvmModel, Standardizer) pair. A directory that
+    cannot be used raises CorruptCheckpoint naming it and the bad entry."""
     checkpoint_dir = Path(checkpoint_dir)
     with open(checkpoint_dir / "model.meta.json", encoding="utf-8") as f:
-        meta = json.load(f)
+        try:
+            meta = json.load(f)
+        except ValueError as e:
+            raise CorruptCheckpoint(f"{checkpoint_dir}: model.meta.json: {e}") from None
     arrays = nncore.load_checkpoint(checkpoint_dir / "model.ckpt")
-    if meta["model"] == "cnn":
+    kind = meta.get("model") if isinstance(meta, dict) else None
+    if kind == "cnn":
         model = models.JointCnnModel(seed=0, t_frames=meta["input_frames"],
                                      n_mels=meta["n_mels"])
+        shapes = {name: a.shape for name, a in model.named_arrays().items()}
+    elif kind == "svm":
+        d = np.shape(arrays.get("weights"))[-1:]    # the feature length
+        shapes = {"weights": (N_CLASSES, *d), "biases": (N_CLASSES,),
+                  "scaler_mean": d, "scaler_std": d}
+        if "det_weight" in arrays or "det_bias" in arrays:
+            shapes.update(det_weight=d, det_bias=(1,))
+    else:
+        raise CorruptCheckpoint(f"{checkpoint_dir}: model.meta.json names no known "
+                                f"model ({kind!r})")
+    for name, shape in shapes.items():
+        found = arrays[name].shape if name in arrays else "no entry"
+        if found != shape:
+            raise CorruptCheckpoint(f"{checkpoint_dir}: model.ckpt entry {name}: "
+                                    f"expected shape {shape}, found {found}")
+    if kind == "cnn":
         model.load_arrays(arrays)
-        model.input_mean = meta["input_mean"]
-        model.input_std = meta["input_std"]
         return model, meta
     svm = models.SvmModel(
         weights=arrays["weights"], biases=arrays["biases"],
         det_weight=arrays.get("det_weight"),
-        det_bias=float(arrays["det_bias"][0]) if "det_bias" in arrays else 0.0,
-        feature_kind=meta["feature_kind"], c=meta.get("c", 1.0))
+        det_bias=float(arrays["det_bias"][0]) if "det_bias" in arrays else 0.0)
     scaler = models.Standardizer(arrays["scaler_mean"], arrays["scaler_std"])
     return (svm, scaler), meta
 
@@ -575,7 +594,7 @@ def main(argv=None):
     except (UsageError, InvalidParam, InsufficientData, DegenerateData, SceneOverflow) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except NonFiniteLoss as e:
+    except (NonFiniteLoss, NonFiniteTensor) as e:
         print(f"numeric failure: {e}", file=sys.stderr)
         return EXIT_NUMERIC
     except (OSError, CorruptCheckpoint) as e:

@@ -22,9 +22,8 @@ from .errors import (
     TooShort,
     UnsupportedFormat,
 )
-from .synthgun import AudioClip
+from .synthgun import SAMPLE_RATE, AudioClip
 
-SAMPLE_RATE = 44100
 WIN_SAMPLES = 1024          # ~23.2 ms at 44.1 kHz
 HOP_SAMPLES = 512           # ~11.6 ms
 N_MELS = 128

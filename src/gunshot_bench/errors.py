@@ -42,4 +42,5 @@ class NonFiniteLoss(ArithmeticError):
 
 
 class CorruptCheckpoint(ValueError):
-    """Checkpoint file failed magic/version/checksum validation."""
+    """A model directory cannot be used: a checkpoint that fails its magic,
+    version or checksum check, an unreadable meta, or a misshapen entry."""

@@ -2,8 +2,6 @@
 detection + gun-type CNN (shared conv trunk, two heads), with training loops.
 """
 
-import hashlib
-import json
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -12,7 +10,7 @@ import numpy as np
 from . import nncore as nn
 from .errors import DegenerateData, NonFiniteLoss, NonFiniteTensor, ShapeMismatch
 from .manifest import CLASS_NAMES, N_CLASSES, NEGATIVE_LABEL
-from .dsp import LOG_EPS
+from .dsp import LOG_EPS, N_MELS
 
 PAD_VALUE = float(np.log(LOG_EPS))   # log-mel silence floor used for padding
 
@@ -59,8 +57,6 @@ class SvmModel:
     biases: np.ndarray               # [K]
     det_weight: np.ndarray | None    # optional binary gunshot machine
     det_bias: float
-    feature_kind: str
-    c: float
     objective_history: list = field(default_factory=list)  # per machine
     converged: list = field(default_factory=list)  # per machine; not checkpointed
 
@@ -175,8 +171,7 @@ def _train_svms(x, ys, c, max_sweeps, gram):
     return np.array(w), np.array(b), histories, [r not in live for r in range(m)]
 
 
-def svm_train(features, labels, c=1.0, epochs=100, feature_kind="melstats",
-              n_classes=None, fit_detector=True):
+def svm_train(features, labels, c=1.0, epochs=100, n_classes=None, fit_detector=True):
     """Fit one-vs-rest binary machines on standardized features.
 
     labels: int array; 0..K-1 are gun types, NEGATIVE_LABEL marks
@@ -208,8 +203,7 @@ def svm_train(features, labels, c=1.0, epochs=100, feature_kind="melstats",
         ys.append(y_det)
     w, b, histories, converged = _train_svms(x, np.array(ys), c, epochs, x @ x.T)
     det_w, det_b = (w[k], float(b[k])) if detector else (None, 0.0)
-    return SvmModel(w[:k], b[:k], det_w, det_b, feature_kind, float(c), histories,
-                    converged)
+    return SvmModel(w[:k], b[:k], det_w, det_b, histories, converged)
 
 
 def svm_predict(model, feature):
@@ -252,13 +246,10 @@ class TrainConfig:
     lambda_type: float = 1.0
     early_stop_patience: int = 5
     seed: int = 0
-    input_frames: int = T_FIXED_DEFAULT
 
     def validate(self):
         if self.lambda_type < 0:
             raise ShapeMismatch("lambda_type must be >= 0")
-        if self.input_frames <= 0:
-            raise ShapeMismatch("input_frames must be positive")
         return self
 
 
@@ -267,7 +258,7 @@ class JointCnnModel:
     global average pool) feeding a sigmoid detection head and a softmax
     gun-type head. `params` maps each parameter name to its float64 array."""
 
-    def __init__(self, seed=0, t_frames=T_FIXED_DEFAULT, n_mels=128):
+    def __init__(self, seed=0, t_frames=T_FIXED_DEFAULT, n_mels=N_MELS):
         self.t_frames = int(t_frames)
         self.n_mels = int(n_mels)
         self.input_mean = 0.0
@@ -298,18 +289,11 @@ class JointCnnModel:
         return out
 
     def load_arrays(self, arrays):
-        for name, old in self.params.items():
-            arr = arrays[name]
-            if arr.shape != old.shape:
-                raise ShapeMismatch(f"checkpoint entry {name} has shape {arr.shape}")
-            self.params[name] = arr.astype(np.float64)
-        if "input_stats" in arrays:
-            self.input_mean, self.input_std = map(float, arrays["input_stats"])
-
-    def architecture_hash(self):
-        desc = json.dumps({name: list(a.shape) for name, a in self.params.items()},
-                          sort_keys=True)
-        return hashlib.sha256(desc.encode()).hexdigest()[:16]
+        """Take every entry of named_arrays() from a loaded checkpoint whose
+        entries have the shapes named_arrays() gives (cli.load_model checks)."""
+        for name in self.params:
+            self.params[name] = arrays[name].astype(np.float64)
+        self.input_mean, self.input_std = map(float, arrays["input_stats"])
 
     # -- input handling -----------------------------------------------------
 

@@ -336,23 +336,17 @@ def sgd_step(params, grads, state):
 # ---------------------------------------------------------------------------
 
 def save_checkpoint(path, named_arrays):
-    """Write an ordered list of named float64 arrays with a checksum footer.
-
-    named_arrays: dict name -> array, or iterable of (name, array).
-    """
-    items = named_arrays.items() if isinstance(named_arrays, dict) else named_arrays
-    chunks = [CHECKPOINT_MAGIC, struct.pack("<II", CHECKPOINT_VERSION, 0)]
-    count = 0
-    for name, arr in items:
+    """Write a dict name -> array, in its order, as float64 with a checksum
+    footer."""
+    chunks = [CHECKPOINT_MAGIC, struct.pack("<II", CHECKPOINT_VERSION, len(named_arrays))]
+    for name, arr in named_arrays.items():
         arr = np.asarray(arr, dtype="<f8")
         nb = name.encode("utf-8")
         chunks.append(struct.pack("<H", len(nb)))
         chunks.append(nb)
         chunks.append(struct.pack("<B", arr.ndim))
-        chunks.append(struct.pack(f"<{arr.ndim}I", *arr.shape) if arr.ndim else b"")
+        chunks.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
         chunks.append(arr.tobytes())
-        count += 1
-    chunks[1] = struct.pack("<II", CHECKPOINT_VERSION, count)
     payload = b"".join(chunks)
     digest = hashlib.sha256(payload).digest()
     with open(path, "wb") as f:
@@ -381,9 +375,9 @@ def load_checkpoint(path):
         off += nlen
         (ndim,) = struct.unpack_from("<B", payload, off)
         off += 1
-        shape = struct.unpack_from(f"<{ndim}I", payload, off) if ndim else ()
+        shape = struct.unpack_from(f"<{ndim}I", payload, off)
         off += 4 * ndim
-        size = int(np.prod(shape, dtype=np.int64)) if ndim else 1
+        size = int(np.prod(shape, dtype=np.int64))
         arr = np.frombuffer(payload, dtype="<f8", count=size, offset=off).reshape(shape)
         off += 8 * size
         out[name] = arr.astype(np.float64)

@@ -1,12 +1,13 @@
 """CLI exit codes for inputs the pipeline cannot use: each ends in its
 documented code and a one-line message, never in a traceback (an
-unreadable WAV or a cut checkpoint fails with the I/O code, a flag no clip
-can meet with the usage code), a refused command leaves no config.json and
-a failed generate no dataset; training reads no test-split cache; SVM
-evaluation, training and cross-validation honour their flags, rerun byte
-for byte and report machines stopped by the sweep cap; every command
-runs end to end on a tiny dataset, the CNN included; and the CNN pipeline
-gives the same bytes when rerun in a fresh process."""
+unreadable WAV, a cut checkpoint or a model directory that cannot be used
+fails with the I/O code, a flag no clip can meet with the usage code, a CNN
+whose training overflows with the numeric code), a refused command leaves
+no config.json and a failed generate no dataset; training reads no
+test-split cache; SVM evaluation, training and cross-validation honour their
+flags, rerun byte for byte and report machines stopped by the sweep cap;
+every command runs end to end on a tiny dataset, the CNN included; and the
+CNN pipeline gives the same bytes when rerun in a fresh process."""
 
 import json
 import os
@@ -18,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gunshot_bench import cli, models
+from gunshot_bench import cli, models, nncore
 
 
 def test_cnn_without_validation_clips_exits_usage(tmp_path, capsys):
@@ -320,6 +321,75 @@ def test_cnn_crossval_validation_is_stratified(small_data, tmp_path, monkeypatch
     for fold_types, val_types in seen:
         labels, counts = np.unique(fold_types, return_counts=True)
         assert set(labels[counts >= 5]) <= set(val_types)
+
+
+@pytest.fixture(scope="module")
+def trained_models(small_data, tmp_path_factory):
+    """Model directories of a 1-epoch CNN and a melstats SVM on small_data."""
+    manifest, root = small_data
+    out = tmp_path_factory.mktemp("trained")
+    for model, kind, extra in (("cnn", "mel", ["--epochs", "1", "--input-frames", "16"]),
+                               ("svm", "melstats", [])):
+        assert cli.main(["train", "--manifest", str(manifest), "--features", str(root / kind),
+                         "--out", str(out / model), "--model", model, "--seed", "1",
+                         *extra]) == cli.EXIT_OK
+    return out
+
+
+def _break_meta(d, other):
+    (d / "model.meta.json").write_text("{")
+
+
+def _swap_checkpoint(d, other):
+    shutil.copy(other / "model.ckpt", d / "model.ckpt")
+
+
+def _unknown_model(d, other):
+    meta = json.loads((d / "model.meta.json").read_text())
+    (d / "model.meta.json").write_text(json.dumps({**meta, "model": "forest"}))
+
+
+def _shorten_scaler_std(d, other):
+    arrays = nncore.load_checkpoint(d / "model.ckpt")
+    arrays["scaler_std"] = arrays["scaler_std"][:-1]
+    nncore.save_checkpoint(d / "model.ckpt", arrays)
+
+
+@pytest.mark.parametrize("model,damage,entry", [
+    ("cnn", _break_meta, "model.meta.json"),
+    ("cnn", _swap_checkpoint, "conv1.w"),
+    ("svm", _swap_checkpoint, "weights"),
+    ("svm", _unknown_model, "'forest'"),
+    ("svm", _shorten_scaler_std, "scaler_std"),
+])
+def test_evaluate_unusable_model_directory_exits_io(small_data, trained_models, tmp_path,
+                                                    capsys, model, damage, entry):
+    manifest, root = small_data
+    model_dir = tmp_path / model
+    shutil.copytree(trained_models / model, model_dir)
+    damage(model_dir, trained_models / ("svm" if model == "cnn" else "cnn"))
+    capsys.readouterr()
+    code = cli.main(["evaluate", "--checkpoint", str(model_dir), "--manifest", str(manifest),
+                     "--features", str(root / "melstats"), "--out", str(tmp_path / "eval")])
+    assert code == cli.EXIT_IO
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"I/O failure: {model_dir}:"), err
+    assert entry in err[0]
+    assert not (tmp_path / "eval").exists()
+
+
+def test_non_finite_activation_in_cnn_training_exits_numeric(small_data, tmp_path, capsys):
+    # the last step leaves the parameters finite but so large that the
+    # validation forward overflows
+    manifest, root = small_data
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = cli.main(["train", "--manifest", str(manifest), "--features", str(root / "mel"),
+                         "--out", str(tmp_path), "--model", "cnn", "--seed", "1",
+                         "--epochs", "1", "--batch-size", "64", "--lr", "1e150",
+                         "--input-frames", "32"])
+    assert code == cli.EXIT_NUMERIC
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("numeric failure:"), err
 
 
 @pytest.fixture(scope="module")

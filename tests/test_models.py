@@ -73,15 +73,14 @@ class TestSvm:
 
     def test_tie_goes_to_lowest_class(self):
         model = models.SvmModel(weights=np.ones((3, 2)), biases=np.zeros(3),
-                                det_weight=None, det_bias=0.0,
-                                feature_kind="melstats", c=1.0)
+                                det_weight=None, det_bias=0.0)
         _, best = models.svm_predict(model, np.array([0.3, -0.1]))
         assert best == 0
 
     def test_scores_match_hand_computed(self):
         w = np.array([[1.0, 0.0, 2.0], [0.0, -1.0, 0.5]])
         b = np.array([0.1, -0.2])
-        model = models.SvmModel(w, b, None, 0.0, "melstats", 1.0)
+        model = models.SvmModel(w, b, None, 0.0)
         x = np.array([2.0, 3.0, -1.0])
         scores, best = models.svm_predict(model, x)
         np.testing.assert_allclose(scores, [2.0 - 2.0 + 0.1, -3.0 - 0.5 - 0.2])
@@ -412,7 +411,7 @@ class TestCnnTrain:
         train, val = self._mel_set(7, 24, seed=1), self._mel_set(3, 24, seed=2)
         train.mels[3] = train.mels[3][:11]          # clips of unequal length
         model = models.JointCnnModel(seed=0, t_frames=16)
-        cfg = models.TrainConfig(epochs=1, batch_size=4, input_frames=16)
+        cfg = models.TrainConfig(epochs=1, batch_size=4)
         models.cnn_train(model, train, val, cfg)
         flat = np.concatenate([np.asarray(m, dtype=np.float64).ravel() for m in train.mels])
         assert model.input_mean == float(flat.mean())
@@ -430,7 +429,7 @@ class TestCnnTrain:
         def peak(n):
             train = self._mel_set(n, frames, seed=4)
             model = models.JointCnnModel(seed=1, t_frames=t)
-            cfg = models.TrainConfig(epochs=1, batch_size=2, input_frames=t)
+            cfg = models.TrainConfig(epochs=1, batch_size=2)
             tracemalloc.start()
             try:
                 models.cnn_train(model, train, val, cfg)
@@ -453,7 +452,7 @@ class TestCnnTrain:
 
         monkeypatch.setattr(models, "batch_loss_graph", recording)
         model = models.JointCnnModel(seed=0, t_frames=16)
-        cfg = models.TrainConfig(epochs=1, batch_size=3, lr=1e300, input_frames=16)
+        cfg = models.TrainConfig(epochs=1, batch_size=3, lr=1e300)
         with np.errstate(over="ignore"), pytest.raises(NonFiniteLoss) as err:
             models.cnn_train(model, train, val, cfg)
         assert finite, "the first batch's loss is finite"
@@ -464,7 +463,7 @@ class TestCnnTrain:
         # the first step's update itself leaves float64 range
         train, val = self._tiny_sets()
         model = models.JointCnnModel(seed=0, t_frames=16)
-        cfg = models.TrainConfig(epochs=1, batch_size=3, lr=1e308, input_frames=16)
+        cfg = models.TrainConfig(epochs=1, batch_size=3, lr=1e308)
         names = "|".join(map(re.escape, model.params))
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(NonFiniteLoss, match=rf"batch at 0 \(last finite batch loss "
@@ -474,8 +473,7 @@ class TestCnnTrain:
     def test_patience_zero_runs_exactly_one_epoch(self):
         train, val = self._tiny_sets()
         model = models.JointCnnModel(seed=0, t_frames=16)
-        cfg = models.TrainConfig(epochs=10, early_stop_patience=0, seed=0,
-                                 input_frames=16)
+        cfg = models.TrainConfig(epochs=10, early_stop_patience=0, seed=0)
         history = models.cnn_train(model, train, val, cfg)
         assert len(history) == 1
 
@@ -484,8 +482,7 @@ class TestCnnTrain:
         runs = []
         for _ in range(2):
             model = models.JointCnnModel(seed=5, t_frames=16)
-            cfg = models.TrainConfig(epochs=3, early_stop_patience=3, seed=5,
-                                     input_frames=16)
+            cfg = models.TrainConfig(epochs=3, early_stop_patience=3, seed=5)
             history = models.cnn_train(model, train, val, cfg)
             digest = b"".join(a.tobytes() for a in model.params.values())
             runs.append((history, digest))
@@ -495,16 +492,14 @@ class TestCnnTrain:
     def test_training_loss_decreases(self):
         train, val = self._tiny_sets(n=24)
         model = models.JointCnnModel(seed=1, t_frames=16)
-        cfg = models.TrainConfig(epochs=10, lr=5e-3, early_stop_patience=10,
-                                 seed=1, input_frames=16)
+        cfg = models.TrainConfig(epochs=10, lr=5e-3, early_stop_patience=10, seed=1)
         history = models.cnn_train(model, train, val, cfg)
         assert history[9]["train_loss"] < history[0]["train_loss"]
 
     def test_separable_set_reaches_f1(self):
         train, val = self._tiny_sets(n=50, seed=2)
         model = models.JointCnnModel(seed=2, t_frames=16)
-        cfg = models.TrainConfig(epochs=30, lr=1e-2, early_stop_patience=30,
-                                 seed=2, input_frames=16)
+        cfg = models.TrainConfig(epochs=30, lr=1e-2, early_stop_patience=30, seed=2)
         models.cnn_train(model, train, val, cfg)
         preds = models.predict_dataset(model, val.mels)
         decided = np.array([1 if p.p_gunshot >= 0.5 else 0 for p in preds])
@@ -554,10 +549,3 @@ class TestCheckpointRoundTrip:
         b = models.cnn_forward(twin, mel)
         assert a.p_gunshot == b.p_gunshot
         np.testing.assert_array_equal(a.type_posteriors, b.type_posteriors)
-
-    def test_architecture_hash_stable(self):
-        a = models.JointCnnModel(seed=0, t_frames=16)
-        b = models.JointCnnModel(seed=9, t_frames=16)
-        assert a.architecture_hash() == b.architecture_hash()
-        c = models.JointCnnModel(seed=0, t_frames=32)
-        assert a.architecture_hash() == c.architecture_hash()   # same param shapes
