@@ -8,7 +8,9 @@ run leaves none behind.
 
 Exit codes: 0 ok, 2 usage error (including data the command cannot use),
 3 I/O failure (including a corrupt checkpoint or a model directory that
-cannot be used), 4 numeric failure.
+cannot be used), 4 numeric failure. Each error class carries its code (see
+`errors`). A file that does not parse, or lacks a key the command needs
+(a manifest line, a split, `index.json`, `model.meta.json`, a WAV), exits 3.
 """
 
 import argparse
@@ -25,24 +27,20 @@ from pathlib import Path
 import numpy as np
 
 from . import dsp, evaluation, models, nncore, synthgun
-from .errors import (CorruptCheckpoint, DegenerateData, InsufficientData, InvalidParam,
-                     NonFiniteLoss, NonFiniteTensor, SceneOverflow)
+from .errors import (CorruptCheckpoint, DegenerateData, GunshotBenchError, InvalidParam,
+                     IOFailure, MalformedFile, NumericFailure, UsageError)
 from .manifest import (CLASS_NAMES, GUNSHOT, N_CLASSES, NEGATIVE_LABEL, NO_GUNSHOT,
-                       load_manifest, manifest_digest)
+                       load_manifest, manifest_digest, read_json, require_keys, write_json)
 from .synthgun import CLASS_ORDER
 from .wavio import read_wav
 
 EXIT_OK = 0
-EXIT_USAGE = 2
-EXIT_IO = 3
-EXIT_NUMERIC = 4
+EXIT_USAGE = UsageError.exit_code
+EXIT_IO = IOFailure.exit_code
+EXIT_NUMERIC = NumericFailure.exit_code
 
 FEATURE_KINDS = ("mel", "melstats", "boaw", "autocorr")
 DEFAULT_AUTOCORR_LAG = 2048
-
-
-class UsageError(Exception):
-    pass
 
 
 def _echo_config(args, out_dir, command):
@@ -50,8 +48,7 @@ def _echo_config(args, out_dir, command):
     resolved = {k: v for k, v in vars(args).items() if k != "func"}
     resolved["command"] = command
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "config.json", "w", encoding="utf-8") as f:
-        json.dump(resolved, f, indent=2, sort_keys=True, default=str)
+    write_json(out_dir / "config.json", resolved, default=str)
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +124,11 @@ def _extract(kind, clip, boaw_codebook=None, autocorr_lag=DEFAULT_AUTOCORR_LAG):
 
 
 def _load_clip(base, row):
-    samples, rate = read_wav(base / row.path)
+    """The clip of `row`; MalformedFile naming it if its WAV does not decode."""
+    try:
+        samples, rate = read_wav(base / row.path)
+    except (wave_mod.Error, EOFError, ValueError) as e:
+        raise MalformedFile(f"{base / row.path}: {str(e) or type(e).__name__}") from None
     clip = synthgun.AudioClip(samples, rate, {"id": row.id})
     if rate != dsp.SAMPLE_RATE or samples.ndim != 1:
         clip = dsp.normalize_input(clip)
@@ -188,7 +189,7 @@ def cmd_featurize(args):
             values = _extract(args.kind, clip, codebook, args.autocorr_lag)
         except InvalidParam:
             raise    # a flag the clip cannot meet, such as a lag beyond its length
-        except (wave_mod.Error, EOFError, ValueError) as e:
+        except ValueError as e:
             corrupt.append((row.id, str(e)))
             continue
         dsp.save_feature(dest, values, {"id": row.id, "kind": args.kind,
@@ -196,8 +197,7 @@ def cmd_featurize(args):
         computed += 1
 
     index = {"kind": args.kind, "params": params, "count": computed + skipped}
-    with open(out_dir / "index.json", "w", encoding="utf-8") as f:
-        json.dump(index, f, indent=2, sort_keys=True)
+    write_json(out_dir / "index.json", index)
     print(f"featurize: {computed} computed, {skipped} up-to-date, "
           f"{len(corrupt)} failed")
     for cid, msg in corrupt:
@@ -210,8 +210,7 @@ def cmd_featurize(args):
 # ---------------------------------------------------------------------------
 
 def _feature_kind(features_dir):
-    with open(Path(features_dir) / "index.json", encoding="utf-8") as f:
-        return json.load(f)["kind"]
+    return read_json(Path(features_dir) / "index.json", ("kind",))["kind"]
 
 
 def _load_features(features_dir, rows):
@@ -254,6 +253,8 @@ def _fit(args, kind, train_rows, val_rows, feats):
     """Train `--model` on train_rows (the CNN early-stops on val_rows) and
     return (bundle, meta, arrays, history), writing nothing: bundle has the
     shape `load_model` returns, arrays are the checkpoint's contents."""
+    if not train_rows:
+        raise DegenerateData(f"{args.model} training needs train clips, got 0")
     meta = {"model": args.model, "feature_kind": kind, "class_list": CLASS_NAMES,
             "seed": args.seed}
     if args.model == "cnn":
@@ -309,10 +310,8 @@ def cmd_train(args):
     _echo_config(args, out_dir, "train")
     split.save(out_dir / "split.json")
     nncore.save_checkpoint(out_dir / "model.ckpt", arrays)
-    with open(out_dir / "model.meta.json", "w", encoding="utf-8") as f:
-        json.dump(meta, f, indent=2, sort_keys=True)
-    with open(out_dir / "history.json", "w", encoding="utf-8") as f:
-        json.dump(history, f, indent=2, sort_keys=True)
+    write_json(out_dir / "model.meta.json", meta)
+    write_json(out_dir / "history.json", history)
     print(f"trained {args.model} in {seconds}s; "
           f"checkpoint at {out_dir / 'model.ckpt'}")
     return EXIT_OK
@@ -325,16 +324,15 @@ def cmd_train(args):
 def load_model(checkpoint_dir):
     """The (bundle, meta) that `train` wrote to checkpoint_dir: a
     JointCnnModel or an (SvmModel, Standardizer) pair. A directory that
-    cannot be used raises CorruptCheckpoint naming it and the bad entry."""
+    cannot be used raises CorruptCheckpoint, or MalformedFile for its meta,
+    naming it and the bad entry."""
     checkpoint_dir = Path(checkpoint_dir)
-    with open(checkpoint_dir / "model.meta.json", encoding="utf-8") as f:
-        try:
-            meta = json.load(f)
-        except ValueError as e:
-            raise CorruptCheckpoint(f"{checkpoint_dir}: model.meta.json: {e}") from None
+    where = f"{checkpoint_dir}: model.meta.json"
+    meta = read_json(checkpoint_dir / "model.meta.json", ("model", "feature_kind"), where)
     arrays = nncore.load_checkpoint(checkpoint_dir / "model.ckpt")
-    kind = meta.get("model") if isinstance(meta, dict) else None
+    kind = meta["model"]
     if kind == "cnn":
+        require_keys(meta, ("input_frames", "n_mels"), where)
         model = models.JointCnnModel(seed=0, t_frames=meta["input_frames"],
                                      n_mels=meta["n_mels"])
         shapes = {name: a.shape for name, a in model.named_arrays().items()}
@@ -475,9 +473,7 @@ def cmd_crossval(args):
         vals = [m[key] for m in fold_metrics if m[key] is not None]
         aggregate[key] = {"mean": float(np.mean(vals)) if vals else None,
                           "std": float(np.std(vals)) if vals else None}
-    with open(out_dir / "aggregate.json", "w", encoding="utf-8") as f:
-        json.dump({"folds": fold_metrics, "aggregate": aggregate}, f,
-                  indent=2, sort_keys=True)
+    write_json(out_dir / "aggregate.json", {"folds": fold_metrics, "aggregate": aggregate})
     print(json.dumps(aggregate, indent=2, sort_keys=True))
     return EXIT_OK
 
@@ -591,14 +587,11 @@ def main(argv=None):
         return int(e.code or 0)
     try:
         return args.func(args)
-    except (UsageError, InvalidParam, InsufficientData, DegenerateData, SceneOverflow) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except (NonFiniteLoss, NonFiniteTensor) as e:
-        print(f"numeric failure: {e}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except (OSError, CorruptCheckpoint) as e:
-        print(f"I/O failure: {e}", file=sys.stderr)
+    except GunshotBenchError as e:
+        print(f"{e.label}: {e}", file=sys.stderr)
+        return e.exit_code
+    except OSError as e:
+        print(f"{IOFailure.label}: {e}", file=sys.stderr)
         return EXIT_IO
 
 

@@ -18,7 +18,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import InvalidParam
-from .manifest import CLASS_NAMES, GUNSHOT, N_CLASSES, NEGATIVE_LABEL, NO_GUNSHOT
+from .manifest import (CLASS_NAMES, GUNSHOT, N_CLASSES, NEGATIVE_LABEL, NO_GUNSHOT, read_json,
+                       write_json)
 
 SCHEMA_VERSION = 1
 DETECTION_NAMES = [NO_GUNSHOT, GUNSHOT]
@@ -39,19 +40,15 @@ class SplitSpec:
         return {"train_ids": self.train_ids, "val_ids": self.val_ids,
                 "test_ids": self.test_ids, "seed": self.seed}
 
-    @classmethod
-    def from_dict(cls, d):
-        return cls(list(d["train_ids"]), list(d["val_ids"]), list(d["test_ids"]),
-                   int(d["seed"]))
-
     def save(self, path):
-        with open(path, "w", encoding="utf-8") as f:
-            json.dump(self.to_dict(), f, indent=2, sort_keys=True)
+        write_json(path, self.to_dict())
 
     @classmethod
     def load(cls, path):
-        with open(path, encoding="utf-8") as f:
-            return cls.from_dict(json.load(f))
+        """The split in file `path`; MalformedFile if it lacks a field."""
+        d = read_json(path, ("train_ids", "val_ids", "test_ids", "seed"))
+        return cls(list(d["train_ids"]), list(d["val_ids"]), list(d["test_ids"]),
+                   int(d["seed"]))
 
 
 def strata(rows):

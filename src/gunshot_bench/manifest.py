@@ -1,5 +1,5 @@
-"""The dataset's label vocabulary and its manifest: one line-delimited JSON
-record per clip."""
+"""The dataset's label vocabulary, its manifest (one line-delimited JSON
+record per clip), and the checked reader and the writer of JSON files."""
 
 import hashlib
 import json
@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
-from .errors import InvalidParam
+from .errors import InvalidParam, MalformedFile
 
 
 class FirearmClass(Enum):
@@ -46,10 +46,40 @@ class ManifestRow:
             "duration_s": self.duration_s, "clean": self.clean, "seed": self.seed,
         }
 
+    KEYS = ("id", "path", "detection_label", "duration_s", "clean", "seed")
+
     @classmethod
     def from_dict(cls, d):
         return cls(d["id"], d["path"], d["detection_label"], d.get("class"),
                    float(d["duration_s"]), bool(d["clean"]), int(d["seed"]))
+
+
+def read_json(path, keys=(), where=None, text=None):
+    """The JSON object in file `path` (or in `text`, one line of it) holding
+    each of `keys`. Text that does not parse, is not an object or lacks a
+    key raises MalformedFile naming `where` (default: the path)."""
+    where = where or path
+    try:
+        obj = json.loads(Path(path).read_bytes() if text is None else text)
+    except ValueError as e:
+        raise MalformedFile(f"{where}: {e}") from None
+    if not isinstance(obj, dict):
+        raise MalformedFile(f"{where}: expected a JSON object, found {type(obj).__name__}")
+    return require_keys(obj, keys, where)
+
+
+def require_keys(obj, keys, where):
+    """`obj`, or MalformedFile naming `where` and the first of `keys` it lacks."""
+    for key in keys:
+        if key not in obj:
+            raise MalformedFile(f"{where}: missing key {key!r}")
+    return obj
+
+
+def write_json(path, obj, default=None):
+    """Write `obj` as indented JSON with sorted keys."""
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump(obj, f, indent=2, sort_keys=True, default=default)
 
 
 def write_manifest(path, rows):
@@ -60,15 +90,17 @@ def write_manifest(path, rows):
 
 
 def load_manifest(path, check_paths=True):
-    """Load and validate a manifest: unique ids, class present iff gunshot,
-    and (optionally) every referenced audio file present on disk."""
+    """Load and validate a manifest: each line an object with a row's keys
+    (else MalformedFile), unique ids, class present iff gunshot, and
+    (optionally) every referenced audio file on disk (else InvalidParam)."""
     path = Path(path)
     rows = []
     with open(path, encoding="utf-8") as f:
-        for line in f:
+        for n, line in enumerate(f, 1):
             line = line.strip()
             if line:
-                rows.append(ManifestRow.from_dict(json.loads(line)))
+                d = read_json(path, ManifestRow.KEYS, f"{path} line {n}", line)
+                rows.append(ManifestRow.from_dict(d))
     ids = [r.id for r in rows]
     if len(set(ids)) != len(ids):
         raise InvalidParam(f"duplicate ids in manifest {path}")

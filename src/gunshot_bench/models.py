@@ -247,11 +247,6 @@ class TrainConfig:
     early_stop_patience: int = 5
     seed: int = 0
 
-    def validate(self):
-        if self.lambda_type < 0:
-            raise ShapeMismatch("lambda_type must be >= 0")
-        return self
-
 
 class JointCnnModel:
     """Shared conv trunk (3x3 convs, 16->32->64 channels, 2x2 max pools,
@@ -456,7 +451,6 @@ def cnn_train(model, train_set, val_set, config):
     NonFiniteLoss if the loss or a parameter leaves the finite domain; its
     message names the epoch and batch and the epoch's last finite batch
     loss, and for a parameter, its name."""
-    config.validate()
     if len(train_set) == 0 or len(val_set) == 0:
         raise DegenerateData(f"cnn training needs train and validation clips, "
                              f"got {len(train_set)} and {len(val_set)}")

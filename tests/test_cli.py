@@ -1,7 +1,8 @@
 """CLI exit codes for inputs the pipeline cannot use: each ends in its
 documented code and a one-line message, never in a traceback (an
-unreadable WAV, a cut checkpoint or a model directory that cannot be used
-fails with the I/O code, a flag no clip can meet with the usage code, a CNN
+unreadable WAV, a cut checkpoint, a model directory that cannot be used or
+a JSON file or manifest line that does not parse or lacks a key fails with
+the I/O code, a flag or a split no training can use with the usage code, a CNN
 whose training overflows with the numeric code), a refused command leaves
 no config.json and a failed generate no dataset; training reads no
 test-split cache; SVM evaluation, training and cross-validation honour their
@@ -14,6 +15,7 @@ import os
 import shutil
 import subprocess
 import sys
+import wave
 from pathlib import Path
 
 import numpy as np
@@ -139,6 +141,39 @@ def test_featurize_unreadable_wav_fails_with_io(tiny_data, tmp_path, capsys):
     captured = capsys.readouterr()
     assert "4 computed, 0 up-to-date, 1 failed" in captured.out
     assert f"FAILED {first['id']}:" in captured.err
+
+
+def _damage_first_wav(tiny_data, tmp_path, damage):
+    """A copy of tiny_data whose first WAV `damage` rewrites; returns the
+    copy's manifest, the clip's id and its WAV."""
+    data = tmp_path / "data"
+    shutil.copytree(tiny_data.parent, data)
+    first = json.loads((data / "manifest.jsonl").read_text().splitlines()[0])
+    wav = data / first["path"]
+    damage(wav)
+    return data / "manifest.jsonl", first["id"], wav
+
+
+def _cut_in_header(wav):
+    # leaves the stdlib reader an EOFError, whose message is empty
+    wav.write_bytes(wav.read_bytes()[:20])
+
+
+def _as_24_bit(wav):
+    with wave.open(str(wav), "wb") as w:
+        w.setnchannels(1)
+        w.setsampwidth(3)
+        w.setframerate(44100)
+        w.writeframes(bytes(3 * 44100))
+
+
+def test_featurize_wav_cut_in_its_header_is_named_in_the_failed_line(tiny_data, tmp_path,
+                                                                     capsys):
+    manifest, clip_id, wav = _damage_first_wav(tiny_data, tmp_path, _cut_in_header)
+    code = cli.main(["featurize", "--manifest", str(manifest), "--kind", "melstats",
+                     "--out", str(tmp_path / "melstats")])
+    assert code == cli.EXIT_IO
+    assert capsys.readouterr().err.splitlines() == [f"  FAILED {clip_id}: {wav}: EOFError"]
 
 
 @pytest.fixture(scope="module")
@@ -390,6 +425,87 @@ def test_non_finite_activation_in_cnn_training_exits_numeric(small_data, tmp_pat
     assert code == cli.EXIT_NUMERIC
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("numeric failure:"), err
+
+
+def _put(path, text):
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text)
+    return path
+
+
+def _features(d, model):
+    return d["root"] / ("mel" if model == "cnn" else "melstats")
+
+
+def _train_argv(d, *extra, model="svm", features=None):
+    features = features or _features(d, model)
+    return ["train", "--manifest", d["manifest"], "--features", features,
+            "--out", d["tmp"] / "out", "--model", model, "--seed", "1", *extra]
+
+
+def _with_split(text):
+    return lambda d: _train_argv(d, "--split", _put(d["tmp"] / "split.json", text))
+
+
+def _featurize_manifest(text):
+    return lambda d: ["featurize", "--manifest", _put(d["tmp"] / "manifest.jsonl", text),
+                      "--kind", "melstats", "--out", d["tmp"] / "feats"]
+
+
+def _with_index(text):
+    return lambda d: _train_argv(d, features=_put(d["tmp"] / "f" / "index.json", text).parent)
+
+
+def _evaluate_meta_without(model, key):
+    def argv(d):
+        model_dir = d["tmp"] / model
+        shutil.copytree(d["trained"] / model, model_dir)
+        meta = json.loads((model_dir / "model.meta.json").read_text())
+        del meta[key]
+        _put(model_dir / "model.meta.json", json.dumps(meta))
+        return ["evaluate", "--checkpoint", model_dir, "--manifest", d["manifest"],
+                "--features", _features(d, model), "--out", d["tmp"] / "eval"]
+    return argv
+
+
+def _boaw_with_first_wav(damage):
+    def argv(d):
+        manifest, _, _ = _damage_first_wav(d["tiny"], d["tmp"], damage)
+        return ["featurize", "--manifest", manifest, "--kind", "boaw", "--boaw-k", "4",
+                "--out", d["tmp"] / "boaw"]
+    return argv
+
+
+@pytest.mark.parametrize("make_argv,code,label", [
+    (_with_split('{"train_ids": ['), cli.EXIT_IO, "I/O failure:"),
+    (_with_split('{"train_ids": [], "test_ids": [], "seed": 1}'), cli.EXIT_IO, "I/O failure:"),
+    (_featurize_manifest('{"id": "x"\n'), cli.EXIT_IO, "I/O failure:"),
+    (_featurize_manifest('{"id": "x"}\n'), cli.EXIT_IO, "I/O failure:"),
+    (_evaluate_meta_without("svm", "feature_kind"), cli.EXIT_IO, "I/O failure:"),
+    (_evaluate_meta_without("cnn", "input_frames"), cli.EXIT_IO, "I/O failure:"),
+    (_with_index("{"), cli.EXIT_IO, "I/O failure:"),
+    (_with_index("[]"), cli.EXIT_IO, "I/O failure:"),
+    (_with_index('{"count": 1}'), cli.EXIT_IO, "I/O failure:"),
+    (lambda d: _train_argv(d, "--input-frames", "4", "--epochs", "1", model="cnn"),
+     cli.EXIT_USAGE, "error:"),
+    (_boaw_with_first_wav(_cut_in_header), cli.EXIT_IO, "I/O failure:"),
+    (_boaw_with_first_wav(_as_24_bit), cli.EXIT_IO, "I/O failure:"),
+    (_with_split('{"train_ids": [], "val_ids": [], "test_ids": [], "seed": 1}'),
+     cli.EXIT_USAGE, "error:"),
+], ids=["split-not-json", "split-without-val_ids", "manifest-line-not-json",
+        "manifest-line-without-path", "svm-meta-without-feature_kind",
+        "cnn-meta-without-input_frames", "index-not-json", "index-not-an-object",
+        "index-without-kind", "cnn-input-frames-below-the-pools", "boaw-truncated-wav",
+        "boaw-24-bit-wav", "svm-empty-train-split"])
+def test_unusable_input_exits_with_its_code_and_one_line(small_data, trained_models, tiny_data,
+                                                         tmp_path, capsys, make_argv, code, label):
+    manifest, root = small_data
+    argv = make_argv({"manifest": manifest, "root": root, "trained": trained_models,
+                      "tiny": tiny_data, "tmp": tmp_path})
+    capsys.readouterr()
+    assert cli.main([str(a) for a in argv]) == code
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(label), err
 
 
 @pytest.fixture(scope="module")
