@@ -2,15 +2,19 @@
 plus k-fold cross-validation. Once a command has checked its input, it
 echoes its fully-resolved config (defaults and seeds included) into the
 output directory, so a refused run leaves no config behind; rerunning an
-identical config reproduces identical outputs byte for byte. `generate`
+identical config reproduces identical outputs byte for byte. `featurize`
+echoes it next to `index.json` once every clip is done, because it finds a
+flag the clips cannot meet (more codewords than descriptors, a lag beyond a
+clip) only while fitting the codebook or computing a clip. `generate`
 moves its dataset into place only once every clip is written, so a failed
 run leaves none behind.
 
 Exit codes: 0 ok, 2 usage error (including data the command cannot use),
 3 I/O failure (including a corrupt checkpoint or a model directory that
 cannot be used), 4 numeric failure. Each error class carries its code (see
-`errors`). A file that does not parse, or lacks a key the command needs
-(a manifest line, a split, `index.json`, `model.meta.json`, a WAV), exits 3.
+`errors`). A file that does not parse, or lacks a key the command needs or
+holds it with the wrong type (a manifest line, a split, `index.json`,
+`model.meta.json`, a WAV), exits 3.
 """
 
 import argparse
@@ -151,8 +155,6 @@ def cmd_featurize(args):
     rows = load_manifest(manifest_path)
     if not rows:
         raise UsageError(f"manifest {manifest_path} lists no clips")
-    out_dir = Path(args.out)
-    _echo_config(args, out_dir, "featurize")
     base = manifest_path.parent
 
     params = {"kind": args.kind, "win": dsp.WIN_SAMPLES, "hop": dsp.HOP_SAMPLES,
@@ -166,6 +168,8 @@ def cmd_featurize(args):
     if args.kind == "boaw":
         codebook = _fit_boaw_codebook(base, rows, args.boaw_k, args.seed)
 
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     computed = skipped = 0
     corrupt = []
     for row in rows:
@@ -196,6 +200,7 @@ def cmd_featurize(args):
                                         "source_hash": src_hash})
         computed += 1
 
+    _echo_config(args, out_dir, "featurize")
     index = {"kind": args.kind, "params": params, "count": computed + skipped}
     write_json(out_dir / "index.json", index)
     print(f"featurize: {computed} computed, {skipped} up-to-date, "
@@ -210,7 +215,7 @@ def cmd_featurize(args):
 # ---------------------------------------------------------------------------
 
 def _feature_kind(features_dir):
-    return read_json(Path(features_dir) / "index.json", ("kind",))["kind"]
+    return read_json(Path(features_dir) / "index.json", {"kind": str})["kind"]
 
 
 def _load_features(features_dir, rows):
@@ -328,11 +333,12 @@ def load_model(checkpoint_dir):
     naming it and the bad entry."""
     checkpoint_dir = Path(checkpoint_dir)
     where = f"{checkpoint_dir}: model.meta.json"
-    meta = read_json(checkpoint_dir / "model.meta.json", ("model", "feature_kind"), where)
+    meta = read_json(checkpoint_dir / "model.meta.json", {"model": str, "feature_kind": str},
+                     where)
     arrays = nncore.load_checkpoint(checkpoint_dir / "model.ckpt")
     kind = meta["model"]
     if kind == "cnn":
-        require_keys(meta, ("input_frames", "n_mels"), where)
+        require_keys(meta, {"input_frames": int, "n_mels": int}, where)
         model = models.JointCnnModel(seed=0, t_frames=meta["input_frames"],
                                      n_mels=meta["n_mels"])
         shapes = {name: a.shape for name, a in model.named_arrays().items()}
@@ -361,27 +367,21 @@ def load_model(checkpoint_dir):
     return (svm, scaler), meta
 
 
-def _predict_rows(model_bundle, meta, rows, feats, threshold):
+def evaluate_rows(model_bundle, meta, rows, feats, threshold, *, dataset_hash, split_seed,
+                  config):
+    """The report of the model on `rows`, predicting one clip at a time."""
     if meta["model"] == "cnn":
-        return models.predict_dataset(model_bundle, [feats[r.id] for r in rows],
-                                      threshold=threshold)
-    svm, scaler = model_bundle
-    return [models.svm_prediction(svm, scaler.transform(feats[r.id]), threshold=threshold)
-            for r in rows]
-
-
-def evaluate_rows(model_bundle, meta, rows, feats, threshold, *,
-                  dataset_hash="", split_seed=None, config=None):
-    preds = _predict_rows(model_bundle, meta, rows, feats, threshold)
-    true_class = [r.class_index for r in rows]
-    pred_gun = [p.decided_class is not None for p in preds]
-    pred_class = [int(np.argmax(p.type_posteriors)) for p in preds]
+        preds = [models.cnn_forward(model_bundle, feats[r.id], threshold=threshold)
+                 for r in rows]
+    else:
+        svm, scaler = model_bundle
+        preds = [models.svm_prediction(svm, scaler.transform(feats[r.id]), threshold=threshold)
+                 for r in rows]
     return evaluation.build_report(
-        true_class, pred_gun, pred_class, np.stack([p.scores for p in preds]),
-        threshold=threshold,
-        dataset_hash=dataset_hash, split_seed=split_seed,
-        model_meta={k: meta[k] for k in ("model", "feature_kind") if k in meta},
-        config=config or {})
+        [r.class_index for r in rows], [p.detected for p in preds],
+        [int(np.argmax(p.type_posteriors)) for p in preds], np.stack([p.scores for p in preds]),
+        threshold=threshold, dataset_hash=dataset_hash, split_seed=split_seed,
+        model_meta={k: meta[k] for k in ("model", "feature_kind")}, config=config)
 
 
 def cmd_evaluate(args):
@@ -414,9 +414,10 @@ def cmd_evaluate(args):
         model_bundle, meta, subset, feats, threshold,
         dataset_hash=manifest_digest(args.manifest), split_seed=split_seed,
         config={"subset": args.subset, "threshold": threshold})
-    evaluation.emit_report(report, out_dir / "report.json", "record-file")
-    evaluation.emit_report(report, out_dir / "report.txt", "text-table")
-    print(evaluation.render_text_report(report))
+    write_json(out_dir / "report.json", report)
+    text = evaluation.render_text_report(report)
+    (out_dir / "report.txt").write_text(text, encoding="utf-8")
+    print(text)
     return EXIT_OK
 
 
@@ -440,6 +441,7 @@ def cmd_crossval(args):
     by_id = {r.id: r for r in pool}
     default = 0.5 if args.model == "cnn" else 0.0    # a probability vs an SVM margin
     threshold = default if args.threshold is None else args.threshold
+    dataset_hash = manifest_digest(args.manifest)
 
     fold_metrics = []
     for i, fold in enumerate(plan.folds):
@@ -454,16 +456,16 @@ def cmd_crossval(args):
             train_rows, val_rows, _ = _split_rows(train_rows, val_split)
         bundle, meta, _, _ = _fit(args, kind, train_rows, val_rows, feats)
         report = evaluate_rows(bundle, meta, test_rows, feats, threshold,
-                               dataset_hash=manifest_digest(args.manifest),
-                               split_seed=args.seed, config={"fold": i})
-        evaluation.emit_report(report, fold_dir / "report.json", "record-file")
+                               dataset_hash=dataset_hash, split_seed=args.seed,
+                               config={"fold": i})
+        write_json(fold_dir / "report.json", report)
         fold_metrics.append({
             "fold": i,
             "test_size": len(test_rows),
-            "detection_f1_gunshot": report.detection["per_class"][GUNSHOT]["f1"],
-            "type_macro_f1_overall": evaluation.macro_f1(report.type_overall["per_class"]),
-            "type_macro_f1_relevant": evaluation.macro_f1(report.type_relevant["per_class"]),
-            "mean_ap": report.mean_ap,
+            "detection_f1_gunshot": report["detection"]["per_class"][GUNSHOT]["f1"],
+            "type_macro_f1_overall": evaluation.macro_f1(report["type_overall"]["per_class"]),
+            "type_macro_f1_relevant": evaluation.macro_f1(report["type_relevant"]["per_class"]),
+            "mean_ap": report["mean_ap"],
         })
 
     keys = ["detection_f1_gunshot", "type_macro_f1_overall",

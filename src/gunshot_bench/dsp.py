@@ -23,6 +23,7 @@ from .errors import (
     UnsupportedFormat,
 )
 from .synthgun import SAMPLE_RATE, AudioClip
+from .wavio import float_to_pcm16, pcm16_to_float
 
 WIN_SAMPLES = 1024          # ~23.2 ms at 44.1 kHz
 HOP_SAMPLES = 512           # ~11.6 ms
@@ -321,8 +322,8 @@ def resample(x, sr_in, sr_out, half_width=32):
 
 
 def quantize16(x):
-    """Snap samples to the 16-bit grid and rescale to [-1, 1]."""
-    return np.rint(np.clip(x, -1.0, 1.0) * 32767.0) / 32767.0
+    """Snap samples to the 16-bit grid of a WAV file and rescale to [-1, 1]."""
+    return pcm16_to_float(float_to_pcm16(x))
 
 
 def normalize_input(clip):

@@ -9,11 +9,12 @@ conditionings:
   detected as gunshots, so it isolates the type head.
 
 Zero-division convention throughout: 0/0 -> 0, flagged in the report.
+
+The report is a plain dict of JSON values: `report.json` is `write_json` of
+it, and `render_text_report` turns it into the text table.
 """
 
-import json
-import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,10 +46,11 @@ class SplitSpec:
 
     @classmethod
     def load(cls, path):
-        """The split in file `path`; MalformedFile if it lacks a field."""
-        d = read_json(path, ("train_ids", "val_ids", "test_ids", "seed"))
-        return cls(list(d["train_ids"]), list(d["val_ids"]), list(d["test_ids"]),
-                   int(d["seed"]))
+        """The split in file `path`; MalformedFile if a field is missing or
+        of the wrong type."""
+        d = read_json(path, {"train_ids": list, "val_ids": list, "test_ids": list,
+                             "seed": int})
+        return cls(d["train_ids"], d["val_ids"], d["test_ids"], d["seed"])
 
 
 def strata(rows):
@@ -124,34 +126,28 @@ def prf1(confusion):
     return [(float(p[i]), float(r[i]), float(f1[i])) for i in range(m.shape[0])]
 
 
-def average_precision(scores, positives, ids=None):
+def average_precision(scores, positives):
     """Non-interpolated AP: mean of precision@rank over positive ranks.
 
-    Sorting is by score descending with ties broken stably by id. Returns
-    None (with a warning) when there are no positives."""
+    Sorting is by score descending with ties kept in input order. Returns
+    None when there are no positives."""
     scores = np.asarray(scores, dtype=np.float64)
     positives = np.asarray(positives, dtype=bool)
     if scores.shape != positives.shape:
         raise InvalidParam("scores and positives must align")
     n_pos = int(positives.sum())
     if n_pos == 0:
-        warnings.warn("average_precision: no positives; AP undefined", stacklevel=2)
         return None
-    ids = np.arange(len(scores)) if ids is None else np.asarray(ids)
-    order = np.lexsort((ids, -scores))
-    hits = positives[order]
+    hits = positives[np.argsort(-scores, kind="stable")]
     ranks = np.arange(1, len(scores) + 1)
     precision_at = np.cumsum(hits) / ranks
     return float(precision_at[hits].sum() / n_pos)
 
 
 def mean_ap(per_class_ap):
-    """Unweighted mean over classes whose AP is defined."""
+    """Unweighted mean over classes whose AP is defined; None if none is."""
     defined = [a for a in per_class_ap if a is not None]
-    if not defined:
-        warnings.warn("mean_ap: no class had a defined AP", stacklevel=2)
-        return None
-    return float(np.mean(defined))
+    return float(np.mean(defined)) if defined else None
 
 
 # ---------------------------------------------------------------------------
@@ -205,27 +201,8 @@ def detection_confusion(true_is_gun, pred_is_gun):
 
 
 # ---------------------------------------------------------------------------
-# report assembly and emission
+# report assembly and rendering
 # ---------------------------------------------------------------------------
-
-@dataclass
-class EvalReport:
-    schema_version: int
-    dataset_hash: str
-    split_seed: int | None
-    model_meta: dict
-    threshold: float
-    detection: dict
-    type_overall: dict
-    type_relevant: dict
-    ap_per_class: dict
-    mean_ap: float | None
-    flags: list = field(default_factory=list)
-    config: dict = field(default_factory=dict)
-
-    def to_dict(self):
-        return asdict(self)
-
 
 def _prf_block(names, triples):
     return {name: {"precision": p, "recall": r, "f1": f1}
@@ -234,7 +211,7 @@ def _prf_block(names, triples):
 
 def build_report(true_class, pred_gun, pred_class, scores, *, threshold=0.5,
                  dataset_hash="", split_seed=None, model_meta=None, config=None):
-    """Assemble the full evaluation report.
+    """The full evaluation report, as a dict of JSON values.
 
     true_class: per-example class index or None; pred_gun: decided detection;
     pred_class: argmax type index; scores: [n, K] ranking scores for AP."""
@@ -246,12 +223,8 @@ def build_report(true_class, pred_gun, pred_class, scores, *, threshold=0.5,
     rel_prf, rel_conf, zero_support = relevant_metrics(true_class, pred_gun, pred_class)
 
     scores = np.asarray(scores, dtype=np.float64)
-    ap = {}
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for ci, name in enumerate(CLASS_NAMES):
-            ap[name] = average_precision(scores[:, ci], t_arr == ci)
-        m_ap = mean_ap(list(ap.values()))
+    ap = {name: average_precision(scores[:, ci], t_arr == ci)
+          for ci, name in enumerate(CLASS_NAMES)}
 
     flags = []
     if zero_support:
@@ -259,24 +232,24 @@ def build_report(true_class, pred_gun, pred_class, scores, *, threshold=0.5,
     if any(v is None for v in ap.values()):
         flags.append("undefined_ap:" + ",".join(k for k, v in ap.items() if v is None))
 
-    return EvalReport(
-        schema_version=SCHEMA_VERSION,
-        dataset_hash=dataset_hash,
-        split_seed=split_seed,
-        model_meta=model_meta or {},
-        threshold=float(threshold),
-        detection={"confusion": det_conf.tolist(),
-                   "per_class": _prf_block(DETECTION_NAMES, det_prf)},
-        type_overall={"confusion": ov_conf.tolist(),
-                      "per_class": _prf_block(CLASS_NAMES, ov_prf)},
-        type_relevant={"confusion": rel_conf.tolist(),
-                       "per_class": _prf_block(CLASS_NAMES, rel_prf),
-                       "zero_support": zero_support},
-        ap_per_class=ap,
-        mean_ap=m_ap,
-        flags=flags,
-        config=config or {},
-    )
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "dataset_hash": dataset_hash,
+        "split_seed": split_seed,
+        "model_meta": model_meta or {},
+        "threshold": float(threshold),
+        "detection": {"confusion": det_conf.tolist(),
+                      "per_class": _prf_block(DETECTION_NAMES, det_prf)},
+        "type_overall": {"confusion": ov_conf.tolist(),
+                         "per_class": _prf_block(CLASS_NAMES, ov_prf)},
+        "type_relevant": {"confusion": rel_conf.tolist(),
+                          "per_class": _prf_block(CLASS_NAMES, rel_prf),
+                          "zero_support": zero_support},
+        "ap_per_class": ap,
+        "mean_ap": mean_ap(list(ap.values())),
+        "flags": flags,
+        "config": config or {},
+    }
 
 
 def macro_f1(per_class_block):
@@ -294,39 +267,22 @@ def render_text_report(report):
     lines.append("Gunshot Detection")
     lines.append(f"{'Class':<16}{'Precision':>10}{'Recall':>10}{'F1':>10}")
     for name in DETECTION_NAMES:
-        b = report.detection["per_class"][name]
+        b = report["detection"]["per_class"][name]
         lines.append(f"{name:<16}{b['precision']:>10.3f}{b['recall']:>10.3f}{b['f1']:>10.3f}")
     lines.append("")
     lines.append("Gun Type Classification (Overall / Relevant)")
     lines.append(f"{'Class':<16}{'P-ovr':>8}{'P-rel':>8}{'R-ovr':>8}{'R-rel':>8}"
                  f"{'F1-ovr':>8}{'F1-rel':>8}{'AP':>8}")
     for name in CLASS_NAMES:
-        o = report.type_overall["per_class"][name]
-        r = report.type_relevant["per_class"][name]
-        ap = report.ap_per_class[name]
+        o = report["type_overall"]["per_class"][name]
+        r = report["type_relevant"]["per_class"][name]
+        ap = report["ap_per_class"][name]
         lines.append(f"{name:<16}{o['precision']:>8.3f}{r['precision']:>8.3f}"
                      f"{o['recall']:>8.3f}{r['recall']:>8.3f}"
                      f"{o['f1']:>8.3f}{r['f1']:>8.3f}{_fmt(ap):>8}")
     lines.append("")
-    lines.append(f"mAP: {_fmt(report.mean_ap).strip()}")
-    if report.flags:
-        lines.append("flags: " + "; ".join(report.flags))
+    lines.append(f"mAP: {_fmt(report['mean_ap']).strip()}")
+    if report["flags"]:
+        lines.append("flags: " + "; ".join(report["flags"]))
     return "\n".join(lines) + "\n"
 
-
-def emit_report(report, path, fmt="record-file"):
-    """Write a report as a machine-readable record file or a text table.
-    Output bytes are deterministic for a fixed report."""
-    if fmt == "record-file":
-        blob = json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
-    elif fmt == "text-table":
-        blob = render_text_report(report)
-    else:
-        raise InvalidParam(f"unknown report format {fmt!r}")
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(blob)
-
-
-def load_report(path):
-    with open(path, encoding="utf-8") as f:
-        return EvalReport(**json.load(f))

@@ -46,18 +46,20 @@ class ManifestRow:
             "duration_s": self.duration_s, "clean": self.clean, "seed": self.seed,
         }
 
-    KEYS = ("id", "path", "detection_label", "duration_s", "clean", "seed")
+    KEYS = {"id": str, "path": str, "detection_label": str, "duration_s": (int, float),
+            "clean": bool, "seed": int}
 
     @classmethod
     def from_dict(cls, d):
         return cls(d["id"], d["path"], d["detection_label"], d.get("class"),
-                   float(d["duration_s"]), bool(d["clean"]), int(d["seed"]))
+                   float(d["duration_s"]), d["clean"], d["seed"])
 
 
-def read_json(path, keys=(), where=None, text=None):
+def read_json(path, keys, where=None, text=None):
     """The JSON object in file `path` (or in `text`, one line of it) holding
-    each of `keys`. Text that does not parse, is not an object or lacks a
-    key raises MalformedFile naming `where` (default: the path)."""
+    each key of `keys` with a value of the type(s) it maps to. Text that does
+    not parse, is not an object or lacks such a key raises MalformedFile
+    naming `where` (default: the path)."""
     where = where or path
     try:
         obj = json.loads(Path(path).read_bytes() if text is None else text)
@@ -69,10 +71,16 @@ def read_json(path, keys=(), where=None, text=None):
 
 
 def require_keys(obj, keys, where):
-    """`obj`, or MalformedFile naming `where` and the first of `keys` it lacks."""
-    for key in keys:
+    """`obj`, or MalformedFile naming `where` and the first key of `keys` that
+    it lacks or holds with a type other than the one (or a tuple of those)
+    `keys` maps it to. Types must match exactly, so a JSON true is no int."""
+    for key, types in keys.items():
         if key not in obj:
             raise MalformedFile(f"{where}: missing key {key!r}")
+        types = types if isinstance(types, tuple) else (types,)
+        if type(obj[key]) not in types:
+            raise MalformedFile(f"{where}: key {key!r} is {type(obj[key]).__name__}, "
+                                f"expected {' or '.join(t.__name__ for t in types)}")
     return obj
 
 

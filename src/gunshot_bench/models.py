@@ -9,7 +9,7 @@ import numpy as np
 
 from . import nncore as nn
 from .errors import DegenerateData, NonFiniteLoss, NonFiniteTensor, ShapeMismatch
-from .manifest import CLASS_NAMES, N_CLASSES, NEGATIVE_LABEL
+from .manifest import N_CLASSES, NEGATIVE_LABEL
 from .dsp import LOG_EPS, N_MELS
 
 PAD_VALUE = float(np.log(LOG_EPS))   # log-mel silence floor used for padding
@@ -37,14 +37,8 @@ class Standardizer:
 class Prediction:
     p_gunshot: float
     type_posteriors: np.ndarray      # 5-simplex
-    decided_class: str | None        # argmax class if detected, else None
+    detected: bool                   # the detection score reached the threshold
     scores: np.ndarray               # [K] ranking scores that AP is computed from
-
-
-def _decide(p, posteriors, threshold):
-    if p >= threshold:
-        return CLASS_NAMES[int(np.argmax(posteriors))]
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +208,8 @@ def svm_predict(model, feature):
 
 
 def svm_prediction(model, feature, threshold=0.0):
-    """Wrap SVM scores as a Prediction (detector score -> pseudo-probability)."""
+    """Wrap SVM scores as a Prediction (detector score -> pseudo-probability);
+    detected iff the detector score reaches `threshold`."""
     scores, best = svm_predict(model, feature)
     if model.det_weight is not None:
         det_score = float(model.det_weight @ np.asarray(feature, float) + model.det_bias)
@@ -223,8 +218,7 @@ def svm_prediction(model, feature, threshold=0.0):
     p = 1.0 / (1.0 + np.exp(-det_score))
     e = np.exp(scores - scores.max())
     posteriors = e / e.sum()
-    decided = CLASS_NAMES[best] if det_score >= threshold else None
-    return Prediction(p, posteriors, decided, scores)
+    return Prediction(p, posteriors, det_score >= threshold, scores)
 
 
 # ---------------------------------------------------------------------------
@@ -368,12 +362,12 @@ class JointCnnModel:
 
 
 def cnn_forward(model, mel_frames, threshold=0.5):
-    """Run one clip through the joint CNN; deterministic. A class ranks by
-    p_gunshot * its posterior."""
+    """Run one clip through the joint CNN; deterministic. Detected iff
+    p_gunshot reaches `threshold`; a class ranks by p_gunshot * its posterior."""
     x = model.prepare_input(mel_frames)[None, None, :, :]
     p_gun, logits, _ = model.forward(x)
     p, posteriors = float(p_gun[0]), nn.softmax(logits, axis=1)[0]
-    return Prediction(p, posteriors, _decide(p, posteriors, threshold), p * posteriors)
+    return Prediction(p, posteriors, p >= threshold, p * posteriors)
 
 
 def batch_loss_graph(model, x_batch, y_det, y_type, lambda_type, keep_caches=False):
@@ -509,10 +503,3 @@ def cnn_train(model, train_set, val_set, config):
         model.params.update(best_snapshot)
     return history
 
-
-def predict_dataset(model, mels, threshold=0.5):
-    """Predictions in input order; decided label = gunshot iff p >= threshold.
-
-    Clips run one at a time so results match cnn_forward bit for bit
-    (batched GEMMs round differently for different batch shapes)."""
-    return [cnn_forward(model, m, threshold=threshold) for m in mels]

@@ -1,14 +1,15 @@
 """CLI exit codes for inputs the pipeline cannot use: each ends in its
 documented code and a one-line message, never in a traceback (an
 unreadable WAV, a cut checkpoint, a model directory that cannot be used or
-a JSON file or manifest line that does not parse or lacks a key fails with
-the I/O code, a flag or a split no training can use with the usage code, a CNN
-whose training overflows with the numeric code), a refused command leaves
-no config.json and a failed generate no dataset; training reads no
-test-split cache; SVM evaluation, training and cross-validation honour their
-flags, rerun byte for byte and report machines stopped by the sweep cap;
-every command runs end to end on a tiny dataset, the CNN included; and the
-CNN pipeline gives the same bytes when rerun in a fresh process."""
+a JSON file or manifest line that does not parse, lacks a key or holds a
+value of the wrong type fails with the I/O code, a flag or a split no
+training can use with the usage code, a CNN whose training overflows with
+the numeric code), a refused command leaves no config.json and a failed
+generate no dataset; training reads no test-split cache; SVM evaluation,
+training and cross-validation honour their flags, rerun byte for byte and
+report machines stopped by the sweep cap; every command runs end to end on
+a tiny dataset, the CNN included; and the CNN pipeline gives the same
+bytes when rerun in a fresh process on another number of BLAS threads."""
 
 import json
 import os
@@ -128,6 +129,7 @@ def test_featurize_flag_the_clips_cannot_meet_exits_usage(tiny_data, tmp_path, c
                      "--out", str(tmp_path), flag, value])
     assert code == cli.EXIT_USAGE
     assert message in capsys.readouterr().err.splitlines()[-1]
+    assert not (tmp_path / "config.json").exists()
 
 
 def test_featurize_unreadable_wav_fails_with_io(tiny_data, tmp_path, capsys):
@@ -456,12 +458,12 @@ def _with_index(text):
     return lambda d: _train_argv(d, features=_put(d["tmp"] / "f" / "index.json", text).parent)
 
 
-def _evaluate_meta_without(model, key):
+def _evaluate_meta(model, edit):
     def argv(d):
         model_dir = d["tmp"] / model
         shutil.copytree(d["trained"] / model, model_dir)
         meta = json.loads((model_dir / "model.meta.json").read_text())
-        del meta[key]
+        edit(meta)
         _put(model_dir / "model.meta.json", json.dumps(meta))
         return ["evaluate", "--checkpoint", model_dir, "--manifest", d["manifest"],
                 "--features", _features(d, model), "--out", d["tmp"] / "eval"]
@@ -481,8 +483,8 @@ def _boaw_with_first_wav(damage):
     (_with_split('{"train_ids": [], "test_ids": [], "seed": 1}'), cli.EXIT_IO, "I/O failure:"),
     (_featurize_manifest('{"id": "x"\n'), cli.EXIT_IO, "I/O failure:"),
     (_featurize_manifest('{"id": "x"}\n'), cli.EXIT_IO, "I/O failure:"),
-    (_evaluate_meta_without("svm", "feature_kind"), cli.EXIT_IO, "I/O failure:"),
-    (_evaluate_meta_without("cnn", "input_frames"), cli.EXIT_IO, "I/O failure:"),
+    (_evaluate_meta("svm", lambda m: m.pop("feature_kind")), cli.EXIT_IO, "I/O failure:"),
+    (_evaluate_meta("cnn", lambda m: m.pop("input_frames")), cli.EXIT_IO, "I/O failure:"),
     (_with_index("{"), cli.EXIT_IO, "I/O failure:"),
     (_with_index("[]"), cli.EXIT_IO, "I/O failure:"),
     (_with_index('{"count": 1}'), cli.EXIT_IO, "I/O failure:"),
@@ -492,11 +494,20 @@ def _boaw_with_first_wav(damage):
     (_boaw_with_first_wav(_as_24_bit), cli.EXIT_IO, "I/O failure:"),
     (_with_split('{"train_ids": [], "val_ids": [], "test_ids": [], "seed": 1}'),
      cli.EXIT_USAGE, "error:"),
+    (_with_split('{"train_ids": 5, "val_ids": [], "test_ids": [], "seed": 1}'),
+     cli.EXIT_IO, "I/O failure:"),
+    (_featurize_manifest('{"id": "x", "path": "x.wav", "detection_label": "no_gunshot", '
+                         '"duration_s": "x", "clean": true, "seed": 0}\n'),
+     cli.EXIT_IO, "I/O failure:"),
+    (_evaluate_meta("cnn", lambda m: m.update(input_frames="x")), cli.EXIT_IO, "I/O failure:"),
+    (_evaluate_meta("svm", lambda m: m.update(feature_kind=3)), cli.EXIT_IO, "I/O failure:"),
 ], ids=["split-not-json", "split-without-val_ids", "manifest-line-not-json",
         "manifest-line-without-path", "svm-meta-without-feature_kind",
         "cnn-meta-without-input_frames", "index-not-json", "index-not-an-object",
         "index-without-kind", "cnn-input-frames-below-the-pools", "boaw-truncated-wav",
-        "boaw-24-bit-wav", "svm-empty-train-split"])
+        "boaw-24-bit-wav", "svm-empty-train-split", "split-train_ids-not-a-list",
+        "manifest-duration_s-not-a-number", "cnn-meta-input_frames-not-an-int",
+        "svm-meta-feature_kind-not-a-string"])
 def test_unusable_input_exits_with_its_code_and_one_line(small_data, trained_models, tiny_data,
                                                          tmp_path, capsys, make_argv, code, label):
     manifest, root = small_data
@@ -584,12 +595,14 @@ def test_pipeline_runs_end_to_end_and_reruns_byte_for_byte(tmp_path):
             assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes(), name
 
 
-def _run_cnn_pipeline_in_fresh_processes(root, hash_seed):
+def _run_cnn_pipeline_in_fresh_processes(root, hash_seed, blas_threads):
     """generate, featurize --kind mel, train --model cnn and evaluate, each as
     its own `python -m gunshot_bench.cli` process with the given
-    PYTHONHASHSEED, importing the package under test."""
+    PYTHONHASHSEED and OpenBLAS thread count, importing the package under
+    test."""
     package_root = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONHASHSEED=str(hash_seed),
+               OPENBLAS_NUM_THREADS=str(blas_threads),
                PYTHONPATH=os.pathsep.join(filter(None, [package_root,
                                                         os.environ.get("PYTHONPATH")])))
     manifest, mel, ckpt = root / "data" / "manifest.jsonl", root / "mel", root / "cnn"
@@ -608,10 +621,12 @@ def _run_cnn_pipeline_in_fresh_processes(root, hash_seed):
 
 def test_cnn_pipeline_reruns_byte_for_byte_in_a_fresh_process(tmp_path):
     # boaw is left out: its codebook sample still hashes with Python's
-    # per-process salt (the benchmark fault boaw-rerun-bytes)
-    runs = [tmp_path / "hash1", tmp_path / "hash2"]
-    for hash_seed, root in enumerate(runs, start=1):
-        _run_cnn_pipeline_in_fresh_processes(root, hash_seed)
+    # per-process salt (the benchmark fault boaw-rerun-bytes). The two runs
+    # also differ in BLAS threads: at --input-frames 32 and batch 4, conv1's
+    # 16x9 by 9x16384 GEMM is large enough for OpenBLAS to split.
+    runs = [tmp_path / "run1", tmp_path / "run2"]
+    for n, root in enumerate(runs, start=1):
+        _run_cnn_pipeline_in_fresh_processes(root, hash_seed=n, blas_threads=n)
     files = sorted(p.relative_to(runs[0]) for p in runs[0].rglob("*") if p.is_file())
     assert files == sorted(p.relative_to(runs[1]) for p in runs[1].rglob("*") if p.is_file())
     assert {"cnn/model.ckpt", "cnn/history.json", "eval/report.json"} <= set(map(str, files))

@@ -1,6 +1,6 @@
 """Manifest contracts: rows round-trip through their dict and JSON-line
 forms, and load_manifest refuses duplicate ids, a class without a gunshot
-label (or the reverse), and unknown classes."""
+label (or the reverse), unknown classes and a field of the wrong type."""
 
 import json
 
@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from gunshot_bench.errors import InvalidParam
+from gunshot_bench.errors import InvalidParam, MalformedFile
 from gunshot_bench.manifest import CLASS_NAMES, GUNSHOT, NO_GUNSHOT, ManifestRow, load_manifest
 
 FIXTURE_OK = settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -91,3 +91,13 @@ def test_missing_audio_file_rejected(tmp_path):
     (tmp_path / "wav").mkdir()
     (tmp_path / "wav" / "a.wav").write_bytes(b"")
     assert load_manifest(path) == [row]
+
+
+@pytest.mark.parametrize("key,value", [("id", 5), ("duration_s", "2"), ("clean", 1),
+                                       ("seed", True), ("seed", 1.0)])
+def test_field_of_the_wrong_type_rejected(tmp_path, key, value):
+    row = ManifestRow("a", "wav/a.wav", GUNSHOT, CLASS_NAMES[0], 2.0, True, 0).to_dict()
+    row[key] = value
+    path = _write(tmp_path / "manifest.jsonl", [row])
+    with pytest.raises(MalformedFile, match=f"line 1: key '{key}'"):
+        load_manifest(path, check_paths=False)

@@ -501,40 +501,19 @@ class TestCnnTrain:
         model = models.JointCnnModel(seed=2, t_frames=16)
         cfg = models.TrainConfig(epochs=30, lr=1e-2, early_stop_patience=30, seed=2)
         models.cnn_train(model, train, val, cfg)
-        preds = models.predict_dataset(model, val.mels)
-        decided = np.array([1 if p.p_gunshot >= 0.5 else 0 for p in preds])
+        decided = np.array([models.cnn_forward(model, m, threshold=0.5).detected
+                            for m in val.mels], dtype=int)
         assert detection_f1(val.y_det, decided) >= 0.95
 
 
-class TestPredictDataset:
-    def _model_and_mels(self):
+class TestPrediction:
+    def test_threshold_extremes(self):
         model = models.JointCnnModel(seed=6, t_frames=16)
         rng = np.random.default_rng(2)
         mels = [rng.normal(size=(16, 128)) for _ in range(7)]
-        return model, mels
-
-    def test_threshold_extremes(self):
-        model, mels = self._model_and_mels()
-        all_pos = models.predict_dataset(model, mels, threshold=0.0)
-        assert all(p.decided_class is not None for p in all_pos)
-        none_pos = models.predict_dataset(model, mels, threshold=1.0 + 1e-9)
-        assert all(p.decided_class is None for p in none_pos)
-
-    def test_matches_per_clip_forward(self):
-        model, mels = self._model_and_mels()
-        batched = models.predict_dataset(model, mels, threshold=0.5)
-        for m, bp in zip(mels, batched):
-            single = models.cnn_forward(model, m, threshold=0.5)
-            assert single.p_gunshot == bp.p_gunshot
-            np.testing.assert_array_equal(single.type_posteriors, bp.type_posteriors)
-            assert single.decided_class == bp.decided_class
-
-    def test_order_preserved(self):
-        model, mels = self._model_and_mels()
-        preds = models.predict_dataset(model, mels)
-        singles = [models.cnn_forward(model, m) for m in mels]
-        for a, b in zip(preds, singles):
-            assert a.p_gunshot == b.p_gunshot
+        assert all(models.cnn_forward(model, m, threshold=0.0).detected for m in mels)
+        assert not any(models.cnn_forward(model, m, threshold=1.0 + 1e-9).detected
+                       for m in mels)
 
 
 class TestCheckpointRoundTrip:
