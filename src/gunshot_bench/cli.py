@@ -408,6 +408,13 @@ def cmd_evaluate(args):
     if kind != meta["feature_kind"]:
         raise UsageError(f"feature kind {kind} does not match model ({meta['feature_kind']})")
     feats = _load_features(args.features, subset)
+    if meta["model"] == "svm":
+        # a cache of the right kind featurized with another --autocorr-lag or --boaw-k
+        want = model_bundle[0].weights.shape[1]
+        other = {f.shape[-1] for f in feats.values()} - {want}
+        if other:
+            raise UsageError(f"{args.features} holds features of length {min(other)}; "
+                             f"the model was trained on length {want}")
     _echo_config(args, out_dir, "evaluate")
 
     report = evaluate_rows(

@@ -81,81 +81,98 @@ def _train_svms(x, ys, c, max_sweeps, gram):
     step from the shared Gram matrix `gram` = x x'.
 
     The machines are independent, so all that are still running step
-    together: picking i and j and updating G are [m, n] array ops, with the
-    same per-element arithmetic as a machine solved alone. A machine freezes,
-    and none of its entries is written again, once its KKT violation
-    max_up(-y G) - min_low(-y G) is below SVM_KKT_TOL; the rest run on until
-    they freeze or have made `max_sweeps` sweeps of n steps each. b is the
-    mean of -y G over free a_t, or the midpoint of the feasible KKT interval
-    when no a_t is free (the C -> 0 case).
+    together, and each step picks the same i and j and writes the same
+    alphas, bit for bit, as a machine solved alone. For the running machines
+    the loop keeps [m, n] rows of v = -y G, and of two penalties that are 0
+    or -inf: pu is 0 where a_t y_t may still rise (the "up" set), pl is 0
+    where it may still fall (the "low" set). Then
+    - i = argmax(v + pu), and the KKT violation is (v + pu)_i - min(v - pl).
+      A 0 penalty changes a value at most in the sign of a zero, and argmax
+      and argmin see the two zeros as equal;
+    - j = argmax(gain |gain| / curvature + pl), gain = (v + pu)_i - v. A
+      machine that gets this far has a violation >= SVM_KKT_TOL, so a point
+      in low has gain >= SVM_KKT_TOL > 0. The points a lone machine leaves
+      out (outside low, or gain <= 0) score -inf or <= 0, so none wins or
+      ties;
+    - G += y S becomes v -= S: with y = +-1, -y (G + y S) and -y G - S
+      differ at most in the sign of a zero, as negation is exact and
+      rounding symmetric.
+    The pair update is per machine, on Python floats (the same IEEE
+    doubles), and writes the new alphas and the four penalties it changes.
+    A machine freezes, and none of its entries is written again, once its
+    KKT violation max_up(v) - min_low(v) is below SVM_KKT_TOL; the rest run
+    on until they freeze or have made `max_sweeps` sweeps of n steps each.
+    b is the mean of v over free a_t, or the midpoint of the feasible KKT
+    interval when no a_t is free (the C -> 0 case).
 
     Returns (w [m, d], b [m], histories, converged). A history holds the best
     primal objective seen so far, at the start and after every sweep the
     machine took part in, so it is non-increasing; converged[r] is False for
     a machine stopped by the sweep cap."""
     m, n = ys.shape
-    pos = ys > 0
     diag = np.diag(gram)
     curvature = np.maximum(diag[:, None] + diag - 2.0 * gram, _MIN_CURVATURE)
-    alpha, grad = np.zeros((m, n)), -np.ones((m, n))
+    alpha, viol = np.zeros((m, n)), ys.copy()     # viol = -y G, and G = -1 at a = 0
 
     def masks(p, a):
         # (up, low): a_t y_t may still rise, may still fall
         return np.where(p, a < c, a > 0), np.where(p, a > 0, a < c)
 
     def solution(r):
-        viol, (up, low) = -ys[r] * grad[r], masks(pos[r], alpha[r])
+        v, (up, low) = viol[r], masks(ys[r] > 0, alpha[r])
         free = up & low
         if free.any():
-            b = viol[free].mean()
+            b = v[free].mean()
         else:
-            b = (viol[up].max() + viol[low].min()) / 2.0
+            b = (v[up].max() + v[low].min()) / 2.0
         return x.T @ (alpha[r] * ys[r]), float(b)
 
     histories = [[_hinge_objective(x, ys[r], *solution(r), c)] for r in range(m)]
-    live = np.arange(m)     # machines still running; y, a, g, up, low hold their rows
-    y, a, g = ys, alpha.copy(), grad.copy()
-    up, low = masks(pos, a)
+    live = np.arange(m)     # machines still running; v, pu, pl, yl, al hold their rows
+    v, yl, al = viol.copy(), ys.tolist(), alpha.tolist()
+    pu, pl = (np.where(mask, 0.0, -np.inf) for mask in masks(ys > 0, alpha))
     for _ in range(max_sweeps):
         swept, first = live, np.arange(len(live)) * n    # flat index of each row
         for _ in range(n):
-            viol = -y * g
-            i = np.argmax(np.where(up, viol, -np.inf), axis=1)
-            vi = viol.ravel()[first + i]
-            gap = vi - np.where(low, viol, np.inf).min(axis=1)
-            done = gap < SVM_KKT_TOL
-            if done.any():
-                alpha[live], grad[live] = a, g
+            vu, vl = v + pu, v - pl
+            i, k = vu.argmax(axis=1), vl.argmin(axis=1)
+            vi = vu.ravel()[first + i]
+            done = vi - vl.ravel()[first + k] < SVM_KKT_TOL
+            if any(done.tolist()):
+                alpha[live], viol[live] = np.reshape(al, v.shape), v
                 keep = ~done
-                live, y, a, g, up, low, viol, i, vi = (
-                    v[keep] for v in (live, y, a, g, up, low, viol, i, vi))
+                live, v, pu, pl, i, vi = (t[keep] for t in (live, v, pu, pl, i, vi))
+                yl, al = ys[live].tolist(), alpha[live].tolist()
                 first = np.arange(len(live)) * n
                 if not len(live):
                     break
-            gain = vi[:, None] - viol
-            curv = curvature.take(i, axis=0)
-            j = np.argmax(np.where(low & (gain > 0), gain * gain / curv, -np.inf), axis=1)
+            gain = vi[:, None] - v
+            score = gain * np.abs(gain)
+            score /= curvature.take(i, axis=0)
+            score += pl
+            j = score.argmax(axis=1)
             # the pair update is a few scalars per machine: plain floats beat
             # numpy calls on arrays this short, with the same IEEE arithmetic
-            fij, h = np.concatenate((first + i, first + j)), len(live)
-            y_ij, old = y.ravel()[fij], a.ravel()[fij]
-            yl, new = y_ij.tolist(), old.tolist()
-            for t, (gj, cj) in enumerate(zip(gain.ravel()[fij[h:]].tolist(),
-                                             curv.ravel()[fij[h:]].tolist())):
-                yi, yj, ai, aj = yl[t], yl[t + h], new[t], new[t + h]
+            il, jl, ci, cj = i.tolist(), j.tolist(), [], []
+            for t, (ii, jj, vit) in enumerate(zip(il, jl, vi.tolist())):
+                yt, at = yl[t], al[t]
+                yi, yj, ai, aj = yt[ii], yt[jj], at[ii], at[jj]
                 room_i = c - ai if yi > 0 else ai
                 room_j = aj if yj > 0 else c - aj
-                step = min(gj / cj, room_i, room_j)
+                step = min((vit - v.item(t, jj)) / curvature.item(ii, jj), room_i, room_j)
                 # land exactly on a bound the step reached, so the point leaves
                 # the candidate set instead of being picked again for a 0 step
-                new[t] = (c if yi > 0 else 0.0) if step == room_i else ai + yi * step
-                new[t + h] = (0.0 if yj > 0 else c) if step == room_j else aj - yj * step
-            new = np.array(new)
-            a.ravel()[fij] = new
-            up.ravel()[fij], low.ravel()[fij] = masks(y_ij > 0, new)
-            delta = ((new - old) * y_ij)[:, None] * gram.take(np.concatenate((i, j)), axis=0)
-            g += y * (delta[:h] + delta[h:])
-        alpha[live], grad[live] = a, g
+                at[ii] = ni = (c if yi > 0 else 0.0) if step == room_i else ai + yi * step
+                at[jj] = nj = (0.0 if yj > 0 else c) if step == room_j else aj - yj * step
+                for p, yp, ap in ((ii, yi, ni), (jj, yj, nj)):
+                    # a_t y_t rises with a_t when y_t > 0, and falls with it otherwise
+                    fall, rise = (0.0 if ap > 0 else -np.inf), (0.0 if ap < c else -np.inf)
+                    pu[t, p], pl[t, p] = (rise, fall) if yp > 0 else (fall, rise)
+                ci.append((ni - ai) * yi)
+                cj.append((nj - aj) * yj)
+            delta = np.array(ci + cj)[:, None] * gram.take(il + jl, axis=0)
+            v -= delta[:len(il)] + delta[len(il):]
+        alpha[live], viol[live] = np.reshape(al, v.shape), v
         for r in swept:
             objective = _hinge_objective(x, ys[r], *solution(r), c)
             histories[r].append(min(histories[r][-1], objective))

@@ -3,13 +3,14 @@ documented code and a one-line message, never in a traceback (an
 unreadable WAV, a cut checkpoint, a model directory that cannot be used or
 a JSON file or manifest line that does not parse, lacks a key or holds a
 value of the wrong type fails with the I/O code, a flag or a split no
-training can use with the usage code, a CNN whose training overflows with
-the numeric code), a refused command leaves no config.json and a failed
-generate no dataset; training reads no test-split cache; SVM evaluation,
-training and cross-validation honour their flags, rerun byte for byte and
-report machines stopped by the sweep cap; every command runs end to end on
-a tiny dataset, the CNN included; and the CNN pipeline gives the same
-bytes when rerun in a fresh process on another number of BLAS threads."""
+training can use, or an SVM evaluated on features of another length, with
+the usage code, a CNN whose training overflows with the numeric code), a
+refused command leaves no config.json and a failed generate no dataset;
+training reads no test-split cache; SVM evaluation, training and
+cross-validation honour their flags, rerun byte for byte and report
+machines stopped by the sweep cap; every command runs end to end on a tiny
+dataset, the CNN included; and the CNN pipeline gives the same bytes when
+rerun in a fresh process on another number of BLAS threads."""
 
 import json
 import os
@@ -250,6 +251,36 @@ def test_evaluate_truncated_checkpoint_exits_io(melstats_data, tmp_path, capsys)
     assert code == cli.EXIT_IO
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("I/O failure:") and "model.ckpt" in err[0]
+    assert not (tmp_path / "eval").exists()
+
+
+@pytest.fixture(scope="module")
+def feature_params_data(tmp_path_factory):
+    """The 18 clips of `generate --per-class 3 --negatives 3 --seed 1`."""
+    data = tmp_path_factory.mktemp("params") / "data"
+    assert cli.main(["generate", "--out", str(data), "--per-class", "3",
+                     "--negatives", "3", "--seed", "1"]) == cli.EXIT_OK
+    return data / "manifest.jsonl"
+
+
+@pytest.mark.parametrize("kind,flag,value,message", [
+    ("autocorr", "--autocorr-lag", "100", "length 101; the model was trained on length 2049"),
+    ("boaw", "--boaw-k", "8", "length 8; the model was trained on length 64"),
+], ids=["autocorr", "boaw"])
+def test_evaluate_features_of_another_length_exits_usage(feature_params_data, tmp_path, capsys,
+                                                         kind, flag, value, message):
+    manifest = feature_params_data
+    for name, extra in (("train_feats", []), ("eval_feats", [flag, value])):
+        assert cli.main(["featurize", "--manifest", str(manifest), "--kind", kind,
+                         "--out", str(tmp_path / name), *extra]) == cli.EXIT_OK
+    _train_svm(manifest, tmp_path / "train_feats", tmp_path / "svm")
+    capsys.readouterr()
+    code = cli.main(["evaluate", "--checkpoint", str(tmp_path / "svm"),
+                     "--manifest", str(manifest), "--features", str(tmp_path / "eval_feats"),
+                     "--out", str(tmp_path / "eval")])
+    assert code == cli.EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and message in err[0], err
     assert not (tmp_path / "eval").exists()
 
 
