@@ -8,17 +8,3 @@ with a CLI front end.
 """
 
 __version__ = "0.1.0"
-
-from .synthgun import (  # noqa: F401
-    AudioClip,
-    FirearmClass,
-    FirearmClassSpec,
-    SceneConfig,
-    ShotEvent,
-    DEFAULT_CLASS_SPECS,
-    compose_scene,
-    generate_dataset,
-    synth_muzzle_blast,
-    synth_shockwave,
-    synth_shot,
-)

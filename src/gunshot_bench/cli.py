@@ -9,12 +9,14 @@ clip) only while fitting the codebook or computing a clip. `generate`
 moves its dataset into place only once every clip is written, so a failed
 run leaves none behind.
 
-Exit codes: 0 ok, 2 usage error (including data the command cannot use),
-3 I/O failure (including a corrupt checkpoint or a model directory that
-cannot be used), 4 numeric failure. Each error class carries its code (see
-`errors`). A file that does not parse, or lacks a key the command needs or
-holds it with the wrong type (a manifest line, a split, `index.json`,
-`model.meta.json`, a WAV), exits 3.
+Exit codes: 0 ok, 2 usage error (including data the command cannot use,
+such as a manifest row whose detection_label is neither gunshot nor
+no_gunshot, or a split that names a clip the manifest lacks or lists one
+clip twice, in one list or across two), 3 I/O failure (including a corrupt
+checkpoint or a model directory that cannot be used), 4 numeric failure.
+Each error class carries its code (see `errors`). A file that does not
+parse, or lacks a key the command needs or holds it with the wrong type (a
+manifest line, a split, `index.json`, `model.meta.json`, a WAV), exits 3.
 """
 
 import argparse
@@ -238,8 +240,18 @@ def _labels_for(rows):
 
 
 def _split_rows(rows, split):
+    """The (train, val, test) rows of `split`; InvalidParam naming the first
+    id that no row has or that the split lists twice, so no clip reaches
+    two subsets."""
     by_id = {r.id: r for r in rows}
-    pick = lambda ids: [by_id[i] for i in ids if i in by_id]
+    seen = set()
+    for i in split.train_ids + split.val_ids + split.test_ids:
+        if not isinstance(i, str) or i not in by_id:
+            raise InvalidParam(f"split names clip {i!r}, which the manifest lacks")
+        if i in seen:
+            raise InvalidParam(f"split lists clip {i!r} twice")
+        seen.add(i)
+    pick = lambda ids: [by_id[i] for i in ids]
     return pick(split.train_ids), pick(split.val_ids), pick(split.test_ids)
 
 

@@ -68,20 +68,16 @@ def hann_window(n):
     return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
 
 
-def frame_count(n_samples, win=WIN_SAMPLES, hop=HOP_SAMPLES):
-    if n_samples < win:
-        raise TooShort(f"need at least {win} samples, got {n_samples}")
-    return 1 + (n_samples - win) // hop
-
-
-def stft(clip, win=WIN_SAMPLES, hop=HOP_SAMPLES):
-    """Hann-windowed one-sided spectrum, complex [T, win//2 + 1]."""
+def stft(clip):
+    """Hann-windowed one-sided spectrum, complex [T, WIN_SAMPLES//2 + 1], of
+    the T = 1 + (n - WIN_SAMPLES) // HOP_SAMPLES frames of an n-sample clip."""
     x = np.asarray(clip.samples if isinstance(clip, AudioClip) else clip, dtype=np.float64)
     if x.ndim != 1:
         raise UnsupportedFormat("stft expects a mono clip")
-    t = frame_count(len(x), win, hop)
-    frames = np.lib.stride_tricks.sliding_window_view(x, win)[::hop][:t]
-    return np.fft.rfft(frames * hann_window(win))
+    if len(x) < WIN_SAMPLES:
+        raise TooShort(f"need at least {WIN_SAMPLES} samples, got {len(x)}")
+    frames = np.lib.stride_tricks.sliding_window_view(x, WIN_SAMPLES)[::HOP_SAMPLES]
+    return np.fft.rfft(frames * hann_window(WIN_SAMPLES))
 
 
 # ---------------------------------------------------------------------------
@@ -98,11 +94,7 @@ def mel_to_hz(m):
 
 @dataclass
 class MelFilterbank:
-    n_mels: int
-    n_fft: int
     weights: np.ndarray       # [n_mels, n_fft//2 + 1]
-    f_min: float
-    f_max: float
     center_freqs: np.ndarray  # [n_mels] triangle peaks in Hz
 
 
@@ -126,7 +118,7 @@ def build_mel_filterbank(n_mels=N_MELS, n_fft=WIN_SAMPLES, f_min=0.0, f_max=SAMP
     fall = (hi - bins[None, :]) / (hi - ctr)
     weights = np.maximum(0.0, np.minimum(rise, fall))
     weights *= 2.0 / (hi - lo)
-    return MelFilterbank(n_mels, n_fft, weights, float(f_min), float(f_max), pts[1:-1].copy())
+    return MelFilterbank(weights, pts[1:-1].copy())
 
 
 @functools.lru_cache(maxsize=1)
@@ -144,14 +136,14 @@ class MelSpectrogram:
     frame_rate: float         # frames per second
 
 
-def mel_spectrogram(clip, bank=None):
-    """Log-scaled mel spectrogram: power spectrum x filterbank, then log(x + eps)."""
+def mel_spectrogram(clip):
+    """Log-scaled mel spectrogram: power spectrum x the default filterbank,
+    then log(x + eps)."""
     if isinstance(clip, AudioClip) and clip.sample_rate != SAMPLE_RATE:
         raise InvalidParam(f"expected a {SAMPLE_RATE} Hz clip, got {clip.sample_rate}")
-    bank = bank or default_filterbank()
-    spec = stft(clip, win=bank.n_fft, hop=HOP_SAMPLES)
+    spec = stft(clip)
     power = spec.real**2 + spec.imag**2
-    mel = power @ bank.weights.T
+    mel = power @ default_filterbank().weights.T
     return MelSpectrogram(np.log(mel + LOG_EPS), SAMPLE_RATE / HOP_SAMPLES)
 
 
@@ -250,7 +242,7 @@ def boaw_encode(mel, codebook):
         )
     assign = _pairwise_sq_dists(frames, codebook.centroids).argmin(axis=1)
     hist = np.bincount(assign, minlength=codebook.k).astype(np.float64)
-    return FeatureVector(hist / len(frames), "boaw")
+    return FeatureVector(hist / len(frames))
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +252,6 @@ def boaw_encode(mel, codebook):
 @dataclass
 class FeatureVector:
     values: np.ndarray
-    kind: str  # melstats | boaw | autocorr
 
 
 def mel_stats(mel):
@@ -268,9 +259,7 @@ def mel_stats(mel):
     frames = mel.frames if isinstance(mel, MelSpectrogram) else np.asarray(mel, dtype=np.float64)
     if frames.ndim != 2 or frames.shape[0] < 1:
         raise DimensionMismatch("expected a nonempty [T, n_mels] spectrogram")
-    return FeatureVector(
-        np.concatenate([frames.mean(axis=0), frames.std(axis=0)]), "melstats"
-    )
+    return FeatureVector(np.concatenate([frames.mean(axis=0), frames.std(axis=0)]))
 
 
 # ---------------------------------------------------------------------------
@@ -339,9 +328,7 @@ def normalize_input(clip):
         raise UnsupportedFormat("samples must be [n] or [n, 2]")
     if clip.sample_rate != SAMPLE_RATE:
         x = resample(x, clip.sample_rate, SAMPLE_RATE)
-    meta = dict(clip.meta)
-    meta.update(normalized=True, source_rate=clip.sample_rate)
-    return AudioClip(quantize16(x), SAMPLE_RATE, meta)
+    return AudioClip(quantize16(x), SAMPLE_RATE, clip.meta)
 
 
 # ---------------------------------------------------------------------------

@@ -99,8 +99,9 @@ def write_manifest(path, rows):
 
 def load_manifest(path, check_paths=True):
     """Load and validate a manifest: each line an object with a row's keys
-    (else MalformedFile), unique ids, class present iff gunshot, and
-    (optionally) every referenced audio file on disk (else InvalidParam)."""
+    (else MalformedFile), unique ids, a detection_label of gunshot or
+    no_gunshot, class present iff gunshot, and (optionally) every referenced
+    audio file on disk (else InvalidParam)."""
     path = Path(path)
     rows = []
     with open(path, encoding="utf-8") as f:
@@ -114,6 +115,9 @@ def load_manifest(path, check_paths=True):
         raise InvalidParam(f"duplicate ids in manifest {path}")
     base = path.parent
     for r in rows:
+        if r.detection_label not in (GUNSHOT, NO_GUNSHOT):
+            raise InvalidParam(f"manifest row {r.id}: detection_label "
+                               f"{r.detection_label!r} is neither {GUNSHOT} nor {NO_GUNSHOT}")
         is_shot = r.detection_label == GUNSHOT
         if is_shot != (r.class_name is not None):
             raise InvalidParam(f"manifest row {r.id}: class must be present iff gunshot")

@@ -8,10 +8,15 @@ noise at a target SNR. `synth_clip` is the recipe for one dataset clip, a
 shot scene or a background scene, and `generate_dataset` applies it to every
 clip of a class mix. Generation is a pure function of (arguments, seed):
 every clip derives its own RNG stream from (seed, clip index).
+
+Everything here works at SAMPLE_RATE on plain float64 sample arrays: the
+pulse and shot synthesizers return one, `compose_scene` mixes
+(onset seconds, samples) events into one, and `generate_dataset` writes
+them as WAVs. `AudioClip` is the container of a clip read from disk, at its
+own rate, for the features in `dsp`.
 """
 
 from dataclasses import dataclass, field
-from enum import Enum
 from pathlib import Path
 
 import numpy as np
@@ -29,20 +34,7 @@ SPL_REFERENCE_DB = 165.0
 THUMP_FREQ_RANGE = (30.0, 80.0)
 CLICK_FREQ_RANGE = (4000.0, 12000.0)
 
-
-class ShockwaveRate(Enum):
-    NO = "no"
-    RARE = "rare"
-    VARIABLE = "variable"
-    COMMON = "common"
-
-
-SHOCKWAVE_PROB = {
-    ShockwaveRate.NO: 0.0,
-    ShockwaveRate.RARE: 0.1,
-    ShockwaveRate.VARIABLE: 0.5,
-    ShockwaveRate.COMMON: 0.9,
-}
+BANDPASS_Q = 2.5    # quality factor of the band shaping of every impulse
 
 
 @dataclass(frozen=True)
@@ -57,10 +49,10 @@ class FirearmClassSpec:
     peak_freq_range: tuple    # Hz
     blast_duration_range: tuple  # ms
     spl_at_1m_range: tuple    # dB
-    shockwave: ShockwaveRate
+    shockwave_prob: float     # chance that a shot is supersonic
     burst: BurstSpec | None = None
 
-    def validate(self):
+    def __post_init__(self):
         for name, (lo, hi) in (
             ("peak_freq_range", self.peak_freq_range),
             ("blast_duration_range", self.blast_duration_range),
@@ -70,12 +62,13 @@ class FirearmClassSpec:
                 raise InvalidParam(f"{self.firearm.value}: bad {name} ({lo}, {hi})")
         if self.peak_freq_range[1] >= SAMPLE_RATE / 2:
             raise InvalidParam(f"{self.firearm.value}: peak frequency at/above Nyquist")
+        if not 0.0 <= self.shockwave_prob <= 1.0:
+            raise InvalidParam(f"{self.firearm.value}: shockwave_prob outside [0, 1]")
         if self.burst is not None:
             lo, hi = self.burst.rate_hz_range
             clo, chi = self.burst.count_range
             if not (0 < lo < hi) or not (1 <= clo <= chi):
                 raise InvalidParam(f"{self.firearm.value}: bad burst spec")
-        return self
 
 
 # Typical acoustic characteristics per firearm category: spectral peak band,
@@ -83,19 +76,19 @@ class FirearmClassSpec:
 DEFAULT_CLASS_SPECS = {
     FirearmClass.RIFLE: FirearmClassSpec(
         FirearmClass.RIFLE, (200.0, 1500.0), (5.0, 8.0), (167.0, 171.0),
-        ShockwaveRate.COMMON),
+        0.9),
     FirearmClass.SUBMACHINE_GUN: FirearmClassSpec(
         FirearmClass.SUBMACHINE_GUN, (400.0, 2200.0), (3.0, 4.0), (160.0, 166.0),
-        ShockwaveRate.VARIABLE, BurstSpec((12.0, 15.0), (3, 8))),
+        0.5, BurstSpec((12.0, 15.0), (3, 8))),
     FirearmClass.HANDGUN_PISTOL: FirearmClassSpec(
         FirearmClass.HANDGUN_PISTOL, (500.0, 2000.0), (3.0, 5.0), (159.0, 164.0),
-        ShockwaveRate.RARE),
+        0.1),
     FirearmClass.MACHINE_GUN: FirearmClassSpec(
         FirearmClass.MACHINE_GUN, (300.0, 1800.0), (3.0, 5.0), (165.0, 170.0),
-        ShockwaveRate.COMMON, BurstSpec((10.0, 12.0), (8, 15))),
+        0.9, BurstSpec((10.0, 12.0), (8, 15))),
     FirearmClass.SHOTGUN: FirearmClassSpec(
         FirearmClass.SHOTGUN, (100.0, 800.0), (8.0, 12.0), (161.0, 165.0),
-        ShockwaveRate.NO),
+        0.0),
 }
 
 # Reference recording-count mix used by the "paper-ratio" dataset preset.
@@ -114,18 +107,10 @@ def spl_to_amplitude(spl_db):
 
 @dataclass
 class AudioClip:
+    """A recorded clip: samples, [n] or [n, channels], at its own rate."""
     samples: np.ndarray
     sample_rate: int = SAMPLE_RATE
     meta: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=np.float64)
-        if not np.isfinite(self.samples).all():
-            raise InvalidParam("clip contains non-finite samples")
-
-    @property
-    def duration_s(self):
-        return len(self.samples) / self.sample_rate
 
 
 @dataclass
@@ -137,40 +122,36 @@ class ShotEvent:
     amplitude: float          # linear
     has_shockwave: bool
     shockwave_duration_us: float | None = None
-
-
-@dataclass
-class ReverbConfig:
-    delay_ms: float = 0.0
-    decay: float = 0.0        # per-tap geometric factor, in [0, 1)
-    taps: int = 0
+    burst_count: int = 1
+    burst_rate_hz: float | None = None    # shots per second; None for one shot
 
 
 @dataclass
 class SceneConfig:
     duration_s: float
     snr_db: float = 40.0
-    reverb: ReverbConfig = field(default_factory=ReverbConfig)
+    reverb_delay_ms: float = 0.0
+    reverb_decay: float = 0.0     # per-tap geometric factor, in [0, 1)
+    reverb_taps: int = 0
     distance_m: float = 1.0
 
-    def validate(self):
+    def __post_init__(self):
         if self.duration_s <= 0:
             raise InvalidParam("scene duration must be positive")
-        if not 0.0 <= self.reverb.decay < 1.0:
+        if not 0.0 <= self.reverb_decay < 1.0:
             raise InvalidParam("reverb decay must lie in [0, 1)")
         if self.distance_m < 1.0:
             raise InvalidParam("distance must be >= 1 m")
-        return self
 
 
 # ---------------------------------------------------------------------------
 # waveform primitives
 # ---------------------------------------------------------------------------
 
-def _biquad_bandpass(x, center_hz, q, sample_rate):
+def _biquad_bandpass(x, center_hz):
     """Second-order IIR bandpass (direct form I), peak at center_hz."""
-    w0 = 2.0 * np.pi * center_hz / sample_rate
-    alpha = np.sin(w0) / (2.0 * q)
+    w0 = 2.0 * np.pi * center_hz / SAMPLE_RATE
+    alpha = np.sin(w0) / (2.0 * BANDPASS_Q)
     a0 = 1.0 + alpha
     b0, b1, b2 = alpha / a0, 0.0, -alpha / a0
     a1, a2 = -2.0 * np.cos(w0) / a0, (1.0 - alpha) / a0
@@ -184,74 +165,65 @@ def _biquad_bandpass(x, center_hz, q, sample_rate):
     return y
 
 
-def _impulse(peak_freq, duration_ms, amplitude, sample_rate, q=2.5):
+def _impulse(peak_freq, duration_ms, amplitude):
     """Band-shaped Friedlander pulse; shared by muzzle blasts and distractors."""
     duration_s = duration_ms / 1000.0
-    n = int(np.ceil(duration_s * sample_rate))
+    n = int(np.ceil(duration_s * SAMPLE_RATE))
     if amplitude == 0.0:
         return np.zeros(n)
-    t = np.arange(n) / sample_rate
+    t = np.arange(n) / SAMPLE_RATE
     t0 = duration_s / 4.0    # positive phase; the tail decays within the clip
     pulse = (1.0 - t / t0) * np.exp(-t / t0)
-    shaped = _biquad_bandpass(pulse, peak_freq, q, sample_rate)
+    shaped = _biquad_bandpass(pulse, peak_freq)
     peak = np.abs(shaped).max()
     if peak > 0:
         shaped *= amplitude / peak
     return shaped
 
 
-def synth_muzzle_blast(peak_freq, duration_ms, amplitude, sample_rate=SAMPLE_RATE):
+def synth_muzzle_blast(peak_freq, duration_ms, amplitude):
     """Muzzle blast: instant rise, exponential decay crossing zero once,
     band-shaped so the spectral peak lands within 1/3 octave of peak_freq.
-    The result has max |sample| = amplitude and length ceil(duration * rate)."""
+    The samples have max |sample| = amplitude and length ceil(duration * rate)."""
     if duration_ms <= 0 or duration_ms > 20.0:
         raise InvalidParam(f"blast duration must be in (0, 20] ms, got {duration_ms}")
     if amplitude < 0:
         raise InvalidParam("amplitude must be >= 0")
-    if not 0 < peak_freq < sample_rate / 2:
+    if not 0 < peak_freq < SAMPLE_RATE / 2:
         raise InvalidParam(f"peak frequency {peak_freq} outside (0, Nyquist)")
-    samples = _impulse(peak_freq, duration_ms, amplitude, sample_rate)
-    return AudioClip(samples, sample_rate, {
-        "kind": "muzzle_blast", "peak_freq": peak_freq,
-        "duration_ms": duration_ms, "amplitude": amplitude,
-    })
+    return _impulse(peak_freq, duration_ms, amplitude)
 
 
-def synth_shockwave(duration_us, amplitude, sample_rate=SAMPLE_RATE):
+def synth_shockwave(duration_us, amplitude):
     """Ballistic N-wave: linear up-ramp, sign flip, linear return; zero mean."""
     if not 100.0 <= duration_us <= 1000.0:
         raise InvalidParam(f"shockwave duration must be in [100, 1000] us, got {duration_us}")
     if amplitude < 0:
         raise InvalidParam("amplitude must be >= 0")
-    n = max(2, int(round(duration_us * 1e-6 * sample_rate)))
+    n = max(2, int(round(duration_us * 1e-6 * SAMPLE_RATE)))
     if amplitude == 0.0:
-        samples = np.zeros(n)
-    else:
-        u = (np.arange(n) + 0.5) / n
-        v = np.where(u < 0.5, 2.0 * u, np.where(u > 0.5, 2.0 * u - 2.0, 0.0))
-        v -= v.mean()
-        samples = amplitude * v
-    return AudioClip(samples, sample_rate, {
-        "kind": "shockwave", "duration_us": duration_us, "amplitude": amplitude,
-    })
+        return np.zeros(n)
+    u = (np.arange(n) + 0.5) / n
+    v = np.where(u < 0.5, 2.0 * u, np.where(u > 0.5, 2.0 * u - 2.0, 0.0))
+    v -= v.mean()
+    return amplitude * v
 
 
 # ---------------------------------------------------------------------------
 # shots and scenes
 # ---------------------------------------------------------------------------
 
-def synth_shot(spec, rng, sample_rate=SAMPLE_RATE):
+def synth_shot(spec, rng):
     """Sample one trigger pull from a class spec.
 
-    Returns (ShotEvent, AudioClip). Burst classes place count shots at
+    Returns (ShotEvent, samples). Burst classes place count shots at
     1/rate spacing with +-10% inter-onset jitter; each supersonic shot is
     preceded by its shockwave 0.2-1.0 ms before the blast."""
-    spec.validate()
     peak_freq = float(rng.uniform(*spec.peak_freq_range))
     duration_ms = float(rng.uniform(*spec.blast_duration_range))
     spl = float(rng.uniform(*spec.spl_at_1m_range))
     amplitude = spl_to_amplitude(spl)
-    has_shock = bool(rng.random() < SHOCKWAVE_PROB[spec.shockwave])
+    has_shock = bool(rng.random() < spec.shockwave_prob)
     shock_dur_us = float(rng.uniform(200.0, 400.0)) if has_shock else None
     lead_s = float(rng.uniform(0.2e-3, 1.0e-3)) if has_shock else 0.0
     shock_amp = amplitude * float(rng.uniform(0.3, 0.9)) if has_shock else 0.0
@@ -266,15 +238,14 @@ def synth_shot(spec, rng, sample_rate=SAMPLE_RATE):
         count, rate = 1, None
         onsets_s = np.zeros(1)
 
-    blast = synth_muzzle_blast(peak_freq, duration_ms, amplitude, sample_rate).samples
-    lead_n = int(round(lead_s * sample_rate))
-    shock = (synth_shockwave(shock_dur_us, shock_amp, sample_rate).samples
-             if has_shock else np.zeros(0))
+    blast = synth_muzzle_blast(peak_freq, duration_ms, amplitude)
+    lead_n = int(round(lead_s * SAMPLE_RATE))
+    shock = synth_shockwave(shock_dur_us, shock_amp) if has_shock else np.zeros(0)
 
-    total = int(round(onsets_s[-1] * sample_rate)) + lead_n + len(blast)
+    total = int(round(onsets_s[-1] * SAMPLE_RATE)) + lead_n + len(blast)
     out = np.zeros(total)
     for onset_s in onsets_s:
-        i0 = int(round(onset_s * sample_rate))
+        i0 = int(round(onset_s * SAMPLE_RATE))
         if has_shock:
             out[i0 : i0 + len(shock)] += shock
         out[i0 + lead_n : i0 + lead_n + len(blast)] += blast
@@ -283,46 +254,43 @@ def synth_shot(spec, rng, sample_rate=SAMPLE_RATE):
         onset=lead_s, firearm=spec.firearm, peak_freq=peak_freq,
         blast_duration_ms=duration_ms, amplitude=amplitude,
         has_shockwave=has_shock, shockwave_duration_us=shock_dur_us,
+        burst_count=count, burst_rate_hz=rate,
     )
-    clip = AudioClip(out, sample_rate, {
-        "kind": "shot", "firearm": spec.firearm.value, "burst_count": count,
-        "burst_rate_hz": rate, "peak_freq": peak_freq,
-    })
-    return event, clip
+    return event, out
 
 
 def compose_scene(events, config, rng):
-    """Mix (onset, clip) events into a scene.
+    """Mix (onset seconds, samples) events into a scene's samples.
 
     Pipeline: sum at onsets -> 1/distance scaling -> feed-forward comb reverb
     (taps at multiples of delay with geometric decay) -> white noise sized so
     event RMS over the active region sits snr_db above the noise RMS. With no
     events the SNR reference is full scale (RMS 1.0). The mix is peak-scaled
-    to 0.99 only if it would clip."""
-    config.validate()
+    to 0.99 only if it would clip. Samples that are not finite raise
+    InvalidParam."""
     sr = SAMPLE_RATE
     n = int(round(config.duration_s * sr))
     mix = np.zeros(n)
-    for onset_s, clip in events:
+    for onset_s, samples in events:
         i0 = int(round(onset_s * sr))
-        if i0 < 0 or i0 + len(clip.samples) > n:
+        if i0 < 0 or i0 + len(samples) > n:
             raise SceneOverflow(
-                f"event at {onset_s:.3f}s (+{clip.duration_s:.3f}s) exceeds "
+                f"event at {onset_s:.3f}s (+{len(samples) / sr:.3f}s) exceeds "
                 f"{config.duration_s:.3f}s scene")
-        mix[i0 : i0 + len(clip.samples)] += clip.samples
+        mix[i0 : i0 + len(samples)] += samples
 
     mix /= config.distance_m
 
-    rv = config.reverb
-    if rv.taps > 0 and rv.delay_ms > 0 and rv.decay > 0:
-        d = int(round(rv.delay_ms * sr / 1000.0))
+    taps, decay = config.reverb_taps, config.reverb_decay
+    if taps > 0 and config.reverb_delay_ms > 0 and decay > 0:
+        d = int(round(config.reverb_delay_ms * sr / 1000.0))
         if d > 0:
             wet = mix.copy()
-            for k in range(1, rv.taps + 1):
+            for k in range(1, taps + 1):
                 shift = k * d
                 if shift >= n:
                     break
-                wet[shift:] += (rv.decay ** k) * mix[: n - shift]
+                wet[shift:] += (decay ** k) * mix[: n - shift]
             mix = wet
 
     if events:
@@ -337,8 +305,9 @@ def compose_scene(events, config, rng):
     peak = np.abs(out).max()
     if peak > 0.99:
         out = out * (0.99 / peak)
-    return AudioClip(out, sr, {"kind": "scene", "snr_db": config.snr_db,
-                               "distance_m": config.distance_m})
+    if not np.isfinite(out).all():
+        raise InvalidParam("scene contains non-finite samples")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -359,14 +328,14 @@ def reference_counts(scale):
 
 def _sample_scene_config(rng, duration_s, clean):
     if clean:
-        return SceneConfig(duration_s, snr_db=float(rng.uniform(30.0, 50.0)),
-                           reverb=ReverbConfig(), distance_m=1.0)
+        return SceneConfig(duration_s, snr_db=float(rng.uniform(30.0, 50.0)))
+    # keyword arguments evaluate left to right: snr, delay, decay, taps, distance
     return SceneConfig(
         duration_s,
         snr_db=float(rng.uniform(0.0, 15.0)),
-        reverb=ReverbConfig(delay_ms=float(rng.uniform(20.0, 80.0)),
-                            decay=float(rng.uniform(0.2, 0.6)),
-                            taps=int(rng.integers(2, 7))),
+        reverb_delay_ms=float(rng.uniform(20.0, 80.0)),
+        reverb_decay=float(rng.uniform(0.2, 0.6)),
+        reverb_taps=int(rng.integers(2, 7)),
         distance_m=float(rng.uniform(1.0, 50.0)),
     )
 
@@ -377,7 +346,7 @@ def _sample_onset(rng, duration_s, event_len_s):
     return float(rng.uniform(lo, hi)) if hi > lo else lo
 
 
-def _distractor(rng, sample_rate):
+def _distractor(rng):
     """Door-slam-like or click-like impulse with an out-of-band spectrum."""
     if rng.random() < 0.5:
         freq = float(rng.uniform(*THUMP_FREQ_RANGE))
@@ -386,25 +355,25 @@ def _distractor(rng, sample_rate):
         freq = float(rng.uniform(*CLICK_FREQ_RANGE))
         dur_ms = float(rng.uniform(1.0, 5.0))
     amp = float(rng.uniform(0.2, 0.8))
-    return AudioClip(_impulse(freq, dur_ms, amp, sample_rate), sample_rate,
-                     {"kind": "distractor", "peak_freq": freq})
+    return _impulse(freq, dur_ms, amp)
 
 
 def synth_clip(firearm, rng, duration_s, clean):
-    """One dataset clip: a scene around one trigger pull of `firearm`, or,
-    for firearm=None, a background scene of noise alone or noise and one
-    out-of-band impulse distractor. The clip is a pure function of the
-    arguments and the state of rng, which it draws from in a fixed order."""
+    """One dataset clip's samples: a scene around one trigger pull of
+    `firearm`, or, for firearm=None, a background scene of noise alone or
+    noise and one out-of-band impulse distractor. The clip is a pure function
+    of the arguments and the state of rng, which it draws from in a fixed
+    order."""
     if firearm is not None:
         _, shot = synth_shot(DEFAULT_CLASS_SPECS[firearm], rng)
         cfg = _sample_scene_config(rng, duration_s, clean)
-        events = [(_sample_onset(rng, duration_s, shot.duration_s), shot)]
+        events = [(_sample_onset(rng, duration_s, len(shot) / SAMPLE_RATE), shot)]
     else:
         cfg = _sample_scene_config(rng, duration_s, clean)
         events = []
         if rng.random() < 2.0 / 3.0:    # impulse distractor; else pure noise
-            clip = _distractor(rng, SAMPLE_RATE)
-            events = [(_sample_onset(rng, duration_s, clip.duration_s), clip)]
+            impulse = _distractor(rng)
+            events = [(_sample_onset(rng, duration_s, len(impulse) / SAMPLE_RATE), impulse)]
     return compose_scene(events, cfg, rng)
 
 
@@ -432,7 +401,7 @@ def generate_dataset(class_counts, negatives, clean, out_dir, seed, duration_s=2
         class_name = None if fc is None else fc.value
         clip_id = f"{idx:05d}_{class_name or 'background'}"
         rel = f"wav/{clip_id}.wav"
-        write_wav(out_dir / rel, scene.samples, SAMPLE_RATE)
+        write_wav(out_dir / rel, scene, SAMPLE_RATE)
         rows.append(ManifestRow(clip_id, rel, NO_GUNSHOT if fc is None else GUNSHOT,
                                 class_name, duration_s, bool(clean), int(seed)))
     write_manifest(out_dir / "manifest.jsonl", rows)

@@ -1,6 +1,6 @@
 """Shared test utilities: finite-difference gradient checking, inputs safe
-for it, and detection F1. A test that needs a labeled clip calls
-`synthgun.synth_clip`, the recipe `generate_dataset` writes each clip with."""
+for it, and detection F1. Tests that need labeled clips write a dataset with
+`gsb generate` (`cli.main`) or `synthgun.generate_dataset`."""
 
 import numpy as np
 

@@ -480,6 +480,20 @@ def _with_split(text):
     return lambda d: _train_argv(d, "--split", _put(d["tmp"] / "split.json", text))
 
 
+def _with_split_ids(edit, command="train"):
+    """train, or evaluate the melstats SVM, with the split that its training
+    wrote, the id lists changed by `edit`"""
+    def argv(d):
+        split = json.loads((d["trained"] / "svm" / "split.json").read_text())
+        edit(split)
+        path = _put(d["tmp"] / "split.json", json.dumps(split))
+        if command == "train":
+            return _train_argv(d, "--split", path)
+        return ["evaluate", "--checkpoint", d["trained"] / "svm", "--manifest", d["manifest"],
+                "--features", _features(d, "svm"), "--out", d["tmp"] / "eval", "--split", path]
+    return argv
+
+
 def _featurize_manifest(text):
     return lambda d: ["featurize", "--manifest", _put(d["tmp"] / "manifest.jsonl", text),
                       "--kind", "melstats", "--out", d["tmp"] / "feats"]
@@ -532,13 +546,26 @@ def _boaw_with_first_wav(damage):
      cli.EXIT_IO, "I/O failure:"),
     (_evaluate_meta("cnn", lambda m: m.update(input_frames="x")), cli.EXIT_IO, "I/O failure:"),
     (_evaluate_meta("svm", lambda m: m.update(feature_kind=3)), cli.EXIT_IO, "I/O failure:"),
+    (_with_split_ids(lambda s: s["train_ids"].extend(s["test_ids"])),
+     cli.EXIT_USAGE, "error:"),
+    (_with_split_ids(lambda s: s["train_ids"].append("nope")), cli.EXIT_USAGE, "error:"),
+    (_with_split_ids(lambda s: s["val_ids"].append(s["val_ids"][0])),
+     cli.EXIT_USAGE, "error:"),
+    (_with_split_ids(lambda s: s["test_ids"].extend(s["train_ids"]), "evaluate"),
+     cli.EXIT_USAGE, "error:"),
+    (_featurize_manifest('{"id": "x", "path": "x.wav", "detection_label": "maybe", '
+                         '"duration_s": 2.0, "clean": true, "seed": 0}\n'),
+     cli.EXIT_USAGE, "error:"),
 ], ids=["split-not-json", "split-without-val_ids", "manifest-line-not-json",
         "manifest-line-without-path", "svm-meta-without-feature_kind",
         "cnn-meta-without-input_frames", "index-not-json", "index-not-an-object",
         "index-without-kind", "cnn-input-frames-below-the-pools", "boaw-truncated-wav",
         "boaw-24-bit-wav", "svm-empty-train-split", "split-train_ids-not-a-list",
         "manifest-duration_s-not-a-number", "cnn-meta-input_frames-not-an-int",
-        "svm-meta-feature_kind-not-a-string"])
+        "svm-meta-feature_kind-not-a-string", "split-test-ids-also-in-train",
+        "split-names-an-unknown-clip", "split-lists-a-clip-twice",
+        "evaluate-split-train-ids-also-in-test",
+        "manifest-detection_label-unknown"])
 def test_unusable_input_exits_with_its_code_and_one_line(small_data, trained_models, tiny_data,
                                                          tmp_path, capsys, make_argv, code, label):
     manifest, root = small_data

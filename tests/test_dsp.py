@@ -140,9 +140,9 @@ class TestMelSpectrogram:
         np.testing.assert_allclose((b - a)[strong], np.log(4.0), atol=1e-6)
 
     def test_shotgun_band_energy(self):
-        clip = synth_muzzle_blast(500.0, 10.0, 0.8)
-        padded = AudioClip(np.concatenate([np.zeros(256), clip.samples,
-                                           np.zeros(2048 - 256 - len(clip.samples))]))
+        blast = synth_muzzle_blast(500.0, 10.0, 0.8)
+        padded = AudioClip(np.concatenate([np.zeros(256), blast,
+                                           np.zeros(2048 - 256 - len(blast))]))
         mel = dsp.mel_spectrogram(padded)
         bank = dsp.default_filterbank()
         frame = mel.frames[np.unravel_index(mel.frames.argmax(), mel.frames.shape)[0]]

@@ -1,6 +1,7 @@
 """Manifest contracts: rows round-trip through their dict and JSON-line
-forms, and load_manifest refuses duplicate ids, a class without a gunshot
-label (or the reverse), unknown classes and a field of the wrong type."""
+forms, and load_manifest refuses duplicate ids, a detection label other
+than gunshot or no_gunshot, a class without a gunshot label (or the
+reverse), unknown classes and a field of the wrong type."""
 
 import json
 
@@ -80,6 +81,16 @@ def test_unknown_class_rejected(tmp_path, manifest_rows, data, name):
     bad.update(detection_label=GUNSHOT, **{"class": name})
     path = _write(tmp_path / "manifest.jsonl", dicts)
     with pytest.raises(InvalidParam, match="unknown class"):
+        load_manifest(path, check_paths=False)
+
+
+@pytest.mark.parametrize("label,class_name", [("maybe", None), ("maybe", CLASS_NAMES[0]),
+                                              ("Gunshot", CLASS_NAMES[0]), ("", None)])
+def test_unknown_detection_label_rejected(tmp_path, label, class_name):
+    ok = ManifestRow("a", "wav/a.wav", NO_GUNSHOT, None, 2.0, True, 0).to_dict()
+    bad = {**ok, "id": "b", "detection_label": label, "class": class_name}
+    path = _write(tmp_path / "manifest.jsonl", [ok, bad])
+    with pytest.raises(InvalidParam, match=f"row b: detection_label '{label}'"):
         load_manifest(path, check_paths=False)
 
 

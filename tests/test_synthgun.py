@@ -1,6 +1,8 @@
 """Synthesizer contracts: pulse shapes, class-conditional sampling,
 scene composition, and dataset generation determinism."""
 
+import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -19,23 +21,23 @@ def spectral_peak_hz(samples, nfft=16384, rate=44100):
 
 class TestMuzzleBlast:
     def test_4ms_pulse_length_and_peak(self):
-        clip = sg.synth_muzzle_blast(1000.0, 4.0, 1.0, 44100)
-        assert len(clip.samples) == 177
-        peak = spectral_peak_hz(clip.samples)
+        x = sg.synth_muzzle_blast(1000.0, 4.0, 1.0)
+        assert len(x) == 177
+        peak = spectral_peak_hz(x)
         assert 794.0 <= peak <= 1260.0   # within 1/3 octave of 1 kHz
 
     def test_zero_amplitude(self):
-        clip = sg.synth_muzzle_blast(800.0, 5.0, 0.0, 44100)
-        assert len(clip.samples) == int(np.ceil(0.005 * 44100))
-        np.testing.assert_array_equal(clip.samples, 0.0)
+        x = sg.synth_muzzle_blast(800.0, 5.0, 0.0)
+        assert len(x) == int(np.ceil(0.005 * 44100))
+        np.testing.assert_array_equal(x, 0.0)
 
     def test_shotgun_band(self):
-        clip = sg.synth_muzzle_blast(500.0, 10.0, 0.5, 44100)
-        assert 100.0 <= spectral_peak_hz(clip.samples) <= 800.0
+        x = sg.synth_muzzle_blast(500.0, 10.0, 0.5)
+        assert 100.0 <= spectral_peak_hz(x) <= 800.0
 
     def test_max_sample_equals_amplitude(self):
-        clip = sg.synth_muzzle_blast(1200.0, 4.0, 0.37, 44100)
-        np.testing.assert_allclose(np.abs(clip.samples).max(), 0.37, atol=1e-12)
+        x = sg.synth_muzzle_blast(1200.0, 4.0, 0.37)
+        np.testing.assert_allclose(np.abs(x).max(), 0.37, atol=1e-12)
 
     @pytest.mark.parametrize("freq,dur,amp", [
         (1000.0, 0.0, 1.0), (1000.0, -1.0, 1.0), (1000.0, 25.0, 1.0),
@@ -43,26 +45,24 @@ class TestMuzzleBlast:
     ])
     def test_invalid_params(self, freq, dur, amp):
         with pytest.raises(InvalidParam):
-            sg.synth_muzzle_blast(freq, dur, amp, 44100)
+            sg.synth_muzzle_blast(freq, dur, amp)
 
 
 class TestShockwave:
     def test_300us_n_wave(self):
-        clip = sg.synth_shockwave(300.0, 1.0, 44100)
-        assert len(clip.samples) == 13
-        assert abs(clip.samples.mean()) < 1e-6
+        x = sg.synth_shockwave(300.0, 1.0)
+        assert len(x) == 13
+        assert abs(x.mean()) < 1e-6
 
     def test_zero_amplitude(self):
-        clip = sg.synth_shockwave(300.0, 0.0, 44100)
-        np.testing.assert_array_equal(clip.samples, 0.0)
+        x = sg.synth_shockwave(300.0, 0.0)
+        np.testing.assert_array_equal(x, 0.0)
 
     def test_200us_lower_bound(self):
-        clip = sg.synth_shockwave(200.0, 1.0, 44100)
-        assert len(clip.samples) in (8, 9)
+        assert len(sg.synth_shockwave(200.0, 1.0)) in (8, 9)
 
     def test_shape_ramps_and_flips(self):
-        clip = sg.synth_shockwave(1000.0, 1.0, 44100)   # 44 samples, clear shape
-        x = clip.samples
+        x = sg.synth_shockwave(1000.0, 1.0)   # 44 samples, clear shape
         n = len(x)
         first, second = x[: n // 2 - 1], x[n // 2 + 1 :]
         assert np.all(np.diff(first) > 0) and np.all(np.diff(second) > 0)
@@ -71,7 +71,7 @@ class TestShockwave:
     @pytest.mark.parametrize("dur", [50.0, 99.0, 1001.0, 5000.0])
     def test_invalid_duration(self, dur):
         with pytest.raises(InvalidParam):
-            sg.synth_shockwave(dur, 1.0, 44100)
+            sg.synth_shockwave(dur, 1.0)
 
 
 def _count_pulses(samples, thresh_ratio=0.35):
@@ -105,15 +105,15 @@ class TestSynthShot:
 
     def test_machine_gun_burst_spacing(self):
         spec = sg.DEFAULT_CLASS_SPECS[sg.FirearmClass.MACHINE_GUN]
-        event, clip = sg.synth_shot(spec, np.random.default_rng(3))
-        count = clip.meta["burst_count"]
-        rate = clip.meta["burst_rate_hz"]
+        event, x = sg.synth_shot(spec, np.random.default_rng(3))
+        count = event.burst_count
+        rate = event.burst_rate_hz
         assert count >= 3
-        pulses = _count_pulses(clip.samples)
+        pulses = _count_pulses(x)
         assert pulses >= 3
         # overall burst length must match count / rate within jitter slack
         expected = (count - 1) / rate
-        assert abs(clip.duration_s - expected) / expected < 0.25
+        assert abs(len(x) / 44100 - expected) / expected < 0.25
 
     def test_sampled_params_within_spec(self):
         for fc, spec in sg.DEFAULT_CLASS_SPECS.items():
@@ -130,8 +130,7 @@ class TestSynthShot:
         a = sg.synth_shot(spec, np.random.default_rng(77))
         b = sg.synth_shot(spec, np.random.default_rng(77))
         assert a[0] == b[0]
-        np.testing.assert_array_equal(a[1].samples, b[1].samples)
-        assert a[1].samples.tobytes() == b[1].samples.tobytes()
+        assert a[1].tobytes() == b[1].tobytes()
 
     def test_pistol_blast_durations_within_band(self):
         spec = sg.DEFAULT_CLASS_SPECS[sg.FirearmClass.HANDGUN_PISTOL]
@@ -143,40 +142,40 @@ class TestSynthShot:
 class TestComposeScene:
     def test_empty_scene_noise_rms_convention(self):
         cfg = sg.SceneConfig(duration_s=1.0, snr_db=20.0)
-        clip = sg.compose_scene([], cfg, np.random.default_rng(0))
-        rms = float(np.sqrt((clip.samples ** 2).mean()))
+        x = sg.compose_scene([], cfg, np.random.default_rng(0))
+        rms = float(np.sqrt((x ** 2).mean()))
         # reference RMS 1.0 -> noise RMS = 10^(-snr/20)
         np.testing.assert_allclose(rms, 0.1, rtol=0.05)
 
     def test_high_snr_matches_dry_mix(self):
-        pulse = sg.synth_muzzle_blast(800.0, 5.0, 0.5, 44100)
+        pulse = sg.synth_muzzle_blast(800.0, 5.0, 0.5)
         cfg = sg.SceneConfig(duration_s=0.5, snr_db=40.0)
-        wet = sg.compose_scene([(0.1, pulse)], cfg, np.random.default_rng(1)).samples
+        wet = sg.compose_scene([(0.1, pulse)], cfg, np.random.default_rng(1))
         dry = np.zeros(int(0.5 * 44100))
-        dry[4410 : 4410 + len(pulse.samples)] = pulse.samples
+        dry[4410 : 4410 + len(pulse)] = pulse
         corr = np.corrcoef(wet, dry)[0, 1]
         assert corr >= 0.99
 
     def test_inverse_distance_scaling(self):
-        pulse = sg.synth_muzzle_blast(800.0, 5.0, 0.5, 44100)
+        pulse = sg.synth_muzzle_blast(800.0, 5.0, 0.5)
         out = {}
         for d in (1.0, 2.0):
             cfg = sg.SceneConfig(duration_s=0.5, snr_db=80.0, distance_m=d)
-            out[d] = sg.compose_scene([(0.1, pulse)], cfg, np.random.default_rng(2)).samples
+            out[d] = sg.compose_scene([(0.1, pulse)], cfg, np.random.default_rng(2))
         ratio = np.abs(out[2.0]).max() / np.abs(out[1.0]).max()
         np.testing.assert_allclose(ratio, 0.5, atol=1e-6)
 
     def test_overflow_raises(self):
-        pulse = sg.synth_muzzle_blast(800.0, 5.0, 0.5, 44100)
+        pulse = sg.synth_muzzle_blast(800.0, 5.0, 0.5)
         cfg = sg.SceneConfig(duration_s=0.1)
         with pytest.raises(SceneOverflow):
             sg.compose_scene([(0.099, pulse)], cfg, np.random.default_rng(0))
 
     def test_reverb_adds_delayed_copies(self):
-        pulse = sg.synth_muzzle_blast(800.0, 4.0, 0.5, 44100)
+        pulse = sg.synth_muzzle_blast(800.0, 4.0, 0.5)
         cfg = sg.SceneConfig(duration_s=0.5, snr_db=80.0,
-                             reverb=sg.ReverbConfig(delay_ms=50.0, decay=0.5, taps=2))
-        wet = sg.compose_scene([(0.05, pulse)], cfg, np.random.default_rng(3)).samples
+                             reverb_delay_ms=50.0, reverb_decay=0.5, reverb_taps=2)
+        wet = sg.compose_scene([(0.05, pulse)], cfg, np.random.default_rng(3))
         env = np.abs(wet)
         base = int(0.05 * 44100)
         d = int(0.05 * 44100)
@@ -184,10 +183,17 @@ class TestComposeScene:
         peak1 = env[base + d : base + d + 300].max()
         np.testing.assert_allclose(peak1 / peak0, 0.5, atol=0.05)
 
+    def test_non_finite_event_rejected(self):
+        pulse = sg.synth_muzzle_blast(800.0, 5.0, 0.5)
+        pulse[3] = np.nan
+        with pytest.raises(InvalidParam):
+            sg.compose_scene([(0.05, pulse)], sg.SceneConfig(duration_s=0.2),
+                             np.random.default_rng(0))
+
     def test_clipping_guard(self):
-        pulse = sg.synth_muzzle_blast(800.0, 5.0, 2.0, 44100)
+        pulse = sg.synth_muzzle_blast(800.0, 5.0, 2.0)
         cfg = sg.SceneConfig(duration_s=0.2, snr_db=60.0)
-        out = sg.compose_scene([(0.05, pulse)], cfg, np.random.default_rng(4)).samples
+        out = sg.compose_scene([(0.05, pulse)], cfg, np.random.default_rng(4))
         assert np.abs(out).max() <= 0.99 + 1e-12
 
 
@@ -241,13 +247,13 @@ def reference_generate_dataset(class_counts, negatives, clean, out_dir, seed,
     for fc in sg.CLASS_ORDER:
         for _ in range(class_counts.get(fc, 0)):
             rng = np.random.default_rng([seed, idx])
-            _, shot_clip = sg.synth_shot(sg.DEFAULT_CLASS_SPECS[fc], rng)
+            _, shot = sg.synth_shot(sg.DEFAULT_CLASS_SPECS[fc], rng)
             cfg = sg._sample_scene_config(rng, duration_s, clean)
-            onset = sg._sample_onset(rng, duration_s, shot_clip.duration_s)
-            scene = sg.compose_scene([(onset, shot_clip)], cfg, rng)
+            onset = sg._sample_onset(rng, duration_s, len(shot) / sg.SAMPLE_RATE)
+            scene = sg.compose_scene([(onset, shot)], cfg, rng)
             clip_id = f"{idx:05d}_{fc.value}"
             rel = f"wav/{clip_id}.wav"
-            write_wav(out_dir / rel, scene.samples, sg.SAMPLE_RATE)
+            write_wav(out_dir / rel, scene, sg.SAMPLE_RATE)
             rows.append({
                 "id": clip_id, "path": rel, "detection_label": "gunshot",
                 "class": fc.value, "duration_s": duration_s,
@@ -259,12 +265,13 @@ def reference_generate_dataset(class_counts, negatives, clean, out_dir, seed,
         cfg = sg._sample_scene_config(rng, duration_s, clean)
         events = []
         if rng.random() < 2.0 / 3.0:
-            clip = sg._distractor(rng, sg.SAMPLE_RATE)
-            events = [(sg._sample_onset(rng, duration_s, clip.duration_s), clip)]
+            impulse = sg._distractor(rng)
+            events = [(sg._sample_onset(rng, duration_s, len(impulse) / sg.SAMPLE_RATE),
+                       impulse)]
         scene = sg.compose_scene(events, cfg, rng)
         clip_id = f"{idx:05d}_background"
         rel = f"wav/{clip_id}.wav"
-        write_wav(out_dir / rel, scene.samples, sg.SAMPLE_RATE)
+        write_wav(out_dir / rel, scene, sg.SAMPLE_RATE)
         rows.append({
             "id": clip_id, "path": rel, "detection_label": "no_gunshot",
             "class": None, "duration_s": duration_s,
@@ -295,10 +302,60 @@ def test_generate_dataset_matches_two_loop_reference(tmp_path, per_class, negati
             (tmp_path / "ref" / name).read_bytes(), name
 
 
+# sha256 of every file generate_dataset writes for one clip of each class and
+# three negatives at seed 11, recorded before the synthesizer moved from
+# AudioClip objects to sample arrays; the two-loop reference above moves with
+# the code, these do not
+PINNED_SHA256 = {
+    "clean": {
+        "manifest.jsonl": "32142ec8edcb1dadfba3ef9bbd56c6b728d9ae670d4742e83b8de0569cfe8be7",
+        "wav/00000_rifle.wav": "8dd04c4d869bb8438fec0ec8ada798d69f8931001d4a695386372af8cfe8b5e1",
+        "wav/00001_submachine_gun.wav":
+            "6e8d5200521c7e90fd99a282fc52b7abae84d8d5e8f2e924453c1f165cba29dc",
+        "wav/00002_handgun_pistol.wav":
+            "a4665ba96e84e42e4e3baff77f5240659d9fd1abbf5deebaee643a63dc1379df",
+        "wav/00003_machine_gun.wav":
+            "8c842ce8439cdda5b9b0eb9041621fb3f9cadab24e83754f4e152c572d298af7",
+        "wav/00004_shotgun.wav": "312206e453035675d7c12533c1f3fa9ef438649f285baadbfe0c60a6cc6535e8",
+        "wav/00005_background.wav":
+            "bf166cdc57ba434b3691f80ea21a6c8196525ed643a5b3fd0d6b5aad83dc9c56",
+        "wav/00006_background.wav":
+            "ada4edcad1e2da387463cd209555945e631d84290c1694947a3c2b7278ba7cba",
+        "wav/00007_background.wav":
+            "e0f2dcfe99e6470c0485a3cf188aa344688b8d2a6f14208805028169186667ba",
+    },
+    "noisy": {
+        "manifest.jsonl": "59712b84680cf4627db7c2a3959c59929846eae88320c023bbd748c588cc6f0a",
+        "wav/00000_rifle.wav": "2f7d7cb64f4d422797565519546ae81950d6f60412265da70562952fd6dcd38f",
+        "wav/00001_submachine_gun.wav":
+            "1842dcb982311bf12a265f36a193581d53a74bf6b88b9e6eaa737dc7a39f53fb",
+        "wav/00002_handgun_pistol.wav":
+            "f34ad375acc9e85d8b28abfef0a222583200a4973e9ea819554bdb8effde308b",
+        "wav/00003_machine_gun.wav":
+            "ee8eaaa3015ed6915bbb4f8d5a32191fad40044548e6d30e24aef9df7d83fdc9",
+        "wav/00004_shotgun.wav": "97b2d890ba905a56a2c50223e5afbab1fb9a6cc849afe8eb35c246c7efc17dd0",
+        "wav/00005_background.wav":
+            "4bde0caad6f51092facd9ef90c346b17658568503d9b8bfe4a4a5e5db9dbaa8b",
+        "wav/00006_background.wav":
+            "b7d54c8765e593a7aa3fc99d35d1700818fee2ecd1ba28109f0f5213d6e7788a",
+        "wav/00007_background.wav":
+            "1657b839ca3bf84270f4cb976009fcf9816479ac34c7829cff66884cb3a1040b",
+    },
+}
+
+
+@pytest.mark.parametrize("mix", ["clean", "noisy"])
+def test_generate_dataset_writes_pinned_bytes(tmp_path, mix):
+    sg.generate_dataset({fc: 1 for fc in sg.CLASS_ORDER}, 3, mix == "clean", tmp_path, seed=11)
+    found = {str(p.relative_to(tmp_path)): hashlib.sha256(p.read_bytes()).hexdigest()
+             for p in sorted(tmp_path.rglob("*.*"))}
+    assert found == PINNED_SHA256[mix]
+
+
 class TestClassSpecs:
     def test_default_specs_validate(self):
         for spec in sg.DEFAULT_CLASS_SPECS.values():
-            spec.validate()
+            dataclasses.replace(spec)    # runs the spec's checks again
 
     def test_exactly_five_classes(self):
         assert len(sg.FirearmClass) == 5
@@ -311,10 +368,15 @@ class TestClassSpecs:
                                         sg.FirearmClass.SUBMACHINE_GUN))
 
     def test_invalid_spec_rejected(self):
-        spec = sg.FirearmClassSpec(sg.FirearmClass.RIFLE, (1500.0, 200.0),
-                                   (5.0, 8.0), (167.0, 171.0), sg.ShockwaveRate.COMMON)
         with pytest.raises(InvalidParam):
-            spec.validate()
+            sg.FirearmClassSpec(sg.FirearmClass.RIFLE, (1500.0, 200.0),
+                                (5.0, 8.0), (167.0, 171.0), 0.9)
+
+    @pytest.mark.parametrize("prob", [-0.1, 1.5, float("nan")])
+    def test_shockwave_prob_outside_unit_interval_rejected(self, prob):
+        with pytest.raises(InvalidParam):
+            sg.FirearmClassSpec(sg.FirearmClass.RIFLE, (200.0, 1500.0),
+                                (5.0, 8.0), (167.0, 171.0), prob)
 
     def test_spl_amplitude_anchor(self):
         assert sg.spl_to_amplitude(165.0) == 1.0
