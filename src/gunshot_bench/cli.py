@@ -11,15 +11,18 @@ run leaves none behind.
 
 Exit codes: 0 ok, 2 usage error (including data the command cannot use,
 such as a manifest row whose detection_label is neither gunshot nor
-no_gunshot, or a split that names a clip the manifest lacks or lists one
-clip twice, in one list or across two), 3 I/O failure (including a corrupt
-checkpoint or a model directory that cannot be used), 4 numeric failure.
+no_gunshot or whose id is not one plain file name, or a split that names a
+clip the manifest lacks or lists one clip twice, in one list or across
+two), 3 I/O failure (including a corrupt checkpoint or a model directory
+that cannot be used), 4 numeric failure.
 Each error class carries its code (see `errors`). A file that does not
 parse, or lacks a key the command needs or holds it with the wrong type (a
 manifest line, a split, `index.json`, `model.meta.json`, a WAV), exits 3.
 """
 
 import argparse
+import ctypes
+import functools
 import hashlib
 import json
 import math
@@ -600,7 +603,26 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _keep_freed_memory():
+    """Let malloc reuse the memory that a clip or a training step frees
+    instead of handing it back to the OS and faulting it in again: never
+    trim the heap (a command is one short process), and mmap only blocks of
+    32 MB and up, glibc's own ceiling for its dynamic mmap threshold. Setting
+    either value turns that dynamic threshold off, and its 128 KB start
+    would then mmap every large array afresh, so both are set. A no-op where
+    libc has no mallopt."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-1, -1)             # M_TRIM_THRESHOLD: never
+    mallopt(-3, 32 << 20)       # M_MMAP_THRESHOLD
+
+
 def main(argv=None):
+    _keep_freed_memory()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

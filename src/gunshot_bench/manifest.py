@@ -99,7 +99,9 @@ def write_manifest(path, rows):
 
 def load_manifest(path, check_paths=True):
     """Load and validate a manifest: each line an object with a row's keys
-    (else MalformedFile), unique ids, a detection_label of gunshot or
+    (else MalformedFile), unique ids that are each one plain file name (not
+    empty, `.` or `..`, and without `/`, `\\` or NUL, since caches are
+    written to `<out>/<id>.feat`), a detection_label of gunshot or
     no_gunshot, class present iff gunshot, and (optionally) every referenced
     audio file on disk (else InvalidParam)."""
     path = Path(path)
@@ -115,6 +117,8 @@ def load_manifest(path, check_paths=True):
         raise InvalidParam(f"duplicate ids in manifest {path}")
     base = path.parent
     for r in rows:
+        if r.id in ("", ".", "..") or any(c in r.id for c in "/\\\0"):
+            raise InvalidParam(f"manifest row {r.id!r}: id is not one plain file name")
         if r.detection_label not in (GUNSHOT, NO_GUNSHOT):
             raise InvalidParam(f"manifest row {r.id}: detection_label "
                                f"{r.detection_label!r} is neither {GUNSHOT} nor {NO_GUNSHOT}")

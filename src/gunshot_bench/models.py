@@ -454,8 +454,8 @@ def cnn_train(model, train_set, val_set, config):
     batch is then standardized and stacked from the mels as it runs, so no
     float64 copy of either set is held. Memory beyond the mels themselves is
     one float64 copy of the training mels while the stats are taken, then
-    the layer caches of one training step (of two while a step's forward
-    runs, since the previous step's caches are still referenced).
+    the layer caches of one training step, which its backward frees layer
+    by layer.
 
     Returns the training history; the model is left holding the best-val
     parameters. Raises DegenerateData if either set is empty, and
@@ -487,10 +487,6 @@ def cnn_train(model, train_set, val_set, config):
                      f"{'none' if last_finite is None else repr(last_finite)})")
             try:
                 x = _stack_inputs(model, [train_set.mels[i] for i in idx])
-                # `graph` still holds the previous step's caches while this
-                # forward runs, so malloc reuses their memory instead of
-                # faulting in fresh pages: dropping them first made the
-                # clean-cnn benchmark's training 16-18% slower.
                 loss, graph = batch_loss_graph(model, x, train_set.y_det[idx],
                                                train_set.y_type[idx], config.lambda_type,
                                                keep_caches=True)

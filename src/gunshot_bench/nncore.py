@@ -48,12 +48,14 @@ def backward(trunk, heads):
     cache, parameter names) triple its forward kept, in forward order. Each
     head is walked in reverse from its loss weight, the heads' gradients at
     the trunk output are summed in head order, and the trunk is walked in
-    reverse from that sum. The caches are read, never released: the caller
-    decides how long they live."""
+    reverse from that sum. Each step is popped from its list as it is
+    walked, so a layer's cache is freed once its backward has run (unless
+    the caller holds it elsewhere) and the lists are left empty."""
     grads = {}
 
     def walk(steps, g):
-        for bwd, cache, names in reversed(steps):
+        while steps:
+            bwd, cache, names = steps.pop()
             if names:
                 g, *param_grads = bwd(g, cache)
                 grads.update(zip(names, param_grads))

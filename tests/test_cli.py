@@ -10,8 +10,11 @@ training reads no test-split cache; SVM evaluation, training and
 cross-validation honour their flags, rerun byte for byte and report
 machines stopped by the sweep cap; every command runs end to end on a tiny
 dataset, the CNN included; and the CNN pipeline gives the same bytes when
-rerun in a fresh process on another number of BLAS threads."""
+rerun in a fresh process on another number of BLAS threads; a manifest id
+that would write outside --out is refused; and a fresh-process featurize
+reuses the memory each clip frees instead of faulting it in again."""
 
+import ctypes
 import json
 import os
 import shutil
@@ -523,6 +526,21 @@ def _boaw_with_first_wav(damage):
     return argv
 
 
+def _with_first_id(tiny_data, tmp_path, rid):
+    """A copy of tiny_data whose first clip has id `rid`; returns its manifest."""
+    data = tmp_path / "data"
+    shutil.copytree(tiny_data.parent, data)
+    lines = (data / "manifest.jsonl").read_text().splitlines()
+    lines[0] = json.dumps({**json.loads(lines[0]), "id": rid})
+    (data / "manifest.jsonl").write_text("\n".join(lines) + "\n")
+    return data / "manifest.jsonl"
+
+
+def _featurize_with_first_id(rid):
+    return lambda d: ["featurize", "--manifest", _with_first_id(d["tiny"], d["tmp"], rid),
+                      "--kind", "melstats", "--out", d["tmp"] / "feats"]
+
+
 @pytest.mark.parametrize("make_argv,code,label", [
     (_with_split('{"train_ids": ['), cli.EXIT_IO, "I/O failure:"),
     (_with_split('{"train_ids": [], "test_ids": [], "seed": 1}'), cli.EXIT_IO, "I/O failure:"),
@@ -556,6 +574,8 @@ def _boaw_with_first_wav(damage):
     (_featurize_manifest('{"id": "x", "path": "x.wav", "detection_label": "maybe", '
                          '"duration_s": 2.0, "clean": true, "seed": 0}\n'),
      cli.EXIT_USAGE, "error:"),
+    (_featurize_with_first_id("../escaped"), cli.EXIT_USAGE, "error:"),
+    (_featurize_with_first_id(""), cli.EXIT_USAGE, "error:"),
 ], ids=["split-not-json", "split-without-val_ids", "manifest-line-not-json",
         "manifest-line-without-path", "svm-meta-without-feature_kind",
         "cnn-meta-without-input_frames", "index-not-json", "index-not-an-object",
@@ -565,7 +585,8 @@ def _boaw_with_first_wav(damage):
         "svm-meta-feature_kind-not-a-string", "split-test-ids-also-in-train",
         "split-names-an-unknown-clip", "split-lists-a-clip-twice",
         "evaluate-split-train-ids-also-in-test",
-        "manifest-detection_label-unknown"])
+        "manifest-detection_label-unknown", "manifest-id-outside-the-out-dir",
+        "manifest-id-empty"])
 def test_unusable_input_exits_with_its_code_and_one_line(small_data, trained_models, tiny_data,
                                                          tmp_path, capsys, make_argv, code, label):
     manifest, root = small_data
@@ -575,6 +596,19 @@ def test_unusable_input_exits_with_its_code_and_one_line(small_data, trained_mod
     assert cli.main([str(a) for a in argv]) == code
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(label), err
+
+
+@pytest.mark.parametrize("rid", ["../escaped", "../../escaped", "a/../../escaped"])
+def test_manifest_id_outside_the_out_dir_writes_nothing(tiny_data, tmp_path, capsys, rid):
+    manifest = _with_first_id(tiny_data, tmp_path, rid)
+    before = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    code = cli.main(["featurize", "--manifest", str(manifest), "--kind", "melstats",
+                     "--out", str(tmp_path / "a" / "feats")])
+    assert code == cli.EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and repr(rid) in err[0], err
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 @pytest.fixture(scope="module")
@@ -653,16 +687,21 @@ def test_pipeline_runs_end_to_end_and_reruns_byte_for_byte(tmp_path):
             assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes(), name
 
 
+def _fresh_process_env(**extra):
+    """The environment plus `extra`, importing the package under test."""
+    package_root = str(Path(cli.__file__).resolve().parents[1])
+    return dict(os.environ, **extra,
+                PYTHONPATH=os.pathsep.join(filter(None, [package_root,
+                                                         os.environ.get("PYTHONPATH")])))
+
+
 def _run_cnn_pipeline_in_fresh_processes(root, hash_seed, blas_threads):
     """generate, featurize --kind mel, train --model cnn and evaluate, each as
     its own `python -m gunshot_bench.cli` process with the given
     PYTHONHASHSEED and OpenBLAS thread count, importing the package under
     test."""
-    package_root = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONHASHSEED=str(hash_seed),
-               OPENBLAS_NUM_THREADS=str(blas_threads),
-               PYTHONPATH=os.pathsep.join(filter(None, [package_root,
-                                                        os.environ.get("PYTHONPATH")])))
+    env = _fresh_process_env(PYTHONHASHSEED=str(hash_seed),
+                             OPENBLAS_NUM_THREADS=str(blas_threads))
     manifest, mel, ckpt = root / "data" / "manifest.jsonl", root / "mel", root / "cnn"
     for argv in (
         ["generate", "--out", root / "data", "--per-class", "4", "--negatives", "6",
@@ -691,3 +730,42 @@ def test_cnn_pipeline_reruns_byte_for_byte_in_a_fresh_process(tmp_path):
     for name in files:
         if name.name != "config.json":    # it echoes the output paths
             assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes(), name
+
+
+def _libc_has_mallopt():
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except (OSError, TypeError):
+        return False
+
+
+# featurize --kind melstats as a warm-up, then --kind mel, in one process;
+# prints the minor page faults of the second run
+_FAULTS_OF_A_MEL_FEATURIZE = """
+import resource, sys
+from gunshot_bench import cli
+manifest, out = sys.argv[1:]
+def featurize(kind):
+    assert cli.main(["featurize", "--manifest", manifest, "--kind", kind,
+                     "--out", out + "/" + kind]) == 0
+featurize("melstats")
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+featurize("mel")
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not _libc_has_mallopt(), reason="libc has no mallopt")
+def test_featurize_reuses_freed_memory_in_a_fresh_process(tmp_path):
+    # with glibc's default policy each clip's freed arrays go back to the OS
+    # and the next clip faults them in again: about 390 minor faults per clip
+    data = tmp_path / "data"
+    assert cli.main(["generate", "--out", str(data), "--per-class", "5", "--negatives", "5",
+                     "--seed", "1"]) == cli.EXIT_OK
+    clips = len((data / "manifest.jsonl").read_text().splitlines())
+    assert clips == 30
+    proc = subprocess.run([sys.executable, "-c", _FAULTS_OF_A_MEL_FEATURIZE,
+                           str(data / "manifest.jsonl"), str(tmp_path)],
+                          env=_fresh_process_env(), check=True, capture_output=True, text=True)
+    faults = int(proc.stdout.splitlines()[-1])
+    assert faults < 100 * clips, f"{faults / clips:.0f} minor faults per clip"

@@ -1,7 +1,8 @@
 """Manifest contracts: rows round-trip through their dict and JSON-line
 forms, and load_manifest refuses duplicate ids, a detection label other
 than gunshot or no_gunshot, a class without a gunshot label (or the
-reverse), unknown classes and a field of the wrong type."""
+reverse), unknown classes, a field of the wrong type and an id that is not
+one plain file name."""
 
 import json
 
@@ -18,7 +19,8 @@ FIXTURE_OK = settings(suppress_health_check=[HealthCheck.function_scoped_fixture
 @st.composite
 def rows(draw):
     class_name = draw(st.none() | st.sampled_from(CLASS_NAMES))
-    rid = draw(st.text(min_size=1, max_size=12))
+    rid = draw(st.text(st.characters(exclude_characters="/\\\0"), min_size=1,
+                       max_size=12).filter(lambda s: s not in (".", "..")))
     return ManifestRow(
         id=rid, path=f"wav/{rid}.wav",
         detection_label=NO_GUNSHOT if class_name is None else GUNSHOT,
@@ -112,3 +114,19 @@ def test_field_of_the_wrong_type_rejected(tmp_path, key, value):
     path = _write(tmp_path / "manifest.jsonl", [row])
     with pytest.raises(MalformedFile, match=f"line 1: key '{key}'"):
         load_manifest(path, check_paths=False)
+
+
+@pytest.mark.parametrize("rid", ["", ".", "..", "../escaped", "../../x", "a/b", "/abs",
+                                 "a\\b", "..\\x", "a\0b"])
+def test_id_that_is_not_one_plain_file_name_rejected(tmp_path, rid):
+    ok = ManifestRow("a", "wav/a.wav", NO_GUNSHOT, None, 2.0, True, 0).to_dict()
+    path = _write(tmp_path / "manifest.jsonl", [ok, {**ok, "id": rid}])
+    with pytest.raises(InvalidParam, match=r"row .*: id is not one plain file name"):
+        load_manifest(path, check_paths=False)
+
+
+@pytest.mark.parametrize("rid", ["...", "a..b", ".hidden", "x.feat", "a b"])
+def test_id_with_dots_inside_one_file_name_accepted(tmp_path, rid):
+    row = ManifestRow(rid, "wav/a.wav", NO_GUNSHOT, None, 2.0, True, 0)
+    path = _write(tmp_path / "manifest.jsonl", [row.to_dict()])
+    assert load_manifest(path, check_paths=False) == [row]

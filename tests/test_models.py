@@ -466,6 +466,31 @@ class TestCnnTrain:
         extra_float64_bytes = 16 * frames * 128 * 8
         assert peak(24) - peak(8) < 1.5 * extra_float64_bytes
 
+    def test_peak_memory_holds_one_steps_caches(self):
+        # A step's layer caches are freed as its backward runs, so no step's
+        # caches are alive while the next step's forward builds its own;
+        # holding the previous step's graph through the next forward makes
+        # the peak about two steps' caches.
+        t = 32
+        train, val = self._mel_set(12, t, seed=5), self._mel_set(4, t, seed=6)
+        model = models.JointCnnModel(seed=2, t_frames=t)
+        cfg = models.TrainConfig(epochs=1, batch_size=4)
+        x = models._stack_inputs(model, train.mels[:4])
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            graph = models.batch_loss_graph(model, x, train.y_det[:4], train.y_type[:4], 1.0,
+                                            keep_caches=True)
+            step_bytes = tracemalloc.get_traced_memory()[0] - before
+            del graph
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            models.cnn_train(model, train, val, cfg)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * step_bytes, (peak, step_bytes)
+
     def test_non_finite_loss_reports_the_last_finite_batch_loss(self, monkeypatch):
         train, val = self._tiny_sets()
         finite = []
