@@ -13,11 +13,14 @@ Exit codes: 0 ok, 2 usage error (including data the command cannot use,
 such as a manifest row whose detection_label is neither gunshot nor
 no_gunshot or whose id is not one plain file name, or a split that names a
 clip the manifest lacks or lists one clip twice, in one list or across
-two), 3 I/O failure (including a corrupt checkpoint or a model directory
-that cannot be used), 4 numeric failure.
+two), 3 I/O failure (including a corrupt checkpoint, a model directory
+that cannot be used, or a feature cache that fails its check: a bad magic,
+a header that does not parse, another version, or a payload cut short of
+its shape), 4 numeric failure.
 Each error class carries its code (see `errors`). A file that does not
 parse, or lacks a key the command needs or holds it with the wrong type (a
 manifest line, a split, `index.json`, `model.meta.json`, a WAV), exits 3.
+`featurize` decides whether a cache is up to date from its header alone.
 """
 
 import argparse
@@ -36,8 +39,8 @@ from pathlib import Path
 import numpy as np
 
 from . import dsp, evaluation, models, nncore, synthgun
-from .errors import (CorruptCheckpoint, DegenerateData, GunshotBenchError, InvalidParam,
-                     IOFailure, MalformedFile, NumericFailure, UsageError)
+from .errors import (GunshotBenchError, InvalidParam, IOFailure, MalformedFile, NumericFailure,
+                     UsageError)
 from .manifest import (CLASS_NAMES, GUNSHOT, N_CLASSES, NEGATIVE_LABEL, NO_GUNSHOT,
                        load_manifest, manifest_digest, read_json, require_keys, write_json)
 from .synthgun import CLASS_ORDER
@@ -57,7 +60,7 @@ def _echo_config(args, out_dir, command):
     resolved = {k: v for k, v in vars(args).items() if k != "func"}
     resolved["command"] = command
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_json(out_dir / "config.json", resolved, default=str)
+    write_json(out_dir / "config.json", resolved)
 
 
 # ---------------------------------------------------------------------------
@@ -144,13 +147,16 @@ def _load_clip(base, row):
     return clip
 
 
-def _fit_boaw_codebook(base, rows, k, seed, max_frames_per_clip=32):
+BOAW_FRAMES_PER_CLIP = 32    # log-mel frames each clip gives the codebook fit
+
+
+def _fit_boaw_codebook(base, rows, k, seed):
     """Codebook over a deterministic subsample of log-mel frames."""
     frames = []
     for row in rows:
         mel = dsp.mel_spectrogram(_load_clip(base, row)).frames
         rng = np.random.default_rng([seed, hash(row.id) & 0x7FFFFFFF])
-        take = min(max_frames_per_clip, len(mel))
+        take = min(BOAW_FRAMES_PER_CLIP, len(mel))
         frames.append(mel[rng.choice(len(mel), size=take, replace=False)])
     return dsp.kmeans_fit(np.concatenate(frames), k=k, iters=25, seed=seed)
 
@@ -191,7 +197,7 @@ def cmd_featurize(args):
                 if hdr.get("source_hash") == src_hash:
                     skipped += 1
                     continue
-            except (InvalidParam, json.JSONDecodeError, OSError):
+            except (MalformedFile, OSError):
                 pass
         try:
             clip = _load_clip(base, row)
@@ -236,10 +242,9 @@ def _load_features(features_dir, rows):
 
 
 def _labels_for(rows):
-    y_det = np.array([1 if r.detection_label == GUNSHOT else 0 for r in rows])
-    y_type = np.array([r.class_index if r.class_index is not None
-                       else NEGATIVE_LABEL for r in rows])
-    return y_det, y_type
+    """The gun-type label of each row, NEGATIVE_LABEL for no gunshot."""
+    return np.array([r.class_index if r.class_index is not None
+                     else NEGATIVE_LABEL for r in rows])
 
 
 def _split_rows(rows, split):
@@ -259,8 +264,7 @@ def _split_rows(rows, split):
 
 
 def _mel_set(rows, feats):
-    y_det, y_type = _labels_for(rows)
-    return models.LabeledMelSet([feats[r.id] for r in rows], y_det, y_type)
+    return models.LabeledMelSet([feats[r.id] for r in rows], _labels_for(rows))
 
 
 def _check_kind(model, kind):
@@ -274,7 +278,7 @@ def _fit(args, kind, train_rows, val_rows, feats):
     return (bundle, meta, arrays, history), writing nothing: bundle has the
     shape `load_model` returns, arrays are the checkpoint's contents."""
     if not train_rows:
-        raise DegenerateData(f"{args.model} training needs train clips, got 0")
+        raise InvalidParam(f"{args.model} training needs train clips, got 0")
     meta = {"model": args.model, "feature_kind": kind, "class_list": CLASS_NAMES,
             "seed": args.seed}
     if args.model == "cnn":
@@ -290,9 +294,8 @@ def _fit(args, kind, train_rows, val_rows, feats):
         return model, meta, model.named_arrays(), history
 
     x = np.stack([feats[r.id] for r in train_rows])
-    _, y_type = _labels_for(train_rows)
     scaler = models.Standardizer.fit(x)
-    svm = models.svm_train(scaler.transform(x), y_type, c=args.svm_c,
+    svm = models.svm_train(scaler.transform(x), _labels_for(train_rows), c=args.svm_c,
                            epochs=args.epochs, n_classes=N_CLASSES)
     capped = svm.converged.count(False)
     if capped:
@@ -344,8 +347,7 @@ def cmd_train(args):
 def load_model(checkpoint_dir):
     """The (bundle, meta) that `train` wrote to checkpoint_dir: a
     JointCnnModel or an (SvmModel, Standardizer) pair. A directory that
-    cannot be used raises CorruptCheckpoint, or MalformedFile for its meta,
-    naming it and the bad entry."""
+    cannot be used raises MalformedFile naming it and the bad entry."""
     checkpoint_dir = Path(checkpoint_dir)
     where = f"{checkpoint_dir}: model.meta.json"
     meta = read_json(checkpoint_dir / "model.meta.json", {"model": str, "feature_kind": str},
@@ -364,13 +366,13 @@ def load_model(checkpoint_dir):
         if "det_weight" in arrays or "det_bias" in arrays:
             shapes.update(det_weight=d, det_bias=(1,))
     else:
-        raise CorruptCheckpoint(f"{checkpoint_dir}: model.meta.json names no known "
-                                f"model ({kind!r})")
+        raise MalformedFile(f"{checkpoint_dir}: model.meta.json names no known "
+                            f"model ({kind!r})")
     for name, shape in shapes.items():
         found = arrays[name].shape if name in arrays else "no entry"
         if found != shape:
-            raise CorruptCheckpoint(f"{checkpoint_dir}: model.ckpt entry {name}: "
-                                    f"expected shape {shape}, found {found}")
+            raise MalformedFile(f"{checkpoint_dir}: model.ckpt entry {name}: "
+                                f"expected shape {shape}, found {found}")
     if kind == "cnn":
         model.load_arrays(arrays)
         return model, meta
@@ -457,7 +459,7 @@ def cmd_crossval(args):
     pool = [r for r in rows if r.id in pool_ids]
     if args.k > len(pool):
         raise UsageError(f"--k {args.k} exceeds the {len(pool)} clips in the pool")
-    plan = evaluation.kfold(evaluation.strata(pool), k=args.k, seed=args.seed)
+    folds = evaluation.kfold(evaluation.strata(pool), k=args.k, seed=args.seed)
     feats = _load_features(args.features, pool)
     _echo_config(args, out_dir, "crossval")
     by_id = {r.id: r for r in pool}
@@ -466,10 +468,10 @@ def cmd_crossval(args):
     dataset_hash = manifest_digest(args.manifest)
 
     fold_metrics = []
-    for i, fold in enumerate(plan.folds):
+    for i, fold in enumerate(folds):
         fold_dir = out_dir / f"fold{i}"
         fold_dir.mkdir(exist_ok=True)
-        train_rows = [by_id[x] for x in plan.train_ids(i)]
+        train_rows = [by_id[x] for j, other in enumerate(folds) if j != i for x in other]
         test_rows = [by_id[x] for x in fold]
         val_rows = []
         if args.model == "cnn":

@@ -5,23 +5,24 @@ autocorrelation, and bag-of-audio-words encoding.
 Spectra come from numpy.fft: `stft` takes the real FFT of Hann-windowed
 frames, and `autocorrelation` the real FFT of the clip zero-padded to a
 power of two. The resampler is a windowed-sinc polyphase filter.
+
+Values the code can work out are not stored: a mel spectrogram has
+SAMPLE_RATE / HOP_SAMPLES frames per second, and a BoAW codebook's word
+count k and descriptor length d are the shape of its centroids. Feature
+caches are checked when read: a bad magic, a header that does not parse or
+holds no shape or version, another version, or a payload that does not hold
+the shape raises MalformedFile naming the file.
 """
 
 import functools
 import json
 import math
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    InsufficientData,
-    InvalidParam,
-    TooShort,
-    UnsupportedFormat,
-)
+from .errors import InvalidParam, MalformedFile, UnsupportedFormat
+from .manifest import read_json
 from .synthgun import SAMPLE_RATE, AudioClip
 from .wavio import float_to_pcm16, pcm16_to_float
 
@@ -75,7 +76,7 @@ def stft(clip):
     if x.ndim != 1:
         raise UnsupportedFormat("stft expects a mono clip")
     if len(x) < WIN_SAMPLES:
-        raise TooShort(f"need at least {WIN_SAMPLES} samples, got {len(x)}")
+        raise UnsupportedFormat(f"need at least {WIN_SAMPLES} samples, got {len(x)}")
     frames = np.lib.stride_tricks.sliding_window_view(x, WIN_SAMPLES)[::HOP_SAMPLES]
     return np.fft.rfft(frames * hann_window(WIN_SAMPLES))
 
@@ -94,25 +95,20 @@ def mel_to_hz(m):
 
 @dataclass
 class MelFilterbank:
-    weights: np.ndarray       # [n_mels, n_fft//2 + 1]
-    center_freqs: np.ndarray  # [n_mels] triangle peaks in Hz
+    weights: np.ndarray       # [N_MELS, WIN_SAMPLES//2 + 1]
+    center_freqs: np.ndarray  # [N_MELS] triangle peaks in Hz
 
 
-def build_mel_filterbank(n_mels=N_MELS, n_fft=WIN_SAMPLES, f_min=0.0, f_max=SAMPLE_RATE / 2,
-                         sample_rate=SAMPLE_RATE):
-    """Triangular filters with centers uniformly spaced on the mel scale.
+@functools.lru_cache(maxsize=1)
+def default_filterbank():
+    """N_MELS triangular filters over the WIN_SAMPLES-point spectrum, with
+    centers uniformly spaced on the mel scale from 0 Hz to Nyquist.
 
     Each triangle is scaled to unit area (in Hz), so broadband noise maps to
     a roughly flat mel vector.
     """
-    if n_mels < 2:
-        raise InvalidParam("need at least 2 mel bands")
-    if f_max > sample_rate / 2:
-        raise InvalidParam(f"f_max {f_max} above Nyquist {sample_rate / 2}")
-    if f_min < 0 or f_min >= f_max:
-        raise InvalidParam("need 0 <= f_min < f_max")
-    pts = mel_to_hz(np.linspace(hz_to_mel(f_min), hz_to_mel(f_max), n_mels + 2))
-    bins = np.arange(n_fft // 2 + 1) * (sample_rate / n_fft)
+    pts = mel_to_hz(np.linspace(0.0, hz_to_mel(SAMPLE_RATE / 2), N_MELS + 2))
+    bins = np.arange(WIN_SAMPLES // 2 + 1) * (SAMPLE_RATE / WIN_SAMPLES)
     lo, ctr, hi = pts[:-2, None], pts[1:-1, None], pts[2:, None]
     rise = (bins[None, :] - lo) / (ctr - lo)
     fall = (hi - bins[None, :]) / (hi - ctr)
@@ -121,19 +117,13 @@ def build_mel_filterbank(n_mels=N_MELS, n_fft=WIN_SAMPLES, f_min=0.0, f_max=SAMP
     return MelFilterbank(weights, pts[1:-1].copy())
 
 
-@functools.lru_cache(maxsize=1)
-def default_filterbank():
-    return build_mel_filterbank()
-
-
 # ---------------------------------------------------------------------------
 # mel spectrogram
 # ---------------------------------------------------------------------------
 
 @dataclass
 class MelSpectrogram:
-    frames: np.ndarray        # [T, n_mels] log energies
-    frame_rate: float         # frames per second
+    frames: np.ndarray        # [T, n_mels] log energies, one frame per HOP_SAMPLES
 
 
 def mel_spectrogram(clip):
@@ -144,7 +134,7 @@ def mel_spectrogram(clip):
     spec = stft(clip)
     power = spec.real**2 + spec.imag**2
     mel = power @ default_filterbank().weights.T
-    return MelSpectrogram(np.log(mel + LOG_EPS), SAMPLE_RATE / HOP_SAMPLES)
+    return MelSpectrogram(np.log(mel + LOG_EPS))
 
 
 # ---------------------------------------------------------------------------
@@ -174,9 +164,7 @@ def autocorrelation(clip, max_lag):
 
 @dataclass
 class BoawCodebook:
-    k: int
     centroids: np.ndarray            # [k, d]
-    d: int
     inertia_history: list = field(default_factory=list)
 
 
@@ -194,12 +182,12 @@ def kmeans_fit(descriptors, k, iters=50, seed=0):
     """
     x = np.asarray(descriptors, dtype=np.float64)
     if x.ndim != 2:
-        raise DimensionMismatch("descriptors must be [n, d]")
+        raise InvalidParam("descriptors must be [n, d]")
     n, d = x.shape
     if k < 2:
         raise InvalidParam("k must be >= 2")
     if n < k:
-        raise InsufficientData(f"{n} descriptors for k={k}")
+        raise InvalidParam(f"{n} descriptors for k={k}")
     rng = np.random.default_rng(seed)
 
     # k-means++ seeding
@@ -228,20 +216,19 @@ def kmeans_fit(descriptors, k, iters=50, seed=0):
         if np.array_equal(new_assign, assign):
             break
         assign = new_assign
-    return BoawCodebook(k, centroids, d, history)
+    return BoawCodebook(centroids, history)
 
 
 def boaw_encode(mel, codebook):
     """Histogram of nearest-centroid assignments over frames, L1-normalized."""
     frames = mel.frames if isinstance(mel, MelSpectrogram) else np.asarray(mel, dtype=np.float64)
+    k, d = codebook.centroids.shape
     if frames.ndim != 2:
-        raise DimensionMismatch("expected [T, d] frames")
-    if frames.shape[1] != codebook.d:
-        raise DimensionMismatch(
-            f"frame dim {frames.shape[1]} != codebook dim {codebook.d}"
-        )
+        raise InvalidParam("expected [T, d] frames")
+    if frames.shape[1] != d:
+        raise InvalidParam(f"frame dim {frames.shape[1]} != codebook dim {d}")
     assign = _pairwise_sq_dists(frames, codebook.centroids).argmin(axis=1)
-    hist = np.bincount(assign, minlength=codebook.k).astype(np.float64)
+    hist = np.bincount(assign, minlength=k).astype(np.float64)
     return FeatureVector(hist / len(frames))
 
 
@@ -258,7 +245,7 @@ def mel_stats(mel):
     """Per-band mean and standard deviation over time, concatenated (2*n_mels)."""
     frames = mel.frames if isinstance(mel, MelSpectrogram) else np.asarray(mel, dtype=np.float64)
     if frames.ndim != 2 or frames.shape[0] < 1:
-        raise DimensionMismatch("expected a nonempty [T, n_mels] spectrogram")
+        raise InvalidParam("expected a nonempty [T, n_mels] spectrogram")
     return FeatureVector(np.concatenate([frames.mean(axis=0), frames.std(axis=0)]))
 
 
@@ -274,9 +261,10 @@ def _hann_taper(t, width):
 
 
 RESAMPLE_BLOCK = 4096    # output samples per window gather in resample
+RESAMPLE_HALF_WIDTH = 32  # kernel half-width in zero crossings of its sinc
 
 
-def resample(x, sr_in, sr_out, half_width=32):
+def resample(x, sr_in, sr_out):
     """Rational-rate windowed-sinc polyphase resampling.
 
     Each output sample is the dot product of one [2w+2] window of the input
@@ -289,7 +277,7 @@ def resample(x, sr_in, sr_out, half_width=32):
     if up == down:
         return x.copy()
     fc = min(1.0, up / down)               # cutoff relative to input Nyquist
-    w = int(np.ceil(half_width / fc))      # kernel half-width in input samples
+    w = int(np.ceil(RESAMPLE_HALF_WIDTH / fc))   # kernel half-width in input samples
     n_out = int(np.ceil(len(x) * up / down))
     pos = np.arange(n_out) * down
     n0 = pos // up
@@ -347,28 +335,37 @@ def save_feature(path, values, header):
     blob = json.dumps(hdr, sort_keys=True).encode("utf-8")
     with open(path, "wb") as f:
         f.write(FEATURE_MAGIC)
-        f.write(struct.pack("<I", len(blob)))
+        f.write(len(blob).to_bytes(4, "little"))
         f.write(blob)
         f.write(arr.tobytes())
 
 
+def _read_header(f, path):
+    """The header of the feature cache open as `f`, read up to the payload;
+    MalformedFile naming `path` if the magic is wrong, the header does not
+    parse or lacks shape or version, or the version is not FEATURE_VERSION."""
+    if f.read(4) != FEATURE_MAGIC:
+        raise MalformedFile(f"{path}: not a feature cache file")
+    hlen = int.from_bytes(f.read(4), "little")
+    hdr = read_json(path, {"shape": list, "version": int}, text=f.read(hlen))
+    if hdr["version"] != FEATURE_VERSION:
+        raise MalformedFile(f"{path}: unsupported feature version {hdr['version']}")
+    return hdr
+
+
 def load_feature(path):
-    """Read a feature cache file -> (float32 array, header dict)."""
+    """Read a feature cache file -> (float32 array, header dict); also
+    MalformedFile if the payload does not hold the header's shape."""
     with open(path, "rb") as f:
-        magic = f.read(4)
-        if magic != FEATURE_MAGIC:
-            raise InvalidParam(f"not a feature cache file: {path}")
-        (hlen,) = struct.unpack("<I", f.read(4))
-        hdr = json.loads(f.read(hlen).decode("utf-8"))
-        if hdr.get("version") != FEATURE_VERSION:
-            raise InvalidParam(f"unsupported feature version in {path}")
-        data = np.frombuffer(f.read(), dtype="<f4")
-    return data.reshape(hdr["shape"]).copy(), hdr
+        hdr = _read_header(f, path)
+        payload = f.read()
+    shape = hdr["shape"]
+    if not all(type(n) is int and n >= 0 for n in shape) or len(payload) != 4 * math.prod(shape):
+        raise MalformedFile(f"{path}: {len(payload)} payload bytes do not hold shape {shape}")
+    return np.frombuffer(payload, dtype="<f4").reshape(shape).copy(), hdr
 
 
 def read_feature_header(path):
+    """The checked header of a feature cache file; its payload is not read."""
     with open(path, "rb") as f:
-        if f.read(4) != FEATURE_MAGIC:
-            raise InvalidParam(f"not a feature cache file: {path}")
-        (hlen,) = struct.unpack("<I", f.read(4))
-        return json.loads(f.read(hlen).decode("utf-8"))
+        return _read_header(f, path)

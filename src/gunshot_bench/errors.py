@@ -1,7 +1,15 @@
-"""Exception types shared across the package. Each class derives from one
-of three bases, and each base carries the exit code and stderr label that
-`cli.main` gives it (UsageError 2, IOFailure 3, NumericFailure 4). Each class
-also keeps a builtin base (ValueError or ArithmeticError) for existing handlers."""
+"""Exception types shared across the package: nine classes. Every concrete
+one derives from one of three bases, and each base carries the exit code and
+stderr label that `cli.main` gives it (UsageError 2, IOFailure 3,
+NumericFailure 4). Every concrete one also keeps a builtin base (ValueError
+or ArithmeticError).
+
+Three handlers tell the classes apart, and each class exists for a
+distinction one of them makes: `cli.main` dispatches by base class;
+`cli.cmd_featurize` aborts the run on InvalidParam (a flag the clips cannot
+meet) and counts any other ValueError, UnsupportedFormat and MalformedFile
+included, as one failed clip; and `models.cnn_train` wraps NonFiniteTensor
+in NonFiniteLoss, which names the epoch and batch."""
 
 
 class GunshotBenchError(Exception):
@@ -21,35 +29,14 @@ class NumericFailure(GunshotBenchError):
 
 
 class InvalidParam(UsageError, ValueError):
-    """A parameter is outside its documented domain."""
+    """A parameter or an input outside its documented domain: a flag, too
+    few points for a fit, a shape or dimension mismatch, an event that does
+    not fit its scene, or a training set with an empty class."""
 
 
 class UnsupportedFormat(UsageError, ValueError):
-    """Audio input the normalizer does not accept (channel count, rate)."""
-
-
-class TooShort(UsageError, ValueError):
-    """Signal shorter than one analysis window."""
-
-
-class InsufficientData(UsageError, ValueError):
-    """Not enough samples to fit the requested model (e.g. fewer points than clusters)."""
-
-
-class DimensionMismatch(UsageError, ValueError):
-    """Feature/codebook dimensionality disagreement."""
-
-
-class ShapeMismatch(UsageError, ValueError):
-    """Tensor shapes incompatible with the requested op."""
-
-
-class SceneOverflow(UsageError, ValueError):
-    """An event does not fit inside the scene bounds."""
-
-
-class DegenerateData(UsageError, ValueError):
-    """A training set that cannot support the requested classifier (empty class, single class)."""
+    """Audio that featurize cannot use: a channel count or rate the
+    normalizer does not accept, or a signal shorter than one window."""
 
 
 class NonFiniteTensor(NumericFailure, ArithmeticError):
@@ -60,10 +47,8 @@ class NonFiniteLoss(NumericFailure, ArithmeticError):
     """Training loss became NaN/Inf; aborts with diagnostic context."""
 
 
-class CorruptCheckpoint(IOFailure, ValueError):
-    """A model directory cannot be used: a checkpoint that fails its magic,
-    version or checksum check, an unknown model, or a misshapen entry."""
-
-
 class MalformedFile(IOFailure, ValueError):
-    """A WAV that does not decode, or JSON that is not an object with the keys read."""
+    """A file that cannot be used: a WAV that does not decode, JSON that is
+    not an object with the keys read, a feature cache or a checkpoint that
+    fails its check, or a model directory that names an unknown model or
+    holds a misshapen entry."""

@@ -1,4 +1,4 @@
-"""Evaluation protocol: stratified 60/20/20 splits, 5-fold plans, per-class
+"""Evaluation protocol: stratified 60/20/20 splits and k folds, per-class
 precision/recall/F1, average precision and mAP, and the two gun-type metric
 conditionings:
 
@@ -81,20 +81,12 @@ def stratified_split(rows, ratios=(0.6, 0.2, 0.2), seed=0):
     return SplitSpec(train, val, test, seed)
 
 
-@dataclass
-class FoldPlan:
-    folds: list               # k lists of ids
-    seed: int
-
-    def train_ids(self, i):
-        return [x for j, fold in enumerate(self.folds) if j != i for x in fold]
-
-
 def kfold(ids_by_class, k=5, seed=0):
-    """Stratified k folds: per-class shuffle, then the classes' ids in turn
-    dealt round-robin over the folds, so each id lands in the currently
-    smallest fold (ties to the lowest index). Overall fold sizes stay within
-    one of each other and each class is spread across folds."""
+    """Stratified k folds, a list of k id lists: per-class shuffle, then the
+    classes' ids in turn dealt round-robin over the folds, so each id lands
+    in the currently smallest fold (ties to the lowest index). Overall fold
+    sizes stay within one of each other and each class is spread across
+    folds."""
     if k < 2:
         raise InvalidParam("k must be >= 2")
     rng = np.random.default_rng(seed)
@@ -103,7 +95,7 @@ def kfold(ids_by_class, k=5, seed=0):
         ids = list(ids)
         rng.shuffle(ids)
         order += ids
-    return FoldPlan([order[i::k] for i in range(k)], seed)
+    return [order[i::k] for i in range(k)]
 
 
 # ---------------------------------------------------------------------------

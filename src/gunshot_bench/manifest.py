@@ -84,10 +84,10 @@ def require_keys(obj, keys, where):
     return obj
 
 
-def write_json(path, obj, default=None):
+def write_json(path, obj):
     """Write `obj` as indented JSON with sorted keys."""
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(obj, f, indent=2, sort_keys=True, default=default)
+        json.dump(obj, f, indent=2, sort_keys=True)
 
 
 def write_manifest(path, rows):

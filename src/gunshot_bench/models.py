@@ -1,5 +1,9 @@
 """Classifiers: a one-vs-rest linear SVM baseline and a joint
 detection + gun-type CNN (shared conv trunk, two heads), with training loops.
+
+A clip's only label is its gun type, 0..K-1, or NEGATIVE_LABEL for a clip
+without a gunshot; its detection label is derived as type >= 0 wherever it
+is needed (the manifest holds a class exactly when a clip has a gunshot).
 """
 
 from dataclasses import dataclass, field
@@ -8,7 +12,7 @@ from functools import partial
 import numpy as np
 
 from . import nncore as nn
-from .errors import DegenerateData, NonFiniteLoss, NonFiniteTensor, ShapeMismatch
+from .errors import InvalidParam, NonFiniteLoss, NonFiniteTensor
 from .manifest import N_CLASSES, NEGATIVE_LABEL
 from .dsp import LOG_EPS, N_MELS
 
@@ -182,7 +186,7 @@ def _train_svms(x, ys, c, max_sweeps, gram):
     return np.array(w), np.array(b), histories, [r not in live for r in range(m)]
 
 
-def svm_train(features, labels, c=1.0, epochs=100, n_classes=None, fit_detector=True):
+def svm_train(features, labels, c=1.0, epochs=100, n_classes=None):
     """Fit one-vs-rest binary machines on standardized features.
 
     labels: int array; 0..K-1 are gun types, NEGATIVE_LABEL marks
@@ -198,18 +202,18 @@ def svm_train(features, labels, c=1.0, epochs=100, n_classes=None, fit_detector=
     x = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     if x.ndim != 2 or len(labels) != len(x):
-        raise ShapeMismatch("features must be [n, d] with one label per row")
+        raise InvalidParam("features must be [n, d] with one label per row")
     k = int(n_classes) if n_classes else int(labels.max()) + 1
     present = np.unique(labels[labels >= 0])
     if len(present) < 2:
-        raise DegenerateData(f"need >= 2 classes, got {len(present)}")
+        raise InvalidParam(f"need >= 2 classes, got {len(present)}")
     for cls in range(k):
         if not np.any(labels == cls):
-            raise DegenerateData(f"class {cls} has no training examples")
+            raise InvalidParam(f"class {cls} has no training examples")
 
     ys = [np.where(labels == cls, 1.0, -1.0) for cls in range(k)]
     y_det = np.where(labels >= 0, 1.0, -1.0)
-    detector = fit_detector and len(np.unique(y_det)) == 2
+    detector = len(np.unique(y_det)) == 2
     if detector:
         ys.append(y_det)
     w, b, histories, converged = _train_svms(x, np.array(ys), c, epochs, x @ x.T)
@@ -307,7 +311,7 @@ class JointCnnModel:
         """Center-crop or pad log-mel frames to t_frames, then standardize."""
         m = np.asarray(mel_frames, dtype=np.float64)
         if m.ndim != 2 or m.shape[1] != self.n_mels:
-            raise ShapeMismatch(f"expected [T, {self.n_mels}] frames, got {m.shape}")
+            raise InvalidParam(f"expected [T, {self.n_mels}] frames, got {m.shape}")
         t = self.t_frames
         if m.shape[0] > t:
             start = (m.shape[0] - t) // 2
@@ -387,16 +391,17 @@ def cnn_forward(model, mel_frames, threshold=0.5):
     return Prediction(p, posteriors, p >= threshold, p * posteriors)
 
 
-def batch_loss_graph(model, x_batch, y_det, y_type, lambda_type, keep_caches=False):
-    """Joint loss over a batch: mean detection BCE plus lambda * masked type
-    cross-entropy (positives only). Returns (loss, graph). With keep_caches,
-    graph is the (trunk, heads) pair that nncore.backward takes: each head's
-    steps end in its loss, paired with that loss's weight (1 and lambda).
-    Without it, graph is None and the forward keeps no cache."""
+def batch_loss_graph(model, x_batch, y_type, lambda_type, keep_caches=False):
+    """Joint loss over a batch: mean detection BCE (a clip is positive iff
+    its y_type >= 0) plus lambda * masked type cross-entropy (positives
+    only). Returns (loss, graph). With keep_caches, graph is the (trunk,
+    heads) pair that nncore.backward takes: each head's steps end in its
+    loss, paired with that loss's weight (1 and lambda). Without it, graph
+    is None and the forward keeps no cache."""
     lam = float(lambda_type)
     p_gun, type_logits, steps = model.forward(x_batch, keep_caches)
-    det_loss, det_cache = nn.bce(p_gun, y_det.astype(np.float64))
-    mask = ((y_det == 1) & (y_type >= 0)).astype(np.float64)
+    mask = (y_type >= 0).astype(np.float64)
+    det_loss, det_cache = nn.bce(p_gun, mask)
     safe_cls = np.where(y_type >= 0, y_type, 0)
     type_loss, type_cache = nn.cross_entropy(type_logits, safe_cls, sample_weight=mask)
     loss = det_loss + type_loss * lam
@@ -410,9 +415,8 @@ def batch_loss_graph(model, x_batch, y_det, y_type, lambda_type, keep_caches=Fal
 
 @dataclass
 class LabeledMelSet:
-    """Log-mel clips with detection (0/1) and type (-1 or 0..4) labels."""
+    """Log-mel clips with their type labels (NEGATIVE_LABEL or 0..4)."""
     mels: list
-    y_det: np.ndarray
     y_type: np.ndarray
 
     def __len__(self):
@@ -434,15 +438,18 @@ def _input_stats(mels):
     return float(mean), float(np.sqrt(flat.sum() / flat.size))
 
 
-def _eval_loss(model, data, lam, batch_size=64):
+EVAL_BATCH = 64       # clips per validation-loss batch
+
+
+def _eval_loss(model, data, lam):
     """Mean joint loss over a LabeledMelSet. Each batch is stacked from
     data.mels only when it runs, and its forward keeps no cache, so the
     trunk runs in chunks."""
     total = 0.0
-    for i in range(0, len(data), batch_size):
-        sl = slice(i, min(i + batch_size, len(data)))
+    for i in range(0, len(data), EVAL_BATCH):
+        sl = slice(i, min(i + EVAL_BATCH, len(data)))
         loss, _ = batch_loss_graph(model, _stack_inputs(model, data.mels[sl]),
-                                   data.y_det[sl], data.y_type[sl], lam)
+                                   data.y_type[sl], lam)
         total += loss * (sl.stop - sl.start)
     return total / len(data)
 
@@ -458,13 +465,13 @@ def cnn_train(model, train_set, val_set, config):
     by layer.
 
     Returns the training history; the model is left holding the best-val
-    parameters. Raises DegenerateData if either set is empty, and
+    parameters. Raises InvalidParam if either set is empty, and
     NonFiniteLoss if the loss or a parameter leaves the finite domain; its
     message names the epoch and batch and the epoch's last finite batch
     loss, and for a parameter, its name."""
     if len(train_set) == 0 or len(val_set) == 0:
-        raise DegenerateData(f"cnn training needs train and validation clips, "
-                             f"got {len(train_set)} and {len(val_set)}")
+        raise InvalidParam(f"cnn training needs train and validation clips, "
+                           f"got {len(train_set)} and {len(val_set)}")
     rng = np.random.default_rng(config.seed)
 
     mean, std = _input_stats(train_set.mels)
@@ -487,9 +494,8 @@ def cnn_train(model, train_set, val_set, config):
                      f"{'none' if last_finite is None else repr(last_finite)})")
             try:
                 x = _stack_inputs(model, [train_set.mels[i] for i in idx])
-                loss, graph = batch_loss_graph(model, x, train_set.y_det[idx],
-                                               train_set.y_type[idx], config.lambda_type,
-                                               keep_caches=True)
+                loss, graph = batch_loss_graph(model, x, train_set.y_type[idx],
+                                               config.lambda_type, keep_caches=True)
                 if not np.isfinite(loss):
                     raise NonFiniteLoss(f"{where}: loss={loss}")
                 nn.sgd_step(model.params, nn.backward(*graph), state)

@@ -28,7 +28,7 @@ import struct
 
 import numpy as np
 
-from .errors import CorruptCheckpoint, NonFiniteTensor, ShapeMismatch
+from .errors import InvalidParam, MalformedFile, NonFiniteTensor
 
 CHECKPOINT_MAGIC = b"GSBT"
 CHECKPOINT_VERSION = 1
@@ -78,9 +78,9 @@ def backward(trunk, heads):
 def dense(x, w, b):
     """Affine map: x[B,n] @ w[m,n]^T + b[m] -> [B,m]."""
     if x.ndim != 2 or w.ndim != 2 or b.ndim != 1:
-        raise ShapeMismatch("dense expects x[B,n], w[m,n], b[m]")
+        raise InvalidParam("dense expects x[B,n], w[m,n], b[m]")
     if x.shape[1] != w.shape[1] or w.shape[0] != b.shape[0]:
-        raise ShapeMismatch(f"dense shapes incompatible: x{x.shape} w{w.shape} b{b.shape}")
+        raise InvalidParam(f"dense shapes incompatible: x{x.shape} w{w.shape} b{b.shape}")
     return _check_finite(x @ w.T + b, "dense output"), (x, w)
 
 
@@ -95,18 +95,18 @@ def conv2d(x, w, b, stride=1, pad=0):
     Zero padding only. Output spatial dims are floor((H+2p-kh)/s)+1 etc.
     """
     if x.ndim != 4 or w.ndim != 4:
-        raise ShapeMismatch("conv2d expects x[B,Cin,H,W] and w[Cout,Cin,kh,kw]")
+        raise InvalidParam("conv2d expects x[B,Cin,H,W] and w[Cout,Cin,kh,kw]")
     bsz, cin, h, wdt = x.shape
     cout, cin_w, kh, kw = w.shape
     if cin != cin_w:
-        raise ShapeMismatch(f"conv2d channel mismatch: x has {cin}, w expects {cin_w}")
+        raise InvalidParam(f"conv2d channel mismatch: x has {cin}, w expects {cin_w}")
     if b.shape != (cout,):
-        raise ShapeMismatch(f"conv2d bias must be [{cout}], got {b.shape}")
+        raise InvalidParam(f"conv2d bias must be [{cout}], got {b.shape}")
     s, p = int(stride), int(pad)
     ho = (h + 2 * p - kh) // s + 1
     wo = (wdt + 2 * p - kw) // s + 1
     if ho < 1 or wo < 1:
-        raise ShapeMismatch("conv2d kernel larger than padded input")
+        raise InvalidParam("conv2d kernel larger than padded input")
 
     # Work in channel-major [Cin, B, H, W] memory: the transpose is free for
     # a conv2d or maxpool2d output, and padding, im2col and col2im are slices.
@@ -159,11 +159,11 @@ def maxpool2d(x, k=2, s=2):
     """Windowed max. Backward routes the gradient to the window argmax
     (first occurrence in row-major window order on ties)."""
     if x.ndim != 4:
-        raise ShapeMismatch("maxpool2d expects x[B,C,H,W]")
+        raise InvalidParam("maxpool2d expects x[B,C,H,W]")
     h, w = x.shape[2:]
     k, s = int(k), int(s)
     if h < k or w < k:
-        raise ShapeMismatch(f"maxpool2d window {k} larger than input {h}x{w}")
+        raise InvalidParam(f"maxpool2d window {k} larger than input {h}x{w}")
     ho = (h - k) // s + 1
     wo = (w - k) // s + 1
 
@@ -193,7 +193,7 @@ def maxpool2d_backward(g, cache):
 def global_avg_pool(x):
     """Mean over the spatial dims: [B,C,H,W] -> [B,C]."""
     if x.ndim != 4:
-        raise ShapeMismatch("global_avg_pool expects x[B,C,H,W]")
+        raise InvalidParam("global_avg_pool expects x[B,C,H,W]")
     # C-contiguous even for channel-major input: dense's GEMMs round
     # differently for a transposed operand.
     return _check_finite(np.ascontiguousarray(x.mean(axis=(2, 3))), "gap output"), x
@@ -251,7 +251,7 @@ def bce(p, y):
     """
     y = np.asarray(y, dtype=np.float64)
     if y.shape != p.shape:
-        raise ShapeMismatch(f"bce label shape {y.shape} != prediction shape {p.shape}")
+        raise InvalidParam(f"bce label shape {y.shape} != prediction shape {p.shape}")
     pc = np.clip(p, BCE_EPS, 1.0 - BCE_EPS)
     loss = float(-(y * np.log(pc) + (1.0 - y) * np.log(1.0 - pc)).mean())
     return _check_finite(loss, "bce output"), (p, pc, y)
@@ -272,16 +272,16 @@ def cross_entropy(logits, classes, sample_weight=None):
     loss and zero gradient.
     """
     if logits.ndim != 2:
-        raise ShapeMismatch("cross_entropy expects logits[B,K]")
+        raise InvalidParam("cross_entropy expects logits[B,K]")
     b, k = logits.shape
     cls = np.asarray(classes, dtype=np.intp).reshape(-1)
     if cls.shape[0] != b:
-        raise ShapeMismatch(f"cross_entropy got {cls.shape[0]} labels for batch of {b}")
+        raise InvalidParam(f"cross_entropy got {cls.shape[0]} labels for batch of {b}")
     if cls.min() < 0 or cls.max() >= k:
-        raise ShapeMismatch("class index out of range")
+        raise InvalidParam("class index out of range")
     w = np.ones(b) if sample_weight is None else np.asarray(sample_weight, dtype=np.float64).reshape(-1)
     if w.shape[0] != b:
-        raise ShapeMismatch("sample_weight length mismatch")
+        raise InvalidParam("sample_weight length mismatch")
 
     m = logits.max(axis=1, keepdims=True)
     z = logits - m
@@ -321,11 +321,11 @@ def sgd_step(params, grads, state):
     if state.velocities is None:
         state.velocities = {name: np.zeros_like(p) for name, p in params.items()}
     if not params.keys() == grads.keys() == state.velocities.keys():
-        raise ShapeMismatch("params/grads/state names differ")
+        raise InvalidParam("params/grads/state names differ")
     for name, p in params.items():
         g, v = grads[name], state.velocities[name]
         if g.shape != p.shape or v.shape != p.shape:
-            raise ShapeMismatch(f"gradient/velocity shape does not mirror parameter {name}")
+            raise InvalidParam(f"gradient/velocity shape does not mirror parameter {name}")
         v *= state.momentum
         v -= state.lr * g
         p += v
@@ -361,13 +361,13 @@ def load_checkpoint(path):
     with open(path, "rb") as f:
         blob = f.read()
     if len(blob) < 44 or blob[:4] != CHECKPOINT_MAGIC:
-        raise CorruptCheckpoint(f"{path}: bad magic or truncated file")
+        raise MalformedFile(f"{path}: bad magic or truncated file")
     payload, digest = blob[:-32], blob[-32:]
     if hashlib.sha256(payload).digest() != digest:
-        raise CorruptCheckpoint(f"{path}: checksum mismatch")
+        raise MalformedFile(f"{path}: checksum mismatch")
     version, count = struct.unpack_from("<II", payload, 4)
     if version != CHECKPOINT_VERSION:
-        raise CorruptCheckpoint(f"{path}: unsupported version {version}")
+        raise MalformedFile(f"{path}: unsupported version {version}")
     out = {}
     off = 12
     for _ in range(count):
@@ -384,6 +384,6 @@ def load_checkpoint(path):
         off += 8 * size
         out[name] = arr.astype(np.float64)
     if off != len(payload):
-        raise CorruptCheckpoint(f"{path}: trailing bytes after last entry")
+        raise MalformedFile(f"{path}: trailing bytes after last entry")
     return out
 

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidParam, SceneOverflow
+from .errors import InvalidParam
 from .manifest import GUNSHOT, NO_GUNSHOT, FirearmClass, ManifestRow, write_manifest
 from .wavio import write_wav
 
@@ -266,15 +266,15 @@ def compose_scene(events, config, rng):
     (taps at multiples of delay with geometric decay) -> white noise sized so
     event RMS over the active region sits snr_db above the noise RMS. With no
     events the SNR reference is full scale (RMS 1.0). The mix is peak-scaled
-    to 0.99 only if it would clip. Samples that are not finite raise
-    InvalidParam."""
+    to 0.99 only if it would clip. An event that overruns the scene, or
+    samples that are not finite, raise InvalidParam."""
     sr = SAMPLE_RATE
     n = int(round(config.duration_s * sr))
     mix = np.zeros(n)
     for onset_s, samples in events:
         i0 = int(round(onset_s * sr))
         if i0 < 0 or i0 + len(samples) > n:
-            raise SceneOverflow(
+            raise InvalidParam(
                 f"event at {onset_s:.3f}s (+{len(samples) / sr:.3f}s) exceeds "
                 f"{config.duration_s:.3f}s scene")
         mix[i0 : i0 + len(samples)] += samples

@@ -1,17 +1,19 @@
 """CLI exit codes for inputs the pipeline cannot use: each ends in its
 documented code and a one-line message, never in a traceback (an
-unreadable WAV, a cut checkpoint, a model directory that cannot be used or
-a JSON file or manifest line that does not parse, lacks a key or holds a
-value of the wrong type fails with the I/O code, a flag or a split no
-training can use, or an SVM evaluated on features of another length, with
-the usage code, a CNN whose training overflows with the numeric code), a
-refused command leaves no config.json and a failed generate no dataset;
-training reads no test-split cache; SVM evaluation, training and
-cross-validation honour their flags, rerun byte for byte and report
-machines stopped by the sweep cap; every command runs end to end on a tiny
-dataset, the CNN included; and the CNN pipeline gives the same bytes when
-rerun in a fresh process on another number of BLAS threads; a manifest id
-that would write outside --out is refused; and a fresh-process featurize
+unreadable WAV, a cut checkpoint, a feature cache cut short or with a
+bad magic, a model directory that cannot be used or a JSON file or
+manifest line that does not parse, lacks a key or holds a value of the
+wrong type fails with the I/O code, a flag or a split no training can
+use, or an SVM evaluated on features of another length, with the usage
+code, a CNN whose training overflows with the numeric code); a WAV that
+featurize cannot use fails only its own clip; a refused command leaves
+no config.json and a failed generate no dataset; training reads no
+test-split cache; SVM evaluation, training and cross-validation honour
+their flags, rerun byte for byte and report machines stopped by the
+sweep cap; every command runs end to end on a tiny dataset, the CNN
+included; and the CNN pipeline gives the same bytes when rerun in a
+fresh process on another number of BLAS threads; a manifest id that
+would write outside --out is refused; and a fresh-process featurize
 reuses the memory each clip frees instead of faulting it in again."""
 
 import ctypes
@@ -26,7 +28,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gunshot_bench import cli, models, nncore
+from gunshot_bench import cli, models, nncore, wavio
 
 
 def test_cnn_without_validation_clips_exits_usage(tmp_path, capsys):
@@ -147,6 +149,40 @@ def test_featurize_unreadable_wav_fails_with_io(tiny_data, tmp_path, capsys):
     captured = capsys.readouterr()
     assert "4 computed, 0 up-to-date, 1 failed" in captured.out
     assert f"FAILED {first['id']}:" in captured.err
+
+
+def _too_short(wav):
+    wavio.write_wav(wav, np.zeros(1000))    # under one 1024-sample window
+
+
+def _three_channels(wav):
+    with wave.open(str(wav), "wb") as w:
+        w.setnchannels(3)
+        w.setsampwidth(2)
+        w.setframerate(44100)
+        w.writeframes(bytes(2 * 3 * 44100))
+
+
+def _at_4_khz(wav):
+    wavio.write_wav(wav, np.zeros(8000), sample_rate=4000)
+
+
+@pytest.mark.parametrize("damage,message", [
+    (_too_short, "need at least 1024 samples, got 1000"),
+    (_three_channels, "expected 1 or 2 channels, got 3"),
+    (_at_4_khz, "sample rate 4000 outside 8k..192k"),
+], ids=["shorter-than-one-window", "three-channels", "4-khz"])
+def test_featurize_unusable_wav_fails_that_clip_only(tiny_data, tmp_path, capsys, damage,
+                                                     message):
+    # a WAV that decodes but that featurize cannot use fails its own clip,
+    # as an unreadable one does; it does not abort the run
+    manifest, clip_id, _ = _damage_first_wav(tiny_data, tmp_path, damage)
+    code = cli.main(["featurize", "--manifest", str(manifest), "--kind", "autocorr",
+                     "--out", str(tmp_path / "autocorr")])
+    assert code == cli.EXIT_IO
+    captured = capsys.readouterr()
+    assert "4 computed, 0 up-to-date, 1 failed" in captured.out
+    assert captured.err.splitlines() == [f"  FAILED {clip_id}: {message}"]
 
 
 def _damage_first_wav(tiny_data, tmp_path, damage):
@@ -541,6 +577,38 @@ def _featurize_with_first_id(rid):
                       "--kind", "melstats", "--out", d["tmp"] / "feats"]
 
 
+def _cut_payload(blob):
+    header_end = 8 + int.from_bytes(blob[4:8], "little")
+    return blob[: header_end + (len(blob) - header_end) // 2]
+
+
+def _bad_magic(blob):
+    return b"JUNK" + blob[4:]
+
+
+def _with_damaged_cache(command, ids, damage):
+    """`command` (train, evaluate or crossval of the melstats SVM) on a copy
+    of the melstats caches in which `damage` rewrote the cache of the first
+    id of the `ids` list of the trained SVM's split: a clip the command
+    reads. Records that cache's path as the file the error must name."""
+    def argv(d):
+        split_path = d["trained"] / "svm" / "split.json"
+        feats = d["tmp"] / "feats"
+        shutil.copytree(_features(d, "svm"), feats)
+        victim = feats / f"{json.loads(split_path.read_text())[ids][0]}.feat"
+        victim.write_bytes(damage(victim.read_bytes()))
+        d["named"] = victim
+        if command == "train":
+            return _train_argv(d, features=feats)
+        if command == "evaluate":
+            return ["evaluate", "--checkpoint", d["trained"] / "svm", "--manifest",
+                    d["manifest"], "--features", feats, "--out", d["tmp"] / "eval",
+                    "--split", split_path]
+        return ["crossval", "--manifest", d["manifest"], "--features", feats, "--out",
+                d["tmp"] / "cv", "--model", "svm", "--seed", "1", "--k", "2"]
+    return argv
+
+
 @pytest.mark.parametrize("make_argv,code,label", [
     (_with_split('{"train_ids": ['), cli.EXIT_IO, "I/O failure:"),
     (_with_split('{"train_ids": [], "test_ids": [], "seed": 1}'), cli.EXIT_IO, "I/O failure:"),
@@ -576,6 +644,10 @@ def _featurize_with_first_id(rid):
      cli.EXIT_USAGE, "error:"),
     (_featurize_with_first_id("../escaped"), cli.EXIT_USAGE, "error:"),
     (_featurize_with_first_id(""), cli.EXIT_USAGE, "error:"),
+    (_with_damaged_cache("train", "train_ids", _cut_payload), cli.EXIT_IO, "I/O failure:"),
+    (_with_damaged_cache("evaluate", "test_ids", _cut_payload), cli.EXIT_IO, "I/O failure:"),
+    (_with_damaged_cache("crossval", "val_ids", _cut_payload), cli.EXIT_IO, "I/O failure:"),
+    (_with_damaged_cache("train", "train_ids", _bad_magic), cli.EXIT_IO, "I/O failure:"),
 ], ids=["split-not-json", "split-without-val_ids", "manifest-line-not-json",
         "manifest-line-without-path", "svm-meta-without-feature_kind",
         "cnn-meta-without-input_frames", "index-not-json", "index-not-an-object",
@@ -586,16 +658,19 @@ def _featurize_with_first_id(rid):
         "split-names-an-unknown-clip", "split-lists-a-clip-twice",
         "evaluate-split-train-ids-also-in-test",
         "manifest-detection_label-unknown", "manifest-id-outside-the-out-dir",
-        "manifest-id-empty"])
+        "manifest-id-empty", "train-cache-payload-cut", "evaluate-cache-payload-cut",
+        "crossval-cache-payload-cut", "train-cache-bad-magic"])
 def test_unusable_input_exits_with_its_code_and_one_line(small_data, trained_models, tiny_data,
                                                          tmp_path, capsys, make_argv, code, label):
     manifest, root = small_data
-    argv = make_argv({"manifest": manifest, "root": root, "trained": trained_models,
-                      "tiny": tiny_data, "tmp": tmp_path})
+    d = {"manifest": manifest, "root": root, "trained": trained_models, "tiny": tiny_data,
+         "tmp": tmp_path}
+    argv = make_argv(d)
     capsys.readouterr()
     assert cli.main([str(a) for a in argv]) == code
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(label), err
+    assert str(d.get("named", "")) in err[0]
 
 
 @pytest.mark.parametrize("rid", ["../escaped", "../../escaped", "a/../../escaped"])

@@ -87,16 +87,16 @@ def ids_by_class(draw):
 class TestKfold:
     @given(ids_by_class(), st.integers(2, 9), st.integers(0, 2**32 - 1))
     def test_matches_greedy_reference(self, ids, k, seed):
-        assert ev.kfold(ids, k=k, seed=seed).folds == greedy_kfold(ids, k, seed)
+        assert ev.kfold(ids, k=k, seed=seed) == greedy_kfold(ids, k, seed)
 
     def test_25_items_five_folds_of_five(self):
-        plan = ev.kfold({"a": [f"x{i}" for i in range(25)]}, k=5, seed=0)
-        assert sorted(len(f) for f in plan.folds) == [5] * 5
+        folds = ev.kfold({"a": [f"x{i}" for i in range(25)]}, k=5, seed=0)
+        assert sorted(len(f) for f in folds) == [5] * 5
 
     def test_small_class_spread_across_folds(self):
-        plan = ev.kfold({"a": list("abcdefghij"), "b": ["p", "q", "r"]}, k=5, seed=1)
+        folds = ev.kfold({"a": list("abcdefghij"), "b": ["p", "q", "r"]}, k=5, seed=1)
         fold_of = {}
-        for i, fold in enumerate(plan.folds):
+        for i, fold in enumerate(folds):
             for x in fold:
                 fold_of[x] = i
         assert len({fold_of["p"], fold_of["q"], fold_of["r"]}) == 3
@@ -104,16 +104,19 @@ class TestKfold:
     def test_union_complete_and_balanced(self):
         ids = {c: [f"{c}{i}" for i in range(n)] for c, n in
                (("a", 17), ("b", 9), ("c", 4))}
-        plan = ev.kfold(ids, k=5, seed=2)
-        everything = [x for f in plan.folds for x in f]
+        folds = ev.kfold(ids, k=5, seed=2)
+        everything = [x for f in folds for x in f]
         assert sorted(everything) == sorted(x for v in ids.values() for x in v)
-        sizes = [len(f) for f in plan.folds]
+        sizes = [len(f) for f in folds]
         assert max(sizes) - min(sizes) <= 1
 
     def test_train_ids_complement(self):
-        plan = ev.kfold({"a": [f"x{i}" for i in range(10)]}, k=5, seed=3)
+        # a fold's training ids are the other folds' ids: with the fold
+        # itself they make up every id, and none is in two folds
+        folds = ev.kfold({"a": [f"x{i}" for i in range(10)]}, k=5, seed=3)
         for i in range(5):
-            assert sorted(plan.train_ids(i) + plan.folds[i]) == sorted(f"x{j}" for j in range(10))
+            train_ids = [x for j, f in enumerate(folds) if j != i for x in f]
+            assert sorted(train_ids + folds[i]) == sorted(f"x{j}" for j in range(10))
 
 
 class TestPrf1:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from gunshot_bench import models, nncore as nn
-from gunshot_bench.errors import DegenerateData, NonFiniteLoss, ShapeMismatch
+from gunshot_bench.errors import InvalidParam, NonFiniteLoss
 
 from helpers import detection_f1, gradcheck
 
@@ -25,27 +25,27 @@ def toy_two_class(n=20, gap=4.0, seed=0):
 class TestSvm:
     def test_separable_two_class_perfect(self):
         x, y = toy_two_class()
-        model = models.svm_train(x, y, c=1.0, epochs=150, fit_detector=False)
+        model = models.svm_train(x, y, c=1.0, epochs=150)
         pred = np.array([models.svm_predict(model, xi)[1] for xi in x])
         assert (pred == y).mean() == 1.0
 
     def test_c_to_zero_scores_collapse_to_bias(self):
         x, y = toy_two_class()
-        model = models.svm_train(x, y, c=1e-8, epochs=60, fit_detector=False)
+        model = models.svm_train(x, y, c=1e-8, epochs=60)
         assert np.abs(model.weights).max() < 1e-3
         scores, _ = models.svm_predict(model, x[0])
         np.testing.assert_allclose(scores, model.biases, atol=1e-2)
 
     def test_objective_non_increasing(self):
         x, y = toy_two_class(seed=3)
-        model = models.svm_train(x, y, c=1.0, epochs=80, fit_detector=False)
+        model = models.svm_train(x, y, c=1.0, epochs=80)
         for hist in model.objective_history:
             assert all(hist[i + 1] <= hist[i] + 1e-12 for i in range(len(hist) - 1))
 
     def test_hinge_objective_near_grid_oracle(self):
         x, y = toy_two_class(n=20, gap=2.0, seed=5)
         yy = np.where(y == 0, 1.0, -1.0)
-        model = models.svm_train(x, y, c=1.0, epochs=400, fit_detector=False)
+        model = models.svm_train(x, y, c=1.0, epochs=400)
         got = models._hinge_objective(x, yy, model.weights[0], model.biases[0], 1.0)
         # coarse grid over (w1, w2, b)
         grid = np.linspace(-3.0, 3.0, 61)
@@ -62,13 +62,13 @@ class TestSvm:
     def test_degenerate_class_rejected(self):
         x = np.random.default_rng(0).normal(size=(10, 3))
         y = np.zeros(10, dtype=int)
-        with pytest.raises(DegenerateData):
+        with pytest.raises(InvalidParam, match="need >= 2 classes, got 1"):
             models.svm_train(x, y, n_classes=2)
 
     def test_missing_middle_class_rejected(self):
         x = np.random.default_rng(0).normal(size=(12, 3))
         y = np.array([0, 0, 0, 0, 2, 2, 2, 2, 3, 3, 3, 3])
-        with pytest.raises(DegenerateData):
+        with pytest.raises(InvalidParam, match="class 1 has no training examples"):
             models.svm_train(x, y, n_classes=4)
 
     def test_tie_goes_to_lowest_class(self):
@@ -86,12 +86,14 @@ class TestSvm:
         np.testing.assert_allclose(scores, [2.0 - 2.0 + 0.1, -3.0 - 0.5 - 0.2])
         assert best == 0
 
-    @pytest.mark.parametrize("fit_detector", [False, True])
-    def test_prediction_scores_are_svm_predict_scores(self, fit_detector):
+    @pytest.mark.parametrize("negatives", [False, True])
+    def test_prediction_scores_are_svm_predict_scores(self, negatives):
+        # the detector is fit exactly when the labels hold both polarities
         x, y = toy_two_class(gap=1.0)
-        y[:4] = models.NEGATIVE_LABEL
-        model = models.svm_train(x, y, epochs=50, fit_detector=fit_detector)
-        assert (model.det_weight is not None) == fit_detector
+        if negatives:
+            y[:4] = models.NEGATIVE_LABEL
+        model = models.svm_train(x, y, epochs=50)
+        assert (model.det_weight is not None) == negatives
         for row in np.random.default_rng(5).normal(size=(6, 2)):
             pred = models.svm_prediction(model, row)
             np.testing.assert_array_equal(pred.scores, models.svm_predict(model, row)[0])
@@ -99,14 +101,13 @@ class TestSvm:
     def test_non_support_point_removal_barely_moves_decision(self):
         x, y = toy_two_class(n=20, gap=4.0, seed=7)
         yy = np.where(y == 0, 1.0, -1.0)
-        full = models.svm_train(x, y, c=1.0, epochs=3000, fit_detector=False)
+        full = models.svm_train(x, y, c=1.0, epochs=3000)
         w, b = full.weights[0], full.biases[0]
         margins = yy * (x @ w + b)
         loose = int(np.argmax(margins))          # far outside the margin
         assert margins[loose] > 1.0
         keep = np.arange(len(x)) != loose
-        reduced = models.svm_train(x[keep], y[keep], c=1.0, epochs=3000,
-                                   fit_detector=False)
+        reduced = models.svm_train(x[keep], y[keep], c=1.0, epochs=3000)
         held_out = np.random.default_rng(9).normal(size=(10, 2))
         s_full = held_out @ full.weights[0] + full.biases[0]
         s_red = held_out @ reduced.weights[0] + reduced.biases[0]
@@ -179,8 +180,8 @@ class TestBatchedSvmMatchesReference:
     """svm_train steps all machines together; each must equal, bit for bit,
     the machine solved alone by the reference."""
 
-    def check(self, x, labels, c, epochs, fit_detector=False):
-        model = models.svm_train(x, labels, c=c, epochs=epochs, fit_detector=fit_detector)
+    def check(self, x, labels, c, epochs):
+        model = models.svm_train(x, labels, c=c, epochs=epochs)
         ys = [np.where(labels == cls, 1.0, -1.0) for cls in range(len(model.biases))]
         weights, biases = list(model.weights), list(model.biases)
         if model.det_weight is not None:
@@ -221,7 +222,7 @@ class TestBatchedSvmMatchesReference:
     def test_detector_with_negatives(self):
         x, y = overlapping_classes(seed=4)
         y[::5] = models.NEGATIVE_LABEL
-        ref = self.check(x, y, c=0.5, epochs=40, fit_detector=True)
+        ref = self.check(x, y, c=0.5, epochs=40)
         assert len(ref) == 5
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -244,7 +245,7 @@ class TestBatchedSvmMatchesReference:
         z = rng.normal(size=(100, 8)) + rng.normal(size=(6, 8))[y + 1]
         x = (z[:, :, None] * rng.normal(size=(8, 256))).sum(axis=1) \
             + 0.1 * rng.normal(size=(100, 256))
-        ref = self.check(x, y, c=1.0, epochs=30, fit_detector=True)
+        ref = self.check(x, y, c=1.0, epochs=30)
         converged = [conv for *_, conv in ref]
         assert len(ref) == 6 and set(converged) == {True, False}
         assert len({len(history) for _, _, history, conv in ref if conv}) > 1
@@ -283,7 +284,8 @@ class TestCnnForward:
 
     def test_wrong_band_count_rejected(self):
         model = models.JointCnnModel(seed=0, t_frames=32)
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(InvalidParam,
+                           match=re.escape("expected [T, 128] frames, got (32, 64)")):
             models.cnn_forward(model, np.zeros((32, 64)))
 
     def test_crop_and_pad(self):
@@ -312,8 +314,8 @@ class TestJointLoss:
     def test_lambda_zero_kills_type_gradient(self):
         model = models.JointCnnModel(seed=3, t_frames=16)
         x = np.random.default_rng(0).normal(size=(2, 1, 16, 128))
-        _, graph = models.batch_loss_graph(model, x, np.array([1, 1]),
-                                           np.array([2, 4]), lambda_type=0.0, keep_caches=True)
+        _, graph = models.batch_loss_graph(model, x, np.array([2, 4]), lambda_type=0.0,
+                                           keep_caches=True)
         grads = nn.backward(*graph)
         for name in ("typ1.w", "typ1.b", "typ2.w", "typ2.b"):
             assert np.all(grads[name] == 0.0)
@@ -321,11 +323,10 @@ class TestJointLoss:
     def test_trunk_receives_gradient_from_both_heads(self):
         model = models.JointCnnModel(seed=4, t_frames=16)
         x = np.abs(np.random.default_rng(1).normal(size=(4, 1, 16, 128))) + 0.1
-        y_det = np.array([1, 1, 1, 1])
         y_type = np.array([0, 1, 2, 3])
 
         def trunk_grad(lam, det_only):
-            _, graph = models.batch_loss_graph(model, x, y_det, y_type, lam, keep_caches=True)
+            _, graph = models.batch_loss_graph(model, x, y_type, lam, keep_caches=True)
             return nn.backward(*graph)["conv3.w"]
 
         g_det_only = trunk_grad(0.0, True)       # only detection path
@@ -338,12 +339,10 @@ class TestJointLoss:
         # the 8x8 input halves to 4x4, 2x2 and 1x1 through the three pools
         model = models.JointCnnModel(seed=12, t_frames=8, n_mels=8)
         x = np.random.default_rng(4).normal(size=(4, 1, 8, 8))
-        y_det = np.array([1, 0, 1, 1])
         y_type = np.array([3, models.NEGATIVE_LABEL, 0, 4])
 
         def loss_and_grads(params):     # gradcheck perturbs model.params in place
-            loss, graph = models.batch_loss_graph(model, x, y_det, y_type, 0.7,
-                                                  keep_caches=True)
+            loss, graph = models.batch_loss_graph(model, x, y_type, 0.7, keep_caches=True)
             return loss, nn.backward(*graph)
 
         # every entry moves every pool window's candidates, so at the default
@@ -362,16 +361,15 @@ class TestArrayParams:
     def _batch(n, t):
         rng = np.random.default_rng(8)
         x = rng.normal(size=(n, 1, t, 128))
-        y_det = np.arange(n) % 2
-        y_type = np.where(y_det == 1, np.arange(n) % 5, models.NEGATIVE_LABEL)
-        return x, y_det, y_type
+        y_type = np.where(np.arange(n) % 2 == 1, np.arange(n) % 5, models.NEGATIVE_LABEL)
+        return x, y_type
 
     def test_eval_loss_keeps_no_activations(self):
         # kept caches hold every layer's activations and im2col columns until
         # they are dropped; without them, only the largest single op's are
         # live at once
         model = models.JointCnnModel(seed=5, t_frames=32)
-        x, y_det, y_type = self._batch(16, 32)
+        x, y_type = self._batch(16, 32)
 
         def peak_bytes(fn):
             tracemalloc.start()
@@ -381,8 +379,8 @@ class TestArrayParams:
             finally:
                 tracemalloc.stop()
 
-        data = models.LabeledMelSet(list(x[:, 0]), y_det, y_type)
-        kept = peak_bytes(lambda: models.batch_loss_graph(model, x, y_det, y_type, 1.0,
+        data = models.LabeledMelSet(list(x[:, 0]), y_type)
+        kept = peak_bytes(lambda: models.batch_loss_graph(model, x, y_type, 1.0,
                                                           keep_caches=True))
         plain = peak_bytes(lambda: models._eval_loss(model, data, 1.0))
         assert plain < 0.6 * kept
@@ -394,14 +392,14 @@ class TestArrayParams:
         # whole batch
         assert n % models.TRUNK_CHUNK
         model = models.JointCnnModel(seed=6, t_frames=16)
-        x, y_det, y_type = self._batch(n, 16)
+        x, y_type = self._batch(n, 16)
         *kept, steps = model.forward(x, keep_caches=True)
         *plain, no_steps = model.forward(x)
         assert steps is not None and no_steps is None
         for a, b in zip(kept, plain, strict=True):
             assert a.tobytes() == b.tobytes()
-        kept, graph = models.batch_loss_graph(model, x, y_det, y_type, 0.7, keep_caches=True)
-        plain, no_graph = models.batch_loss_graph(model, x, y_det, y_type, 0.7)
+        kept, graph = models.batch_loss_graph(model, x, y_type, 0.7, keep_caches=True)
+        plain, no_graph = models.batch_loss_graph(model, x, y_type, 0.7)
         assert graph is not None and no_graph is None
         assert plain == kept
 
@@ -409,7 +407,7 @@ class TestArrayParams:
 class TestCnnTrain:
     def _tiny_sets(self, n=12, t=16, seed=0):
         rng = np.random.default_rng(seed)
-        mels, y_det, y_type = [], [], []
+        mels, y_type = [], []
         for i in range(n):
             positive = i % 2 == 0
             base = np.full((t, 128), -10.0)
@@ -417,21 +415,18 @@ class TestCnnTrain:
                 band = 20 * (i % 5)
                 base[:, band : band + 20] += 6.0
             mels.append(base + rng.normal(size=(t, 128)) * 0.1)
-            y_det.append(1 if positive else 0)
             y_type.append((i % 5) if positive else -1)
         k = int(n * 0.75)
         mk = models.LabeledMelSet
-        return (mk(mels[:k], np.array(y_det[:k]), np.array(y_type[:k])),
-                mk(mels[k:], np.array(y_det[k:]), np.array(y_type[k:])))
+        return mk(mels[:k], np.array(y_type[:k])), mk(mels[k:], np.array(y_type[k:]))
 
     @staticmethod
     def _mel_set(n, frames, seed):
         rng = np.random.default_rng(seed)
         mels = [(rng.normal(size=(frames, 128)) * 3.0 - 7.0).astype(np.float32)
                 for _ in range(n)]
-        y_det = np.arange(n) % 2
-        y_type = np.where(y_det == 1, np.arange(n) % 5, models.NEGATIVE_LABEL)
-        return models.LabeledMelSet(mels, y_det, y_type)
+        y_type = np.where(np.arange(n) % 2 == 1, np.arange(n) % 5, models.NEGATIVE_LABEL)
+        return models.LabeledMelSet(mels, y_type)
 
     def test_input_stats_equal_numpy_on_the_concatenated_mels(self):
         train, val = self._mel_set(7, 24, seed=1), self._mel_set(3, 24, seed=2)
@@ -479,8 +474,7 @@ class TestCnnTrain:
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            graph = models.batch_loss_graph(model, x, train.y_det[:4], train.y_type[:4], 1.0,
-                                            keep_caches=True)
+            graph = models.batch_loss_graph(model, x, train.y_type[:4], 1.0, keep_caches=True)
             step_bytes = tracemalloc.get_traced_memory()[0] - before
             del graph
             tracemalloc.reset_peak()
@@ -554,7 +548,7 @@ class TestCnnTrain:
         models.cnn_train(model, train, val, cfg)
         decided = np.array([models.cnn_forward(model, m, threshold=0.5).detected
                             for m in val.mels], dtype=int)
-        assert detection_f1(val.y_det, decided) >= 0.95
+        assert detection_f1((val.y_type >= 0).astype(int), decided) >= 0.95
 
 
 class TestPrediction:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gunshot_bench import nncore as nn
-from gunshot_bench.errors import CorruptCheckpoint, NonFiniteTensor, ShapeMismatch
+from gunshot_bench.errors import InvalidParam, MalformedFile, NonFiniteTensor
 
 from helpers import gradcheck, safe_random
 
@@ -134,7 +134,7 @@ class TestConv2d:
         np.testing.assert_allclose(out_m, conv_naive(x, w, b, stride, pad), atol=1e-9)
 
     def test_shape_mismatch(self):
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(InvalidParam, match="conv2d channel mismatch: x has 2, w expects 5"):
             nn.conv2d(np.zeros((1, 2, 4, 4)), np.zeros((3, 5, 3, 3)), np.zeros(3))
 
 
@@ -348,11 +348,11 @@ class TestCheckpoint:
         blob = bytearray(path.read_bytes())
         blob[20] ^= 0xFF
         path.write_bytes(bytes(blob))
-        with pytest.raises(CorruptCheckpoint):
+        with pytest.raises(MalformedFile, match="checksum mismatch"):
             nn.load_checkpoint(path)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "m.ckpt"
         path.write_bytes(b"JUNKJUNKJUNK" + b"\x00" * 64)
-        with pytest.raises(CorruptCheckpoint):
+        with pytest.raises(MalformedFile, match="bad magic or truncated file"):
             nn.load_checkpoint(path)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from gunshot_bench import synthgun as sg
-from gunshot_bench.errors import InvalidParam, SceneOverflow
+from gunshot_bench.errors import InvalidParam
 from gunshot_bench.manifest import load_manifest
 from gunshot_bench.wavio import write_wav
 
@@ -168,7 +168,8 @@ class TestComposeScene:
     def test_overflow_raises(self):
         pulse = sg.synth_muzzle_blast(800.0, 5.0, 0.5)
         cfg = sg.SceneConfig(duration_s=0.1)
-        with pytest.raises(SceneOverflow):
+        with pytest.raises(InvalidParam,
+                           match=r"event at 0\.099s \(\+0\.005s\) exceeds 0\.100s scene"):
             sg.compose_scene([(0.099, pulse)], cfg, np.random.default_rng(0))
 
     def test_reverb_adds_delayed_copies(self):
