@@ -15,8 +15,9 @@ no_gunshot or whose id is not one plain file name, or a split that names a
 clip the manifest lacks or lists one clip twice, in one list or across
 two), 3 I/O failure (including a corrupt checkpoint, a model directory
 that cannot be used, or a feature cache that fails its check: a bad magic,
-a header that does not parse, another version, or a payload cut short of
-its shape), 4 numeric failure.
+a header that does not parse, another version, a payload cut short of its
+shape, another kind than its directory's, or another shape than the first
+cache read, the frame count of a mel cache aside), 4 numeric failure.
 Each error class carries its code (see `errors`). A file that does not
 parse, or lacks a key the command needs or holds it with the wrong type (a
 manifest line, a split, `index.json`, `model.meta.json`, a WAV), exits 3.
@@ -151,14 +152,17 @@ BOAW_FRAMES_PER_CLIP = 32    # log-mel frames each clip gives the codebook fit
 
 
 def _fit_boaw_codebook(base, rows, k, seed):
-    """Codebook over a deterministic subsample of log-mel frames."""
-    frames = []
+    """Codebook over a deterministic subsample of log-mel frames, written
+    into one preallocated matrix so the descriptors are held once."""
+    frames = np.empty((len(rows) * BOAW_FRAMES_PER_CLIP, dsp.N_MELS))
+    filled = 0
     for row in rows:
         mel = dsp.mel_spectrogram(_load_clip(base, row)).frames
         rng = np.random.default_rng([seed, hash(row.id) & 0x7FFFFFFF])
         take = min(BOAW_FRAMES_PER_CLIP, len(mel))
-        frames.append(mel[rng.choice(len(mel), size=take, replace=False)])
-    return dsp.kmeans_fit(np.concatenate(frames), k=k, iters=25, seed=seed)
+        frames[filled : filled + take] = mel[rng.choice(len(mel), size=take, replace=False)]
+        filled += take
+    return dsp.kmeans_fit(frames[:filled], k=k, iters=25, seed=seed)
 
 
 def cmd_featurize(args):
@@ -229,15 +233,28 @@ def _feature_kind(features_dir):
     return read_json(Path(features_dir) / "index.json", {"kind": str})["kind"]
 
 
-def _load_features(features_dir, rows):
+def _load_features(features_dir, rows, kind):
     """The cached features of `rows` only, kept as the cache's float32: every
-    consumer casts to float64, which is exact."""
+    consumer casts to float64, which is exact. MalformedFile naming the cache
+    whose header holds another kind than `kind` (the directory's), or naming
+    it and the first cache read when their shapes differ (for `mel`, whose
+    frame count follows the clip's length, their band counts)."""
     feats = {}
+    fixed = slice(1, None) if kind == "mel" else slice(None)
+    first = None
     for row in rows:
         path = Path(features_dir) / f"{row.id}.feat"
         if not path.exists():
             raise UsageError(f"missing feature cache for {row.id}; run featurize first")
-        feats[row.id], _ = dsp.load_feature(path)
+        values, hdr = dsp.load_feature(path)
+        if hdr.get("kind") != kind:
+            raise MalformedFile(f"{path}: cache of kind {hdr.get('kind')!r} in a {kind} directory")
+        if first is None:
+            first = path, values.shape
+        if values.shape[fixed] != first[1][fixed]:
+            raise MalformedFile(f"{path}: shape {values.shape} does not match "
+                                f"{first[0]}'s {first[1]}")
+        feats[row.id] = values
     return feats
 
 
@@ -324,7 +341,7 @@ def cmd_train(args):
     kind = _feature_kind(args.features)
     _check_kind(args.model, kind)
     train_rows, val_rows, _ = _split_rows(rows, split)
-    feats = _load_features(args.features, train_rows + val_rows)
+    feats = _load_features(args.features, train_rows + val_rows, kind)
 
     t0 = time.perf_counter()
     _, meta, arrays, history = _fit(args, kind, train_rows, val_rows, feats)
@@ -424,7 +441,7 @@ def cmd_evaluate(args):
     kind = _feature_kind(args.features)
     if kind != meta["feature_kind"]:
         raise UsageError(f"feature kind {kind} does not match model ({meta['feature_kind']})")
-    feats = _load_features(args.features, subset)
+    feats = _load_features(args.features, subset, kind)
     if meta["model"] == "svm":
         # a cache of the right kind featurized with another --autocorr-lag or --boaw-k
         want = model_bundle[0].weights.shape[1]
@@ -460,7 +477,7 @@ def cmd_crossval(args):
     if args.k > len(pool):
         raise UsageError(f"--k {args.k} exceeds the {len(pool)} clips in the pool")
     folds = evaluation.kfold(evaluation.strata(pool), k=args.k, seed=args.seed)
-    feats = _load_features(args.features, pool)
+    feats = _load_features(args.features, pool, kind)
     _echo_config(args, out_dir, "crossval")
     by_id = {r.id: r for r in pool}
     default = 0.5 if args.model == "cnn" else 0.0    # a probability vs an SVM margin

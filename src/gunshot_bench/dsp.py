@@ -3,8 +3,17 @@ log-mel spectrograms (128 bands, 1024-sample window, 512 hop), waveform
 autocorrelation, and bag-of-audio-words encoding.
 
 Spectra come from numpy.fft: `stft` takes the real FFT of Hann-windowed
-frames, and `autocorrelation` the real FFT of the clip zero-padded to a
-power of two. The resampler is a windowed-sinc polyphase filter.
+frames, and `autocorrelation` the real FFT of the clip zero-padded to the
+next 2^a 3^b 5^c length. The resampler is a windowed-sinc polyphase filter.
+
+Working sets stay bounded: k-means and BoAW encoding compute distances over
+KMEANS_BLOCK descriptor rows at a time, and the resampler gathers its input
+windows RESAMPLE_BLOCK outputs at a time. Beyond its n descriptors of
+length d, a k-means fit then holds O(KMEANS_BLOCK x (d + k)) for its
+distances at any n, O(n) for assignments, and one cluster's rows while it
+averages them; beyond an n-sample clip, the resampler holds
+O(n + RESAMPLE_BLOCK x taps). Rows are independent, so blocking changes no
+value: a row of a matrix product gets the same bits at any matrix height.
 
 Values the code can work out are not stored: a mel spectrogram has
 SAMPLE_RATE / HOP_SAMPLES frames per second, and a BoAW codebook's word
@@ -57,16 +66,30 @@ def ifft(x):
     return np.fft.ifft(_pow2_last_axis(x))
 
 
-def _next_pow2(n):
-    return 1 << max(0, (n - 1)).bit_length()
+def _fft_len(n):
+    """The smallest 2^a 3^b 5^c >= n, a length numpy's FFT splits into its
+    fastest radices."""
+    best = 1 << max(0, n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:    # p35 times the smallest power of two >= n / p35
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 # ---------------------------------------------------------------------------
 # STFT
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=8)
 def hann_window(n):
-    return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
+    """The periodic n-point Hann window, computed once per n (read-only)."""
+    w = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
+    w.flags.writeable = False
+    return w
 
 
 def stft(clip):
@@ -150,7 +173,7 @@ def autocorrelation(clip, max_lag):
         raise InvalidParam("empty clip")
     if not 0 <= max_lag < n:
         raise InvalidParam(f"max_lag must be in [0, {n - 1}], got {max_lag}")
-    nfft = _next_pow2(n + max_lag + 1)
+    nfft = _fft_len(n + max_lag + 1)
     spec = np.fft.rfft(x, nfft)
     r = np.fft.irfft(spec * np.conj(spec), nfft)[: max_lag + 1] / n
     if r[0] > 0:
@@ -168,9 +191,22 @@ class BoawCodebook:
     inertia_history: list = field(default_factory=list)
 
 
-def _pairwise_sq_dists(x, c):
-    d2 = (x * x).sum(axis=1)[:, None] + (c * c).sum(axis=1)[None, :] - 2.0 * (x @ c.T)
-    return np.maximum(d2, 0.0)
+KMEANS_BLOCK = 1024    # descriptor rows per distance block in kmeans_fit and boaw_encode
+
+
+def _nearest(x, c):
+    """(index, squared distance) of each row's nearest centroid, ties to the
+    lowest index, computed KMEANS_BLOCK rows at a time."""
+    cc = (c * c).sum(axis=1)
+    assign = np.empty(len(x), dtype=np.intp)
+    dmin = np.empty(len(x))
+    for i in range(0, len(x), KMEANS_BLOCK):
+        sl = slice(i, i + KMEANS_BLOCK)
+        xb = x[sl]
+        d2 = np.maximum((xb * xb).sum(axis=1)[:, None] + cc[None, :] - 2.0 * (xb @ c.T), 0.0)
+        assign[sl] = d2.argmin(axis=1)
+        dmin[sl] = d2.min(axis=1)
+    return assign, dmin
 
 
 def kmeans_fit(descriptors, k, iters=50, seed=0):
@@ -193,7 +229,7 @@ def kmeans_fit(descriptors, k, iters=50, seed=0):
     # k-means++ seeding
     centroids = np.empty((k, d))
     centroids[0] = x[rng.integers(n)]
-    d2 = _pairwise_sq_dists(x, centroids[:1])[:, 0]
+    _, d2 = _nearest(x, centroids[:1])
     for i in range(1, k):
         total = d2.sum()
         if total <= 0:
@@ -201,18 +237,19 @@ def kmeans_fit(descriptors, k, iters=50, seed=0):
         else:
             idx = int(rng.choice(n, p=d2 / total))
         centroids[i] = x[idx]
-        d2 = np.minimum(d2, ((x - centroids[i]) ** 2).sum(axis=1))
+        for j in range(0, n, KMEANS_BLOCK):
+            sl = slice(j, j + KMEANS_BLOCK)
+            np.minimum(d2[sl], ((x[sl] - centroids[i]) ** 2).sum(axis=1), out=d2[sl])
 
-    assign = _pairwise_sq_dists(x, centroids).argmin(axis=1)
+    assign, _ = _nearest(x, centroids)
     history = []
     for _ in range(max(1, iters)):
         for c in range(k):
             members = assign == c
             if members.any():
                 centroids[c] = x[members].mean(axis=0)
-        dist = _pairwise_sq_dists(x, centroids)
-        history.append(float(dist.min(axis=1).sum()))
-        new_assign = dist.argmin(axis=1)
+        new_assign, dmin = _nearest(x, centroids)
+        history.append(float(dmin.sum()))
         if np.array_equal(new_assign, assign):
             break
         assign = new_assign
@@ -227,7 +264,7 @@ def boaw_encode(mel, codebook):
         raise InvalidParam("expected [T, d] frames")
     if frames.shape[1] != d:
         raise InvalidParam(f"frame dim {frames.shape[1]} != codebook dim {d}")
-    assign = _pairwise_sq_dists(frames, codebook.centroids).argmin(axis=1)
+    assign, _ = _nearest(frames, codebook.centroids)
     hist = np.bincount(assign, minlength=k).astype(np.float64)
     return FeatureVector(hist / len(frames))
 
@@ -260,7 +297,7 @@ def _hann_taper(t, width):
     return w
 
 
-RESAMPLE_BLOCK = 4096    # output samples per window gather in resample
+RESAMPLE_BLOCK = 1024    # output samples per window gather in resample
 RESAMPLE_HALF_WIDTH = 32  # kernel half-width in zero crossings of its sinc
 
 
@@ -268,9 +305,10 @@ def resample(x, sr_in, sr_out):
     """Rational-rate windowed-sinc polyphase resampling.
 
     Each output sample is the dot product of one [2w+2] window of the input
-    with one phase of the kernel. The windows are gathered RESAMPLE_BLOCK
-    outputs at a time, so the gathered matrix stays small for any clip length;
-    rows are independent, so the blocks give the same values bit for bit."""
+    with one phase of the kernel. The windows, with their positions and
+    phases, are gathered RESAMPLE_BLOCK outputs at a time, so the gathered
+    matrix stays small for any clip length; rows are independent, so the
+    blocks give the same values bit for bit."""
     x = np.asarray(x, dtype=np.float64)
     g = math.gcd(int(sr_in), int(sr_out))
     up, down = sr_out // g, sr_in // g
@@ -279,9 +317,6 @@ def resample(x, sr_in, sr_out):
     fc = min(1.0, up / down)               # cutoff relative to input Nyquist
     w = int(np.ceil(RESAMPLE_HALF_WIDTH / fc))   # kernel half-width in input samples
     n_out = int(np.ceil(len(x) * up / down))
-    pos = np.arange(n_out) * down
-    n0 = pos // up
-    phase = pos % up
 
     offs = np.arange(-w, w + 2)
     t = (np.arange(up)[:, None] / up) - offs[None, :]
@@ -292,9 +327,9 @@ def resample(x, sr_in, sr_out):
     taps = offs + w + 1
     out = np.empty(n_out)
     for i in range(0, n_out, RESAMPLE_BLOCK):
-        sl = slice(i, i + RESAMPLE_BLOCK)
-        windows = xp[n0[sl, None] + taps]
-        out[sl] = (windows * kernel[phase[sl]]).sum(axis=1)
+        pos = np.arange(i, min(i + RESAMPLE_BLOCK, n_out)) * down
+        windows = xp[(pos // up)[:, None] + taps]
+        out[i : i + len(pos)] = (windows * kernel[pos % up]).sum(axis=1)
     return out
 
 

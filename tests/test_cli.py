@@ -1,11 +1,12 @@
 """CLI exit codes for inputs the pipeline cannot use: each ends in its
 documented code and a one-line message, never in a traceback (an
-unreadable WAV, a cut checkpoint, a feature cache cut short or with a
-bad magic, a model directory that cannot be used or a JSON file or
-manifest line that does not parse, lacks a key or holds a value of the
-wrong type fails with the I/O code, a flag or a split no training can
-use, or an SVM evaluated on features of another length, with the usage
-code, a CNN whose training overflows with the numeric code); a WAV that
+unreadable WAV, a cut checkpoint, a feature cache cut short, with a bad
+magic, or of another kind or shape than the rest of its directory, a
+model directory that cannot be used or a JSON file or manifest line that
+does not parse, lacks a key or holds a value of the wrong type fails with
+the I/O code, a flag or a split no training can use, or an SVM evaluated
+on features of another length, with the usage code, a CNN whose training
+overflows with the numeric code); a WAV that
 featurize cannot use fails only its own clip; a refused command leaves
 no config.json and a failed generate no dataset; training reads no
 test-split cache; SVM evaluation, training and cross-validation honour
@@ -22,13 +23,14 @@ import os
 import shutil
 import subprocess
 import sys
+import tempfile
 import wave
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gunshot_bench import cli, models, nncore, wavio
+from gunshot_bench import cli, dsp, models, nncore, wavio
 
 
 def test_cnn_without_validation_clips_exits_usage(tmp_path, capsys):
@@ -586,18 +588,35 @@ def _bad_magic(blob):
     return b"JUNK" + blob[4:]
 
 
-def _with_damaged_cache(command, ids, damage):
-    """`command` (train, evaluate or crossval of the melstats SVM) on a copy
-    of the melstats caches in which `damage` rewrote the cache of the first
-    id of the `ids` list of the trained SVM's split: a clip the command
-    reads. Records that cache's path as the file the error must name."""
+def _cache_of(kind, shape):
+    """A damage that puts a `kind` cache of zeros of `shape` in place of the
+    cache, as a featurize run of another kind or flag into the same
+    directory would."""
+    def damage(blob):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "other.feat"
+            dsp.save_feature(path, np.zeros(shape), {"id": "other", "kind": kind,
+                                                     "source_hash": ""})
+            return path.read_bytes()
+    return damage
+
+
+def _with_damaged_cache(command, ids, damage, model="svm", nth=0):
+    """`command` (train, evaluate or crossval of the melstats SVM, or train
+    of the CNN) on a copy of the model's caches in which `damage` rewrote the
+    cache of the `nth` id of the `ids` list of the trained model's split: a
+    clip the command reads. Records that cache's path as the file the error
+    must name."""
     def argv(d):
-        split_path = d["trained"] / "svm" / "split.json"
+        split_path = d["trained"] / model / "split.json"
         feats = d["tmp"] / "feats"
-        shutil.copytree(_features(d, "svm"), feats)
-        victim = feats / f"{json.loads(split_path.read_text())[ids][0]}.feat"
+        shutil.copytree(_features(d, model), feats)
+        victim = feats / f"{json.loads(split_path.read_text())[ids][nth]}.feat"
         victim.write_bytes(damage(victim.read_bytes()))
         d["named"] = victim
+        if model == "cnn":
+            return _train_argv(d, "--input-frames", "16", "--epochs", "1", model="cnn",
+                               features=feats)
         if command == "train":
             return _train_argv(d, features=feats)
         if command == "evaluate":
@@ -648,6 +667,18 @@ def _with_damaged_cache(command, ids, damage):
     (_with_damaged_cache("evaluate", "test_ids", _cut_payload), cli.EXIT_IO, "I/O failure:"),
     (_with_damaged_cache("crossval", "val_ids", _cut_payload), cli.EXIT_IO, "I/O failure:"),
     (_with_damaged_cache("train", "train_ids", _bad_magic), cli.EXIT_IO, "I/O failure:"),
+    (_with_damaged_cache("train", "train_ids", _cache_of("autocorr", 2049), nth=1),
+     cli.EXIT_IO, "I/O failure:"),
+    (_with_damaged_cache("train", "train_ids", _cache_of("melstats", 100), nth=1),
+     cli.EXIT_IO, "I/O failure:"),
+    (_with_damaged_cache("train", "train_ids", _cache_of("melstats", 100)),
+     cli.EXIT_IO, "I/O failure:"),
+    (_with_damaged_cache("evaluate", "test_ids", _cache_of("autocorr", 2049)),
+     cli.EXIT_IO, "I/O failure:"),
+    (_with_damaged_cache("crossval", "val_ids", _cache_of("melstats", 100)),
+     cli.EXIT_IO, "I/O failure:"),
+    (_with_damaged_cache("train", "train_ids", _cache_of("mel", (171, 64)), "cnn", nth=1),
+     cli.EXIT_IO, "I/O failure:"),
 ], ids=["split-not-json", "split-without-val_ids", "manifest-line-not-json",
         "manifest-line-without-path", "svm-meta-without-feature_kind",
         "cnn-meta-without-input_frames", "index-not-json", "index-not-an-object",
@@ -659,7 +690,10 @@ def _with_damaged_cache(command, ids, damage):
         "evaluate-split-train-ids-also-in-test",
         "manifest-detection_label-unknown", "manifest-id-outside-the-out-dir",
         "manifest-id-empty", "train-cache-payload-cut", "evaluate-cache-payload-cut",
-        "crossval-cache-payload-cut", "train-cache-bad-magic"])
+        "crossval-cache-payload-cut", "train-cache-bad-magic", "train-cache-of-another-kind",
+        "train-cache-of-another-length", "train-first-cache-of-another-length",
+        "evaluate-cache-of-another-kind", "crossval-cache-of-another-length",
+        "cnn-train-cache-of-another-band-count"])
 def test_unusable_input_exits_with_its_code_and_one_line(small_data, trained_models, tiny_data,
                                                          tmp_path, capsys, make_argv, code, label):
     manifest, root = small_data

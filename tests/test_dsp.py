@@ -1,8 +1,10 @@
 """DSP contracts: FFT against an independent reference, STFT framing,
 mel filterbank geometry, spectrogram behavior, autocorrelation, k-means,
-BoAW encoding, summary stats, and input normalization."""
+BoAW encoding, summary stats, and input normalization; blocked k-means
+and resampling give the whole-matrix bytes in a bounded working set."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -180,6 +182,17 @@ class TestAutocorrelation:
         r = dsp.autocorrelation(AudioClip(np.zeros(100)), 5)
         np.testing.assert_array_equal(r, np.zeros(6))
 
+    def test_fft_length_is_the_next_5_smooth_number(self):
+        def smooth(m):
+            for p in (2, 3, 5):
+                while m % p == 0:
+                    m //= p
+            return m == 1
+        for n in list(range(1, 3000)) + [88200 + 2048 + 1]:
+            m = dsp._fft_len(n)
+            assert m >= n and smooth(m) and not any(smooth(j) for j in range(n, m)), n
+        assert dsp._fft_len(88200 + 2048 + 1) == 91125    # a 2 s clip at the default lag
+
 
 class TestKmeans:
     def test_distinct_points_zero_inertia(self):
@@ -213,6 +226,57 @@ class TestKmeans:
     def test_insufficient_data(self):
         with pytest.raises(InvalidParam, match="3 descriptors for k=4"):
             dsp.kmeans_fit(np.zeros((3, 2)), k=4)
+
+    @pytest.mark.parametrize("n", [5 * dsp.KMEANS_BLOCK // 2, 2 * dsp.KMEANS_BLOCK + 1])
+    def test_blocks_match_the_whole_matrix_fit(self, n):
+        x = np.random.default_rng(n).normal(size=(n, 16))
+        x[n // 2 :] = np.round(x[n // 2 :], 1)    # repeated rows give distance ties
+        got = dsp.kmeans_fit(x, k=12, iters=20, seed=7)
+        centroids, history = kmeans_whole_matrix(x, k=12, iters=20, seed=7)
+        np.testing.assert_array_equal(got.centroids, centroids)
+        assert got.inertia_history == history
+
+    def test_working_set_is_bounded_by_blocks(self):
+        x = np.random.default_rng(0).normal(size=(5 * dsp.KMEANS_BLOCK, 128))
+        tracemalloc.start()
+        try:
+            dsp.kmeans_fit(x, k=16, iters=5, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < x.nbytes / 2, peak
+
+
+def kmeans_whole_matrix(x, k, iters, seed):
+    """kmeans_fit with every distance taken over the whole [n, k] matrix: the
+    oracle for the blocked fit. Returns (centroids, inertia history)."""
+    def sq_dists(x, c):
+        return np.maximum((x * x).sum(axis=1)[:, None] + (c * c).sum(axis=1)[None, :]
+                          - 2.0 * (x @ c.T), 0.0)
+    n, d = x.shape
+    rng = np.random.default_rng(seed)
+    centroids = np.empty((k, d))
+    centroids[0] = x[rng.integers(n)]
+    d2 = sq_dists(x, centroids[:1])[:, 0]
+    for i in range(1, k):
+        total = d2.sum()
+        idx = int(rng.integers(n)) if total <= 0 else int(rng.choice(n, p=d2 / total))
+        centroids[i] = x[idx]
+        d2 = np.minimum(d2, ((x - centroids[i]) ** 2).sum(axis=1))
+    assign = sq_dists(x, centroids).argmin(axis=1)
+    history = []
+    for _ in range(max(1, iters)):
+        for c in range(k):
+            members = assign == c
+            if members.any():
+                centroids[c] = x[members].mean(axis=0)
+        dist = sq_dists(x, centroids)
+        history.append(float(dist.min(axis=1).sum()))
+        new_assign = dist.argmin(axis=1)
+        if np.array_equal(new_assign, assign):
+            break
+        assign = new_assign
+    return centroids, history
 
 
 class TestBoaw:
@@ -324,6 +388,15 @@ class TestResample:
         y = dsp.resample(x, sr_in, dsp.SAMPLE_RATE)
         assert y.tobytes() == resample_single_gather(x, sr_in, dsp.SAMPLE_RATE).tobytes()
 
+    @pytest.mark.parametrize("sr_in", [8000, 22050, 48000, 96000])
+    def test_same_bytes_at_any_block_size(self, sr_in, monkeypatch):
+        x = np.random.default_rng(sr_in).uniform(-1, 1, size=int(1.1 * sr_in))
+        outputs = []
+        for block in (1024, 4096, 10**9):    # the last is one block
+            monkeypatch.setattr(dsp, "RESAMPLE_BLOCK", block)
+            outputs.append(dsp.resample(x, sr_in, dsp.SAMPLE_RATE).tobytes())
+        assert outputs[0] == outputs[1] == outputs[2]
+
 
 class TestNormalizeInput:
     def test_identity_path_only_quantizes(self):
@@ -360,6 +433,16 @@ class TestNormalizeInput:
     def test_unsupported_rate(self):
         with pytest.raises(UnsupportedFormat):
             dsp.normalize_input(AudioClip(np.zeros(100), 4000))
+
+    def test_working_set_of_a_stereo_48k_clip(self):
+        x = np.random.default_rng(2).uniform(-0.5, 0.5, size=(2 * 48000, 2))
+        tracemalloc.start()
+        try:
+            dsp.normalize_input(AudioClip(x, 48000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * x.nbytes, peak
 
     def test_samples_on_16bit_grid(self):
         x = np.random.default_rng(1).uniform(-1, 1, 2000)
