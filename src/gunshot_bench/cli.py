@@ -13,11 +13,12 @@ Exit codes: 0 ok, 2 usage error (including data the command cannot use,
 such as a manifest row whose detection_label is neither gunshot nor
 no_gunshot or whose id is not one plain file name, or a split that names a
 clip the manifest lacks or lists one clip twice, in one list or across
-two), 3 I/O failure (including a corrupt checkpoint, a model directory
-that cannot be used, or a feature cache that fails its check: a bad magic,
-a header that does not parse, another version, a payload cut short of its
-shape, another kind than its directory's, or another shape than the first
-cache read, the frame count of a mel cache aside), 4 numeric failure.
+two), 3 I/O failure (including a checkpoint not the exact .npz of its
+entries, a model directory that cannot be used, or a feature cache that
+fails its check: a bad magic, a header that does not parse, another
+version, a payload cut short of its shape, another kind than its
+directory's, or another shape than the first cache read, the frame count
+of a mel cache aside), 4 numeric failure.
 Each error class carries its code (see `errors`). A file that does not
 parse, or lacks a key the command needs or holds it with the wrong type (a
 manifest line, a split, `index.json`, `model.meta.json`, a WAV), exits 3.

@@ -244,10 +244,10 @@ def kmeans_fit(descriptors, k, iters=50, seed=0):
     assign, _ = _nearest(x, centroids)
     history = []
     for _ in range(max(1, iters)):
-        for c in range(k):
-            members = assign == c
-            if members.any():
-                centroids[c] = x[members].mean(axis=0)
+        order = np.argsort(assign, kind="stable")    # each cluster's rows in index order
+        for c, rows in enumerate(np.split(order, np.searchsorted(assign[order], np.arange(1, k)))):
+            if len(rows):
+                centroids[c] = x[rows].mean(axis=0)
         new_assign, dmin = _nearest(x, centroids)
         history.append(float(dmin.sum()))
         if np.array_equal(new_assign, assign):

@@ -49,6 +49,6 @@ class NonFiniteLoss(NumericFailure, ArithmeticError):
 
 class MalformedFile(IOFailure, ValueError):
     """A file that cannot be used: a WAV that does not decode, JSON that is
-    not an object with the keys read, a feature cache or a checkpoint that
-    fails its check, or a model directory that names an unknown model or
-    holds a misshapen entry."""
+    not an object with the keys read, a feature cache that fails its check,
+    a checkpoint not byte for byte the .npz its entries make, or a model
+    directory that names an unknown model or holds a misshapen entry."""

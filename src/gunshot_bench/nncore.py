@@ -21,17 +21,21 @@ pooling windows as plain slices. Any other layout is accepted and gives the
 same values bit for bit; only the speed differs. global_avg_pool returns a
 C-contiguous [B, C] array, and anything fed to dense must be C-contiguous
 too: BLAS rounds differently for a transposed operand.
+
+Checkpoints are uncompressed numpy .npz archives of float64 entries, in
+order, written atomically and read back only in their exact bytes: zip's
+CRC-32 plus that check catch truncation and corruption, not tampering.
 """
 
-import hashlib
-import struct
+import io
+import os
+import tokenize
+import zipfile
+from pathlib import Path
 
 import numpy as np
 
 from .errors import InvalidParam, MalformedFile, NonFiniteTensor
-
-CHECKPOINT_MAGIC = b"GSBT"
-CHECKPOINT_VERSION = 1
 
 
 def _check_finite(arr, what):
@@ -334,56 +338,47 @@ def sgd_step(params, grads, state):
 
 
 # ---------------------------------------------------------------------------
-# checkpoint I/O: ordered {name, shape, float64 LE values} + sha256 footer
+# checkpoint I/O: a numpy .npz archive, checked by re-serializing what was read
 # ---------------------------------------------------------------------------
 
+def _npz_bytes(named_arrays):
+    """One uncompressed `<name>.npy` member of float64 LE values per entry,
+    in order. zipfile dates every member 1980, so equal arrays, equal bytes."""
+    buf = io.BytesIO()
+    np.savez(buf, **{name: np.asarray(a, dtype="<f8") for name, a in named_arrays.items()})
+    return buf.getvalue()
+
+
 def save_checkpoint(path, named_arrays):
-    """Write a dict name -> array, in its order, as float64 with a checksum
-    footer."""
-    chunks = [CHECKPOINT_MAGIC, struct.pack("<II", CHECKPOINT_VERSION, len(named_arrays))]
-    for name, arr in named_arrays.items():
-        arr = np.asarray(arr, dtype="<f8")
-        nb = name.encode("utf-8")
-        chunks.append(struct.pack("<H", len(nb)))
-        chunks.append(nb)
-        chunks.append(struct.pack("<B", arr.ndim))
-        chunks.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        chunks.append(arr.tobytes())
-    payload = b"".join(chunks)
-    digest = hashlib.sha256(payload).digest()
-    with open(path, "wb") as f:
-        f.write(payload)
-        f.write(digest)
+    """Write a dict name -> array as an .npz archive via a temporary file
+    beside path, so a failed save keeps the old file and leaves no temp."""
+    tmp = Path(f"{path}.tmp-{os.getpid()}")
+    try:
+        tmp.write_bytes(_npz_bytes(named_arrays))
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def load_checkpoint(path):
-    """Read a checkpoint; returns an ordered dict name -> float64 array."""
-    with open(path, "rb") as f:
-        blob = f.read()
-    if len(blob) < 44 or blob[:4] != CHECKPOINT_MAGIC:
-        raise MalformedFile(f"{path}: bad magic or truncated file")
-    payload, digest = blob[:-32], blob[-32:]
-    if hashlib.sha256(payload).digest() != digest:
-        raise MalformedFile(f"{path}: checksum mismatch")
-    version, count = struct.unpack_from("<II", payload, 4)
-    if version != CHECKPOINT_VERSION:
-        raise MalformedFile(f"{path}: unsupported version {version}")
-    out = {}
-    off = 12
-    for _ in range(count):
-        (nlen,) = struct.unpack_from("<H", payload, off)
-        off += 2
-        name = payload[off : off + nlen].decode("utf-8")
-        off += nlen
-        (ndim,) = struct.unpack_from("<B", payload, off)
-        off += 1
-        shape = struct.unpack_from(f"<{ndim}I", payload, off)
-        off += 4 * ndim
-        size = int(np.prod(shape, dtype=np.int64))
-        arr = np.frombuffer(payload, dtype="<f8", count=size, offset=off).reshape(shape)
-        off += 8 * size
-        out[name] = arr.astype(np.float64)
-    if off != len(payload):
-        raise MalformedFile(f"{path}: trailing bytes after last entry")
-    return out
+    """Read a checkpoint; returns an ordered dict name -> float64 array.
 
+    Raises MalformedFile unless the file is exactly what save_checkpoint
+    writes for the entries read. Zip's CRC-32 alone misses a flipped
+    directory byte that drops entries; two such archives differ in two
+    bytes or more, so every single-byte flip and every cut is refused. So
+    is a checkpoint another numpy or Python writes in other bytes: it is
+    not guessed at (equal bytes checked only on Python 3.11.7, numpy 2.4.6)."""
+    blob = Path(path).read_bytes()
+    # zip's magic; np.load would read an .npy or pickle magic as such
+    if blob[:4] != b"PK\x03\x04":
+        raise MalformedFile(f"{path}: bad magic or truncated file")
+    try:
+        with np.load(io.BytesIO(blob), allow_pickle=False) as npz:
+            out = {name: npz[name] for name in npz.files}
+    except (zipfile.BadZipFile, ValueError, EOFError, OSError, NotImplementedError,
+            tokenize.TokenError) as e:    # what np.load raised on flipped or cut bytes
+        raise MalformedFile(f"{path}: damaged .npz archive ({type(e).__name__}: {e})") from None
+    if _npz_bytes(out) != blob:
+        raise MalformedFile(f"{path}: checksum mismatch: not the archive its entries make")
+    return out

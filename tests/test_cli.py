@@ -1,6 +1,7 @@
 """CLI exit codes for inputs the pipeline cannot use: each ends in its
 documented code and a one-line message, never in a traceback (an
-unreadable WAV, a cut checkpoint, a feature cache cut short, with a bad
+unreadable WAV, a checkpoint with any one byte flipped or cut at any
+length, a feature cache cut short, with a bad
 magic, or of another kind or shape than the rest of its directory, a
 model directory that cannot be used or a JSON file or manifest line that
 does not parse, lacks a key or holds a value of the wrong type fails with
@@ -14,8 +15,9 @@ their flags, rerun byte for byte and report machines stopped by the
 sweep cap; every command runs end to end on a tiny dataset, the CNN
 included; and the CNN pipeline gives the same bytes when rerun in a
 fresh process on another number of BLAS threads; a manifest id that
-would write outside --out is refused; and a fresh-process featurize
-reuses the memory each clip frees instead of faulting it in again."""
+would write outside --out is refused; a fresh-process featurize
+reuses the memory each clip frees instead of faulting it in again; and
+plain np.load reads a checkpoint's entries in the model's order."""
 
 import ctypes
 import json
@@ -31,6 +33,8 @@ import numpy as np
 import pytest
 
 from gunshot_bench import cli, dsp, models, nncore, wavio
+from gunshot_bench.errors import MalformedFile
+from gunshot_bench.manifest import write_json
 
 
 def test_cnn_without_validation_clips_exits_usage(tmp_path, capsys):
@@ -485,6 +489,73 @@ def test_evaluate_unusable_model_directory_exits_io(small_data, trained_models, 
     assert len(err) == 1 and err[0].startswith(f"I/O failure: {model_dir}:"), err
     assert entry in err[0]
     assert not (tmp_path / "eval").exists()
+
+
+def _refused(model_dir, damaged):
+    """Whether cli.load_model refuses each damaged version of model_dir's
+    model.ckpt with a MalformedFile that names the directory."""
+    ckpt = model_dir / "model.ckpt"
+    for blob in damaged:
+        ckpt.write_bytes(blob)
+        try:
+            cli.load_model(model_dir)
+        except MalformedFile as e:
+            yield str(model_dir) in str(e)
+        else:
+            yield False
+
+
+def _flipped(blob, i):
+    return blob[:i] + bytes([blob[i] ^ 0xFF]) + blob[i + 1 :]
+
+
+def test_every_flipped_byte_and_every_cut_of_a_checkpoint_is_refused(tmp_path):
+    # an SVM with a detector over 3 features: a directory-entry flip that
+    # plain np.load accepts would drop det_weight and det_bias silently
+    rng = np.random.default_rng(0)
+    write_json(tmp_path / "model.meta.json", {"model": "svm", "feature_kind": "melstats"})
+    nncore.save_checkpoint(tmp_path / "model.ckpt", {
+        "weights": rng.normal(size=(cli.N_CLASSES, 3)), "biases": rng.normal(size=cli.N_CLASSES),
+        "scaler_mean": rng.normal(size=3), "scaler_std": rng.uniform(1, 2, 3),
+        "det_weight": rng.normal(size=3), "det_bias": rng.normal(size=1)})
+    cli.load_model(tmp_path)
+    blob = (tmp_path / "model.ckpt").read_bytes()
+    every = range(len(blob))
+    assert [i for i, ok in zip(every, _refused(tmp_path, (_flipped(blob, i) for i in every)))
+            if not ok] == []
+    assert [n for n, ok in zip(every, _refused(tmp_path, (blob[:n] for n in every)))
+            if not ok] == []
+
+
+def test_sampled_flips_and_cuts_of_a_cnn_checkpoint_are_refused(trained_models, tmp_path):
+    model_dir = tmp_path / "cnn"
+    shutil.copytree(trained_models / "cnn", model_dir)
+    blob = (model_dir / "model.ckpt").read_bytes()
+    # the zip directory sits in the last 2 KB; the rest is entry headers and values
+    rng = np.random.default_rng(1)
+    picks = sorted({*rng.choice(len(blob) - 2048, 64, replace=False).tolist(),
+                    *range(len(blob) - 2048, len(blob), 8)})
+    assert [i for i, ok in zip(picks, _refused(model_dir, (_flipped(blob, i) for i in picks)))
+            if not ok] == []
+    assert [n for n, ok in zip(picks, _refused(model_dir, (blob[:n] for n in picks)))
+            if not ok] == []
+
+
+@pytest.mark.parametrize("model", ["cnn", "svm"])
+def test_checkpoint_is_a_plain_npz_of_the_model_arrays(trained_models, model):
+    bundle, _ = cli.load_model(trained_models / model)
+    if model == "cnn":
+        expected = bundle.named_arrays()
+        assert list(expected) == list(models.JointCnnModel(t_frames=16).named_arrays())
+    else:
+        svm, scaler = bundle
+        expected = {"weights": svm.weights, "biases": svm.biases, "scaler_mean": scaler.mean,
+                    "scaler_std": scaler.std, "det_weight": svm.det_weight,
+                    "det_bias": [svm.det_bias]}
+    with np.load(trained_models / model / "model.ckpt") as npz:
+        assert npz.files == list(expected)
+        for name, values in expected.items():
+            np.testing.assert_array_equal(npz[name], values)
 
 
 def test_non_finite_activation_in_cnn_training_exits_numeric(small_data, tmp_path, capsys):

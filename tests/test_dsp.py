@@ -227,14 +227,22 @@ class TestKmeans:
         with pytest.raises(InvalidParam, match="3 descriptors for k=4"):
             dsp.kmeans_fit(np.zeros((3, 2)), k=4)
 
-    @pytest.mark.parametrize("n", [5 * dsp.KMEANS_BLOCK // 2, 2 * dsp.KMEANS_BLOCK + 1])
-    def test_blocks_match_the_whole_matrix_fit(self, n):
-        x = np.random.default_rng(n).normal(size=(n, 16))
+    @pytest.mark.parametrize("n,distinct", [
+        (5 * dsp.KMEANS_BLOCK // 2, None), (2 * dsp.KMEANS_BLOCK + 1, None),
+        (2 * dsp.KMEANS_BLOCK + 1, 9),    # fewer distinct rows than clusters: some stay empty
+    ], ids=[str(5 * dsp.KMEANS_BLOCK // 2), str(2 * dsp.KMEANS_BLOCK + 1), "empty-clusters"])
+    def test_blocks_match_the_whole_matrix_fit(self, n, distinct):
+        rng = np.random.default_rng(n)
+        x = rng.normal(size=(n, 16))
         x[n // 2 :] = np.round(x[n // 2 :], 1)    # repeated rows give distance ties
+        if distinct:
+            x = x[rng.integers(distinct, size=n)]
         got = dsp.kmeans_fit(x, k=12, iters=20, seed=7)
         centroids, history = kmeans_whole_matrix(x, k=12, iters=20, seed=7)
         np.testing.assert_array_equal(got.centroids, centroids)
         assert got.inertia_history == history
+        if distinct:
+            assert np.bincount(dsp._nearest(x, got.centroids)[0], minlength=12).min() == 0
 
     def test_working_set_is_bounded_by_blocks(self):
         x = np.random.default_rng(0).normal(size=(5 * dsp.KMEANS_BLOCK, 128))

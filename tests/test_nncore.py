@@ -1,6 +1,7 @@
 """Layer and loss contracts: shape rules, worked examples, naive-loop and
 finite-difference oracles for values and gradients, optimizer behavior,
-checkpoint round-trips."""
+checkpoint round-trips, and a checkpoint save that fails part way keeping
+the old file."""
 
 import numpy as np
 import pytest
@@ -356,3 +357,18 @@ class TestCheckpoint:
         path.write_bytes(b"JUNKJUNKJUNK" + b"\x00" * 64)
         with pytest.raises(MalformedFile, match="bad magic or truncated file"):
             nn.load_checkpoint(path)
+
+    @pytest.mark.parametrize("step", ["numpy.savez", "os.replace"])
+    def test_a_failed_save_keeps_the_old_checkpoint(self, tmp_path, monkeypatch, step):
+        path = tmp_path / "m.ckpt"
+        nn.save_checkpoint(path, {"w": np.ones(4)})
+        before = path.read_bytes()
+
+        def fail(*args, **kwargs):
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(step, fail)
+        with pytest.raises(OSError, match="no space left"):
+            nn.save_checkpoint(path, {"w": np.zeros(4)})
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]    # no temporary file left behind
