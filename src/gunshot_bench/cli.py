@@ -9,11 +9,13 @@ clip) only while fitting the codebook or computing a clip. `generate`
 moves its dataset into place only once every clip is written, so a failed
 run leaves none behind.
 
-Exit codes: 0 ok, 2 usage error (including data the command cannot use,
-such as a manifest row whose detection_label is neither gunshot nor
-no_gunshot or whose id is not one plain file name, or a split that names a
-clip the manifest lacks or lists one clip twice, in one list or across
-two), 3 I/O failure (including a checkpoint not the exact .npz of its
+Exit codes: 0 ok, 2 usage error (including flags that do not go together:
+`generate --preset` with `--per-class`, `generate --scale` without
+`--preset`, `evaluate --subset` without `--split`; and data the command
+cannot use, such as a manifest row whose detection_label is neither gunshot
+nor no_gunshot or whose id is not one plain file name, or a split that
+names a clip the manifest lacks or lists one clip twice, in one list or
+across two), 3 I/O failure (including a checkpoint not the exact .npz of its
 entries, a model directory that cannot be used, or a feature cache that
 fails its check: a bad magic, a header that does not parse, another
 version, a payload cut short of its shape, another kind than its
@@ -43,8 +45,8 @@ import numpy as np
 from . import dsp, evaluation, models, nncore, synthgun
 from .errors import (GunshotBenchError, InvalidParam, IOFailure, MalformedFile, NumericFailure,
                      UsageError)
-from .manifest import (CLASS_NAMES, GUNSHOT, N_CLASSES, NEGATIVE_LABEL, NO_GUNSHOT,
-                       load_manifest, manifest_digest, read_json, require_keys, write_json)
+from .manifest import (GUNSHOT, N_CLASSES, NEGATIVE_LABEL, NO_GUNSHOT, load_manifest,
+                       manifest_digest, read_json, require_keys, write_json)
 from .synthgun import CLASS_ORDER
 from .wavio import read_wav
 
@@ -69,24 +71,25 @@ def _echo_config(args, out_dir, command):
 # generate
 # ---------------------------------------------------------------------------
 
-def _parse_counts(args):
-    if args.preset == "paper-ratio":
-        return synthgun.reference_counts(args.scale)
-    if args.counts:
-        try:
-            vals = [int(v) for v in args.counts.split(",")]
-        except ValueError:
-            vals = []
-        if len(vals) != len(CLASS_ORDER) or min(vals) < 0:
-            raise UsageError(f"--counts needs {len(CLASS_ORDER)} comma-separated integers "
-                             f">= 0 (order: {', '.join(fc.value for fc in CLASS_ORDER)})")
-        return dict(zip(CLASS_ORDER, vals))
-    return {fc: args.per_class for fc in CLASS_ORDER}
+PRESET_SCALE = 0.05    # --scale of a --preset run that gives none
+
+
+def _class_counts(args):
+    """Clips per class: --per-class of each, or the --preset mix at --scale
+    (PRESET_SCALE when not given, written back to args so that config.json
+    records it). argparse refuses --preset with --per-class."""
+    if args.preset is None:
+        if args.scale is not None:
+            raise UsageError("--scale applies only to a --preset class mix")
+        return {fc: args.per_class for fc in CLASS_ORDER}
+    if args.scale is None:
+        args.scale = PRESET_SCALE
+    return synthgun.reference_counts(args.scale)
 
 
 def cmd_generate(args):
     out_dir = Path(args.out)
-    counts = _parse_counts(args)
+    counts = _class_counts(args)
     if sum(counts.values()) + args.negatives == 0:
         raise UsageError("nothing to generate: the requested class mix has 0 clips")
     # Build the dataset beside out_dir and move it in once every clip is
@@ -297,23 +300,18 @@ def _fit(args, kind, train_rows, val_rows, feats):
     shape `load_model` returns, arrays are the checkpoint's contents."""
     if not train_rows:
         raise InvalidParam(f"{args.model} training needs train clips, got 0")
-    meta = {"model": args.model, "feature_kind": kind, "class_list": CLASS_NAMES,
-            "seed": args.seed}
+    meta = {"model": args.model, "feature_kind": kind}
     if args.model == "cnn":
         model = models.JointCnnModel(seed=args.seed, t_frames=args.input_frames)
-        config = models.TrainConfig(
-            epochs=args.epochs, batch_size=args.batch_size, lr=args.lr,
-            momentum=args.momentum, lambda_type=args.lambda_type,
-            early_stop_patience=args.patience, seed=args.seed)
-        history = models.cnn_train(model, _mel_set(train_rows, feats),
-                                   _mel_set(val_rows, feats), config)
-        meta.update(threshold=args.threshold, input_frames=args.input_frames,
-                    n_mels=model.n_mels)
+        history = models.cnn_train(model, _mel_set(train_rows, feats), _mel_set(val_rows, feats),
+                                   epochs=args.epochs, batch_size=args.batch_size, lr=args.lr,
+                                   patience=args.patience, seed=args.seed)
+        meta.update(threshold=args.threshold, input_frames=args.input_frames)
         return model, meta, model.named_arrays(), history
 
     x = np.stack([feats[r.id] for r in train_rows])
     scaler = models.Standardizer.fit(x)
-    svm = models.svm_train(scaler.transform(x), _labels_for(train_rows), c=args.svm_c,
+    svm = models.svm_train(scaler.transform(x), _labels_for(train_rows),
                            epochs=args.epochs, n_classes=N_CLASSES)
     capped = svm.converged.count(False)
     if capped:
@@ -327,7 +325,7 @@ def _fit(args, kind, train_rows, val_rows, feats):
     if svm.det_weight is not None:
         arrays["det_weight"] = svm.det_weight
         arrays["det_bias"] = np.array([svm.det_bias])
-    meta.update(threshold=0.0, c=args.svm_c)
+    meta.update(threshold=0.0 if args.threshold is None else args.threshold)
     history = [{"machine": i, "objective": h} for i, h in enumerate(svm.objective_history)]
     return (svm, scaler), meta, arrays, history
 
@@ -373,9 +371,8 @@ def load_model(checkpoint_dir):
     arrays = nncore.load_checkpoint(checkpoint_dir / "model.ckpt")
     kind = meta["model"]
     if kind == "cnn":
-        require_keys(meta, {"input_frames": int, "n_mels": int}, where)
-        model = models.JointCnnModel(seed=0, t_frames=meta["input_frames"],
-                                     n_mels=meta["n_mels"])
+        require_keys(meta, {"input_frames": int}, where)
+        model = models.JointCnnModel(seed=0, t_frames=meta["input_frames"])
         shapes = {name: a.shape for name, a in model.named_arrays().items()}
     elif kind == "svm":
         d = np.shape(arrays.get("weights"))[-1:]    # the feature length
@@ -420,6 +417,10 @@ def evaluate_rows(model_bundle, meta, rows, feats, threshold, *, dataset_hash, s
 
 
 def cmd_evaluate(args):
+    if args.split:
+        args.subset = args.subset or "test"
+    elif args.subset:
+        raise UsageError("--subset picks clips of a --split; give the split too")
     out_dir = Path(args.out)
     rows = load_manifest(Path(args.manifest))
     model_bundle, meta = load_model(args.checkpoint)
@@ -540,8 +541,6 @@ def _checked(convert, accept, what):
 _positive_int = _checked(int, lambda v: v > 0, "a positive integer")
 _non_negative_int = _checked(int, lambda v: v >= 0, "a non-negative integer")
 _positive = _checked(float, lambda v: 0 < v < math.inf, "a finite number > 0")
-_non_negative = _checked(float, lambda v: 0 <= v < math.inf, "a finite number >= 0")
-_below_one = _checked(float, lambda v: 0 <= v < 1, "a number in [0, 1)")
 _finite = _checked(float, math.isfinite, "a finite number")
 
 
@@ -552,11 +551,8 @@ def _add_train_flags(p):
                         "per machine (stops earlier once converged)")
     p.add_argument("--batch-size", type=_positive_int, default=16)
     p.add_argument("--lr", type=_positive, default=1e-3)
-    p.add_argument("--momentum", type=_below_one, default=0.9)
-    p.add_argument("--lambda-type", type=_non_negative, default=1.0)
     p.add_argument("--patience", type=_non_negative_int, default=5)
     p.add_argument("--input-frames", type=_positive_int, default=models.T_FIXED_DEFAULT)
-    p.add_argument("--svm-c", type=_positive, default=1.0)
     p.add_argument("--threshold", type=_finite, default=None,
                    help="decision threshold; cnn default 0.5, svm 0.0")
 
@@ -569,11 +565,11 @@ def build_parser():
 
     g = sub.add_parser("generate", help="synthesize a labeled WAV dataset")
     g.add_argument("--out", required=True)
-    g.add_argument("--per-class", type=_non_negative_int, default=20)
-    g.add_argument("--counts", help="comma-separated per-class counts")
-    g.add_argument("--preset", choices=("paper-ratio",))
-    g.add_argument("--scale", type=_positive, default=0.05,
-                   help="scale factor for the preset class mix")
+    mix = g.add_mutually_exclusive_group()
+    mix.add_argument("--per-class", type=_non_negative_int, default=20)
+    mix.add_argument("--preset", choices=("paper-ratio",))
+    g.add_argument("--scale", type=_positive,
+                   help=f"scale factor for the preset class mix (default {PRESET_SCALE})")
     g.add_argument("--negatives", type=_non_negative_int, default=0)
     g.add_argument("--noisy", action="store_true",
                    help="low SNR, reverb, random distances (default is clean)")
@@ -607,7 +603,8 @@ def build_parser():
     e.add_argument("--features", required=True)
     e.add_argument("--out", required=True)
     e.add_argument("--split")
-    e.add_argument("--subset", choices=("train", "val", "test"), default="test")
+    e.add_argument("--subset", choices=("train", "val", "test"),
+                   help="subset of --split to score (default test)")
     e.add_argument("--threshold", type=_finite, default=None)
     e.set_defaults(func=cmd_evaluate)
 

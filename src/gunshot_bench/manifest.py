@@ -1,5 +1,11 @@
 """The dataset's label vocabulary, its manifest (one line-delimited JSON
-record per clip), and the checked reader and the writer of JSON files."""
+record per clip), and the checked reader and the writer of JSON files.
+
+A manifest row holds what a command reads of a clip: `id`, `path` (relative
+to the manifest's directory), `detection_label` (gunshot or no_gunshot) and
+`class` (the firearm class, present iff gunshot). So a manifest of
+recordings needs nothing more; how `gsb generate` synthesized its clips is
+in the dataset's `config.json`. Other keys in a row are ignored."""
 
 import hashlib
 import json
@@ -31,28 +37,20 @@ class ManifestRow:
     path: str
     detection_label: str     # gunshot | no_gunshot
     class_name: str | None   # firearm class, present iff gunshot
-    duration_s: float
-    clean: bool
-    seed: int
 
     @property
     def class_index(self):
         return CLASS_NAMES.index(self.class_name) if self.class_name else None
 
     def to_dict(self):
-        return {
-            "id": self.id, "path": self.path,
-            "detection_label": self.detection_label, "class": self.class_name,
-            "duration_s": self.duration_s, "clean": self.clean, "seed": self.seed,
-        }
+        return {"id": self.id, "path": self.path, "detection_label": self.detection_label,
+                "class": self.class_name}
 
-    KEYS = {"id": str, "path": str, "detection_label": str, "duration_s": (int, float),
-            "clean": bool, "seed": int}
+    KEYS = {"id": str, "path": str, "detection_label": str}
 
     @classmethod
     def from_dict(cls, d):
-        return cls(d["id"], d["path"], d["detection_label"], d.get("class"),
-                   float(d["duration_s"]), d["clean"], d["seed"])
+        return cls(d["id"], d["path"], d["detection_label"], d.get("class"))
 
 
 def read_json(path, keys, where=None, text=None):
@@ -98,12 +96,12 @@ def write_manifest(path, rows):
 
 
 def load_manifest(path, check_paths=True):
-    """Load and validate a manifest: each line an object with a row's keys
-    (else MalformedFile), unique ids that are each one plain file name (not
-    empty, `.` or `..`, and without `/`, `\\` or NUL, since caches are
-    written to `<out>/<id>.feat`), a detection_label of gunshot or
-    no_gunshot, class present iff gunshot, and (optionally) every referenced
-    audio file on disk (else InvalidParam)."""
+    """Load and validate a manifest: each line an object holding `id`,
+    `path` and `detection_label` as strings (else MalformedFile), unique ids
+    that are each one plain file name (not empty, `.` or `..`, and without
+    `/`, `\\` or NUL, since caches are written to `<out>/<id>.feat`), a
+    detection_label of gunshot or no_gunshot, class present iff gunshot, and
+    (optionally) every referenced audio file on disk (else InvalidParam)."""
     path = Path(path)
     rows = []
     with open(path, encoding="utf-8") as f:

@@ -4,6 +4,11 @@ detection + gun-type CNN (shared conv trunk, two heads), with training loops.
 A clip's only label is its gun type, 0..K-1, or NEGATIVE_LABEL for a clip
 without a gunshot; its detection label is derived as type >= 0 wherever it
 is needed (the manifest holds a class exactly when a clip has a gunshot).
+
+The CNN's SGD momentum and the weight of its type loss are the constants
+MOMENTUM and LAMBDA_TYPE, since every caller uses one value (the loss and
+the optimizer still take both as parameters); the SVM's C is `svm_train`'s
+`c`, 1.0 by default.
 """
 
 from dataclasses import dataclass, field
@@ -250,17 +255,8 @@ TRUNK_CHANNELS = (16, 32, 64)
 HEAD_WIDTH = 32
 T_FIXED_DEFAULT = 128
 TRUNK_CHUNK = 4        # clips per trunk pass when no cache is kept
-
-
-@dataclass
-class TrainConfig:
-    epochs: int = 30
-    batch_size: int = 16
-    lr: float = 1e-3
-    momentum: float = 0.9
-    lambda_type: float = 1.0
-    early_stop_patience: int = 5
-    seed: int = 0
+MOMENTUM = 0.9         # SGD momentum of cnn_train
+LAMBDA_TYPE = 1.0      # weight of the type loss in cnn_train's joint loss
 
 
 class JointCnnModel:
@@ -268,9 +264,8 @@ class JointCnnModel:
     global average pool) feeding a sigmoid detection head and a softmax
     gun-type head. `params` maps each parameter name to its float64 array."""
 
-    def __init__(self, seed=0, t_frames=T_FIXED_DEFAULT, n_mels=N_MELS):
+    def __init__(self, seed=0, t_frames=T_FIXED_DEFAULT):
         self.t_frames = int(t_frames)
-        self.n_mels = int(n_mels)
         self.input_mean = 0.0
         self.input_std = 1.0
         rng = np.random.default_rng(seed)
@@ -310,14 +305,14 @@ class JointCnnModel:
     def prepare_input(self, mel_frames):
         """Center-crop or pad log-mel frames to t_frames, then standardize."""
         m = np.asarray(mel_frames, dtype=np.float64)
-        if m.ndim != 2 or m.shape[1] != self.n_mels:
-            raise InvalidParam(f"expected [T, {self.n_mels}] frames, got {m.shape}")
+        if m.ndim != 2 or m.shape[1] != N_MELS:
+            raise InvalidParam(f"expected [T, {N_MELS}] frames, got {m.shape}")
         t = self.t_frames
         if m.shape[0] > t:
             start = (m.shape[0] - t) // 2
             m = m[start : start + t]
         elif m.shape[0] < t:
-            padded = np.full((t, self.n_mels), PAD_VALUE)
+            padded = np.full((t, N_MELS), PAD_VALUE)
             start = (t - m.shape[0]) // 2
             padded[start : start + m.shape[0]] = m
             m = padded
@@ -454,8 +449,11 @@ def _eval_loss(model, data, lam):
     return total / len(data)
 
 
-def cnn_train(model, train_set, val_set, config):
-    """Minibatch momentum SGD with early stopping on validation joint loss.
+def cnn_train(model, train_set, val_set, *, epochs, batch_size, lr, patience, seed):
+    """Minibatch SGD with momentum MOMENTUM, on the joint loss at LAMBDA_TYPE,
+    for at most `epochs` epochs; it stops once `patience` epochs in a row
+    have not lowered the best validation joint loss (patience 0 runs one
+    epoch). `seed` draws each epoch's batch order.
 
     The input mean and std are taken over every training mel value; each
     batch is then standardized and stacked from the mels as it runs, so no
@@ -472,30 +470,30 @@ def cnn_train(model, train_set, val_set, config):
     if len(train_set) == 0 or len(val_set) == 0:
         raise InvalidParam(f"cnn training needs train and validation clips, "
                            f"got {len(train_set)} and {len(val_set)}")
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
 
     mean, std = _input_stats(train_set.mels)
     model.input_mean, model.input_std = mean, max(std, 1e-8)
 
-    state = nn.OptimizerState(config.lr, config.momentum)
+    state = nn.OptimizerState(lr, MOMENTUM)
     n = len(train_set)
 
     history = []
     best_val = np.inf
     best_snapshot = None
     bad_epochs = 0
-    for epoch in range(config.epochs):
+    for epoch in range(epochs):
         order = rng.permutation(n)
         epoch_loss = 0.0
         last_finite = None
-        for start in range(0, n, config.batch_size):
-            idx = order[start : start + config.batch_size]
+        for start in range(0, n, batch_size):
+            idx = order[start : start + batch_size]
             where = (f"epoch {epoch}, batch at {start} (last finite batch loss "
                      f"{'none' if last_finite is None else repr(last_finite)})")
             try:
                 x = _stack_inputs(model, [train_set.mels[i] for i in idx])
                 loss, graph = batch_loss_graph(model, x, train_set.y_type[idx],
-                                               config.lambda_type, keep_caches=True)
+                                               LAMBDA_TYPE, keep_caches=True)
                 if not np.isfinite(loss):
                     raise NonFiniteLoss(f"{where}: loss={loss}")
                 nn.sgd_step(model.params, nn.backward(*graph), state)
@@ -504,7 +502,7 @@ def cnn_train(model, train_set, val_set, config):
             last_finite = loss
             epoch_loss += last_finite * len(idx)
         train_loss = epoch_loss / n
-        val_loss = _eval_loss(model, val_set, config.lambda_type)
+        val_loss = _eval_loss(model, val_set, LAMBDA_TYPE)
         if not np.isfinite(val_loss):
             raise NonFiniteLoss(f"epoch {epoch}: validation loss={val_loss}")
         history.append({"epoch": epoch, "train_loss": train_loss, "val_loss": val_loss})
@@ -515,7 +513,7 @@ def cnn_train(model, train_set, val_set, config):
             bad_epochs = 0
         else:
             bad_epochs += 1
-        if bad_epochs >= config.early_stop_patience:
+        if bad_epochs >= patience:
             break
 
     if best_snapshot is not None:

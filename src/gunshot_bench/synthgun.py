@@ -402,7 +402,6 @@ def generate_dataset(class_counts, negatives, clean, out_dir, seed, duration_s=2
         clip_id = f"{idx:05d}_{class_name or 'background'}"
         rel = f"wav/{clip_id}.wav"
         write_wav(out_dir / rel, scene, SAMPLE_RATE)
-        rows.append(ManifestRow(clip_id, rel, NO_GUNSHOT if fc is None else GUNSHOT,
-                                class_name, duration_s, bool(clean), int(seed)))
+        rows.append(ManifestRow(clip_id, rel, NO_GUNSHOT if fc is None else GUNSHOT, class_name))
     write_manifest(out_dir / "manifest.jsonl", rows)
     return rows

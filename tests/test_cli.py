@@ -16,8 +16,13 @@ sweep cap; every command runs end to end on a tiny dataset, the CNN
 included; and the CNN pipeline gives the same bytes when rerun in a
 fresh process on another number of BLAS threads; a manifest id that
 would write outside --out is refused; a fresh-process featurize
-reuses the memory each clip frees instead of faulting it in again; and
-plain np.load reads a checkpoint's entries in the model's order."""
+reuses the memory each clip frees instead of faulting it in again;
+plain np.load reads a checkpoint's entries in the model's order; a
+manifest whose rows hold only ids, paths and labels, one of its WAVs 48 kHz
+stereo, runs every command, and rows and a model.meta.json with keys that
+no command reads give the same report; model.meta.json holds only what
+load_model and evaluate read; and generate refuses a class mix given two
+ways, and evaluate a --subset without a --split."""
 
 import ctypes
 import json
@@ -34,7 +39,7 @@ import pytest
 
 from gunshot_bench import cli, dsp, models, nncore, wavio
 from gunshot_bench.errors import MalformedFile
-from gunshot_bench.manifest import write_json
+from gunshot_bench.manifest import CLASS_NAMES, write_json
 
 
 def test_cnn_without_validation_clips_exits_usage(tmp_path, capsys):
@@ -90,8 +95,9 @@ def test_generate_into_an_existing_directory(tmp_path):
     ["--per-class", "0"],
     ["--duration", "nan"],
     ["--duration", "inf"],
-    ["--counts", "a,1,1,1,1"],
-    ["--counts", "1,1,1,1,-1"],
+    # class-mix flags that do not go together
+    ["--preset", "paper-ratio", "--per-class", "3"],
+    ["--per-class", "3", "--scale", "0.5"],
     ["--per-class", "-1"],
     ["--negatives", "-1"],
 ])
@@ -275,6 +281,43 @@ def test_evaluate_empty_subset_exits_usage(melstats_data, tmp_path, capsys):
     assert not (tmp_path / "eval" / "config.json").exists()
 
 
+def test_evaluate_subset_needs_a_split(melstats_data, tmp_path, capsys):
+    manifest, feats = melstats_data
+    _train_svm(manifest, feats, tmp_path / "svm")
+    evaluate = ["evaluate", "--checkpoint", str(tmp_path / "svm"), "--manifest", str(manifest),
+                "--features", str(feats), "--out"]
+    capsys.readouterr()
+    assert cli.main([*evaluate, str(tmp_path / "val"), "--subset", "val"]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "--split" in err[0], err
+    assert not (tmp_path / "val").exists()
+    # without a split every clip is scored and the report names no subset;
+    # with one, the subset is test unless --subset names another
+    split = str(tmp_path / "svm" / "split.json")
+    for out, extra, subset, size in (("all", [], None, 140),
+                                     ("test", ["--split", split], "test", 28)):
+        assert cli.main([*evaluate, str(tmp_path / out), *extra]) == cli.EXIT_OK
+        report = json.loads((tmp_path / out / "report.json").read_text())
+        assert report["config"]["subset"] == subset
+        assert np.sum(report["detection"]["confusion"]) == size
+
+
+def test_svm_train_stores_its_threshold(melstats_data, tmp_path):
+    manifest, feats = melstats_data
+    for name, extra in (("default", []), ("given", ["--threshold", "1.5"])):
+        assert cli.main(["train", "--manifest", str(manifest), "--features", str(feats),
+                         "--out", str(tmp_path / name), "--model", "svm", "--seed", "1",
+                         *extra]) == cli.EXIT_OK
+        assert cli.main(["evaluate", "--checkpoint", str(tmp_path / name), "--manifest",
+                         str(manifest), "--features", str(feats), "--out",
+                         str(tmp_path / f"eval_{name}")]) == cli.EXIT_OK
+    for name, threshold in (("default", 0.0), ("given", 1.5)):
+        assert json.loads((tmp_path / name / "model.meta.json").read_text())["threshold"] \
+            == threshold
+        assert json.loads((tmp_path / f"eval_{name}" / "report.json").read_text())["threshold"] \
+            == threshold
+
+
 def test_svm_train_rerun_is_byte_identical(melstats_data, tmp_path):
     manifest, feats = melstats_data
     for run in ("a", "b"):
@@ -331,8 +374,7 @@ def test_evaluate_features_of_another_length_exits_usage(feature_params_data, tm
 
 @pytest.mark.parametrize("flag,value", [
     ("--epochs", "0"), ("--batch-size", "0"), ("--lr", "nan"), ("--lr", "abc"),
-    ("--momentum", "1"), ("--lambda-type", "-1"), ("--patience", "-1"),
-    ("--input-frames", "0"), ("--svm-c", "0"), ("--threshold", "inf"),
+    ("--patience", "-1"), ("--input-frames", "0"), ("--threshold", "inf"),
 ])
 def test_bad_train_flag_exits_usage(flag, value, tmp_path, capsys):
     for command in ("train", "crossval"):
@@ -424,7 +466,7 @@ def test_cnn_crossval_validation_is_stratified(small_data, tmp_path, monkeypatch
     manifest, root = small_data
     seen = []
 
-    def fake_cnn_train(model, train_set, val_set, config):
+    def fake_cnn_train(model, train_set, val_set, **knobs):
         seen.append((np.concatenate([train_set.y_type, val_set.y_type]), val_set.y_type))
         return []
 
@@ -556,6 +598,83 @@ def test_checkpoint_is_a_plain_npz_of_the_model_arrays(trained_models, model):
         assert npz.files == list(expected)
         for name, values in expected.items():
             np.testing.assert_array_equal(npz[name], values)
+
+
+def test_model_meta_holds_what_load_model_and_evaluate_read(trained_models):
+    keys = {"cnn": {"model", "feature_kind", "threshold", "input_frames"},
+            "svm": {"model", "feature_kind", "threshold"}}
+    for model, want in keys.items():
+        assert set(json.loads((trained_models / model / "model.meta.json").read_text())) == want
+
+
+@pytest.mark.parametrize("model", ["cnn", "svm"])
+def test_manifest_and_model_directory_with_unread_keys_give_the_same_report(
+        small_data, trained_models, tmp_path, model):
+    # each manifest row and model.meta.json as earlier versions wrote them,
+    # with the synthesis settings, the class list, the seed and n_mels or c
+    manifest, root = small_data
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "wav").symlink_to(manifest.parent / "wav")
+    rows = [json.loads(line) for line in manifest.read_text().splitlines()]
+    (data / "manifest.jsonl").write_text("".join(
+        json.dumps({**row, "duration_s": 2.0, "clean": True, "seed": 1}) + "\n" for row in rows))
+    model_dir = tmp_path / model
+    shutil.copytree(trained_models / model, model_dir)
+    meta = json.loads((model_dir / "model.meta.json").read_text())
+    meta.update(class_list=CLASS_NAMES, seed=1, **({"n_mels": dsp.N_MELS} if model == "cnn"
+                                                   else {"c": 1.0}))
+    write_json(model_dir / "model.meta.json", meta)
+    reports = []
+    for out, m, d in (("now", manifest, trained_models / model),
+                      ("before", data / "manifest.jsonl", model_dir)):
+        assert cli.main(["evaluate", "--checkpoint", str(d), "--manifest", str(m),
+                         "--features", str(_features({"root": root}, model)),
+                         "--out", str(tmp_path / out), "--split", str(d / "split.json"),
+                         *(["--threshold", "0.5"] if model == "cnn" else [])]) == cli.EXIT_OK
+        report = json.loads((tmp_path / out / "report.json").read_text())
+        del report["dataset_hash"]    # the digest of the manifest's bytes
+        reports.append(report)
+    assert reports[0] == reports[1]
+
+
+def _as_48_khz_stereo(wav):
+    samples, rate = wavio.read_wav(wav)
+    t = np.arange(len(samples) * 48000 // rate) / 48000
+    mono = np.interp(t, np.arange(len(samples)) / rate, samples)
+    with wave.open(str(wav), "wb") as w:
+        w.setnchannels(2)
+        w.setsampwidth(2)
+        w.setframerate(48000)
+        w.writeframes(wavio.float_to_pcm16(np.stack([mono, 0.5 * mono], axis=1)).tobytes())
+
+
+def test_manifest_of_recordings_runs_end_to_end(tmp_path):
+    # a hand-written manifest: each row holds only its id, path and labels
+    # (no class key for a clip without a gunshot), and one WAV is 48 kHz stereo
+    data = tmp_path / "data"
+    assert cli.main(["generate", "--out", str(data), "--per-class", "5", "--negatives", "5",
+                     "--seed", "1"]) == cli.EXIT_OK
+    rows = [json.loads(line) for line in (data / "manifest.jsonl").read_text().splitlines()]
+    manifest = data / "recordings.jsonl"
+    keys = ("id", "path", "detection_label", "class")
+    manifest.write_text("".join(json.dumps({k: row[k] for k in keys if row[k] is not None}) + "\n"
+                                for row in rows))
+    _as_48_khz_stereo(data / rows[0]["path"])
+    for kind in ("mel", "melstats"):
+        assert cli.main(["featurize", "--manifest", str(manifest), "--kind", kind,
+                         "--out", str(tmp_path / kind)]) == cli.EXIT_OK
+    for model, kind, extra in (("svm", "melstats", []),
+                               ("cnn", "mel", ["--epochs", "1", "--input-frames", "16",
+                                               "--threshold", "0.5"])):
+        assert cli.main(["train", "--manifest", str(manifest), "--features",
+                         str(tmp_path / kind), "--out", str(tmp_path / model), "--model", model,
+                         "--seed", "1", *extra]) == cli.EXIT_OK
+        assert cli.main(["evaluate", "--checkpoint", str(tmp_path / model), "--manifest",
+                         str(manifest), "--features", str(tmp_path / kind), "--out",
+                         str(tmp_path / f"eval_{model}"), "--split",
+                         str(tmp_path / model / "split.json")]) == cli.EXIT_OK
+        assert "mean_ap" in json.loads((tmp_path / f"eval_{model}" / "report.json").read_text())
 
 
 def test_non_finite_activation_in_cnn_training_exits_numeric(small_data, tmp_path, capsys):
@@ -717,10 +836,11 @@ def _with_damaged_cache(command, ids, damage, model="svm", nth=0):
      cli.EXIT_USAGE, "error:"),
     (_with_split('{"train_ids": 5, "val_ids": [], "test_ids": [], "seed": 1}'),
      cli.EXIT_IO, "I/O failure:"),
-    (_featurize_manifest('{"id": "x", "path": "x.wav", "detection_label": "no_gunshot", '
-                         '"duration_s": "x", "clean": true, "seed": 0}\n'),
+    (_featurize_manifest('{"id": "x", "path": 5, "detection_label": "no_gunshot"}\n'),
      cli.EXIT_IO, "I/O failure:"),
     (_evaluate_meta("cnn", lambda m: m.update(input_frames="x")), cli.EXIT_IO, "I/O failure:"),
+    (_evaluate_meta("cnn", lambda m: m.update(input_frames=True)), cli.EXIT_IO, "I/O failure:"),
+    (_evaluate_meta("cnn", lambda m: m.update(input_frames=16.0)), cli.EXIT_IO, "I/O failure:"),
     (_evaluate_meta("svm", lambda m: m.update(feature_kind=3)), cli.EXIT_IO, "I/O failure:"),
     (_with_split_ids(lambda s: s["train_ids"].extend(s["test_ids"])),
      cli.EXIT_USAGE, "error:"),
@@ -729,8 +849,7 @@ def _with_damaged_cache(command, ids, damage, model="svm", nth=0):
      cli.EXIT_USAGE, "error:"),
     (_with_split_ids(lambda s: s["test_ids"].extend(s["train_ids"]), "evaluate"),
      cli.EXIT_USAGE, "error:"),
-    (_featurize_manifest('{"id": "x", "path": "x.wav", "detection_label": "maybe", '
-                         '"duration_s": 2.0, "clean": true, "seed": 0}\n'),
+    (_featurize_manifest('{"id": "x", "path": "x.wav", "detection_label": "maybe"}\n'),
      cli.EXIT_USAGE, "error:"),
     (_featurize_with_first_id("../escaped"), cli.EXIT_USAGE, "error:"),
     (_featurize_with_first_id(""), cli.EXIT_USAGE, "error:"),
@@ -755,7 +874,8 @@ def _with_damaged_cache(command, ids, damage, model="svm", nth=0):
         "cnn-meta-without-input_frames", "index-not-json", "index-not-an-object",
         "index-without-kind", "cnn-input-frames-below-the-pools", "boaw-truncated-wav",
         "boaw-24-bit-wav", "svm-empty-train-split", "split-train_ids-not-a-list",
-        "manifest-duration_s-not-a-number", "cnn-meta-input_frames-not-an-int",
+        "manifest-path-not-a-string", "cnn-meta-input_frames-not-an-int",
+        "cnn-meta-input_frames-true", "cnn-meta-input_frames-a-float",
         "svm-meta-feature_kind-not-a-string", "split-test-ids-also-in-train",
         "split-names-an-unknown-clip", "split-lists-a-clip-twice",
         "evaluate-split-train-ids-also-in-test",

@@ -12,17 +12,15 @@ from gunshot_bench.errors import InvalidParam
 from gunshot_bench.manifest import CLASS_NAMES, ManifestRow, read_json, write_json
 
 
-def make_rows(per_class, negatives, seed=0):
+def make_rows(per_class, negatives):
     rows = []
     i = 0
     for name in CLASS_NAMES:
         for _ in range(per_class):
-            rows.append(ManifestRow(f"c{i:04d}", f"wav/c{i:04d}.wav", "gunshot",
-                                    name, 2.0, True, seed))
+            rows.append(ManifestRow(f"c{i:04d}", f"wav/c{i:04d}.wav", "gunshot", name))
             i += 1
     for _ in range(negatives):
-        rows.append(ManifestRow(f"c{i:04d}", f"wav/c{i:04d}.wav", "no_gunshot",
-                                None, 2.0, True, seed))
+        rows.append(ManifestRow(f"c{i:04d}", f"wav/c{i:04d}.wav", "no_gunshot", None))
         i += 1
     return rows
 
@@ -48,7 +46,7 @@ class TestStratifiedSplit:
     def test_union_and_disjointness_random_sizes(self):
         rng = np.random.default_rng(0)
         for trial in range(10):
-            rows = make_rows(int(rng.integers(3, 20)), int(rng.integers(0, 15)), trial)
+            rows = make_rows(int(rng.integers(3, 20)), int(rng.integers(0, 15)))
             split = ev.stratified_split(rows, seed=trial)
             tr, va, te = map(set, (split.train_ids, split.val_ids, split.test_ids))
             assert not (tr & va) and not (tr & te) and not (va & te)

@@ -24,10 +24,7 @@ def rows(draw):
     return ManifestRow(
         id=rid, path=f"wav/{rid}.wav",
         detection_label=NO_GUNSHOT if class_name is None else GUNSHOT,
-        class_name=class_name,
-        duration_s=draw(st.floats(0.1, 60.0)),
-        clean=draw(st.booleans()),
-        seed=draw(st.integers(0, 2**31 - 1)))
+        class_name=class_name)
 
 
 def unique_rows(min_size=1):
@@ -89,7 +86,7 @@ def test_unknown_class_rejected(tmp_path, manifest_rows, data, name):
 @pytest.mark.parametrize("label,class_name", [("maybe", None), ("maybe", CLASS_NAMES[0]),
                                               ("Gunshot", CLASS_NAMES[0]), ("", None)])
 def test_unknown_detection_label_rejected(tmp_path, label, class_name):
-    ok = ManifestRow("a", "wav/a.wav", NO_GUNSHOT, None, 2.0, True, 0).to_dict()
+    ok = ManifestRow("a", "wav/a.wav", NO_GUNSHOT, None).to_dict()
     bad = {**ok, "id": "b", "detection_label": label, "class": class_name}
     path = _write(tmp_path / "manifest.jsonl", [ok, bad])
     with pytest.raises(InvalidParam, match=f"row b: detection_label '{label}'"):
@@ -97,7 +94,7 @@ def test_unknown_detection_label_rejected(tmp_path, label, class_name):
 
 
 def test_missing_audio_file_rejected(tmp_path):
-    row = ManifestRow("a", "wav/a.wav", GUNSHOT, CLASS_NAMES[0], 2.0, True, 0)
+    row = ManifestRow("a", "wav/a.wav", GUNSHOT, CLASS_NAMES[0])
     path = _write(tmp_path / "manifest.jsonl", [row.to_dict()])
     with pytest.raises(InvalidParam, match="missing file"):
         load_manifest(path)
@@ -106,10 +103,9 @@ def test_missing_audio_file_rejected(tmp_path):
     assert load_manifest(path) == [row]
 
 
-@pytest.mark.parametrize("key,value", [("id", 5), ("duration_s", "2"), ("clean", 1),
-                                       ("seed", True), ("seed", 1.0)])
+@pytest.mark.parametrize("key,value", [("id", 5), ("path", None), ("detection_label", True)])
 def test_field_of_the_wrong_type_rejected(tmp_path, key, value):
-    row = ManifestRow("a", "wav/a.wav", GUNSHOT, CLASS_NAMES[0], 2.0, True, 0).to_dict()
+    row = ManifestRow("a", "wav/a.wav", GUNSHOT, CLASS_NAMES[0]).to_dict()
     row[key] = value
     path = _write(tmp_path / "manifest.jsonl", [row])
     with pytest.raises(MalformedFile, match=f"line 1: key '{key}'"):
@@ -119,7 +115,7 @@ def test_field_of_the_wrong_type_rejected(tmp_path, key, value):
 @pytest.mark.parametrize("rid", ["", ".", "..", "../escaped", "../../x", "a/b", "/abs",
                                  "a\\b", "..\\x", "a\0b"])
 def test_id_that_is_not_one_plain_file_name_rejected(tmp_path, rid):
-    ok = ManifestRow("a", "wav/a.wav", NO_GUNSHOT, None, 2.0, True, 0).to_dict()
+    ok = ManifestRow("a", "wav/a.wav", NO_GUNSHOT, None).to_dict()
     path = _write(tmp_path / "manifest.jsonl", [ok, {**ok, "id": rid}])
     with pytest.raises(InvalidParam, match=r"row .*: id is not one plain file name"):
         load_manifest(path, check_paths=False)
@@ -127,6 +123,6 @@ def test_id_that_is_not_one_plain_file_name_rejected(tmp_path, rid):
 
 @pytest.mark.parametrize("rid", ["...", "a..b", ".hidden", "x.feat", "a b"])
 def test_id_with_dots_inside_one_file_name_accepted(tmp_path, rid):
-    row = ManifestRow(rid, "wav/a.wav", NO_GUNSHOT, None, 2.0, True, 0)
+    row = ManifestRow(rid, "wav/a.wav", NO_GUNSHOT, None)
     path = _write(tmp_path / "manifest.jsonl", [row.to_dict()])
     assert load_manifest(path, check_paths=False) == [row]

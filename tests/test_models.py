@@ -337,7 +337,7 @@ class TestJointLoss:
     def test_gradient_of_every_parameter_matches_finite_differences(self):
         # a [4, 1, 8, 8] batch with both heads active and a negative clip;
         # the 8x8 input halves to 4x4, 2x2 and 1x1 through the three pools
-        model = models.JointCnnModel(seed=12, t_frames=8, n_mels=8)
+        model = models.JointCnnModel(seed=12, t_frames=8)
         x = np.random.default_rng(4).normal(size=(4, 1, 8, 8))
         y_type = np.array([3, models.NEGATIVE_LABEL, 0, 4])
 
@@ -404,6 +404,11 @@ class TestArrayParams:
         assert plain == kept
 
 
+def _knobs(**given):
+    """cnn_train's keyword arguments: `gsb train`'s defaults, `given` in their place."""
+    return {"epochs": 30, "batch_size": 16, "lr": 1e-3, "patience": 5, "seed": 0, **given}
+
+
 class TestCnnTrain:
     def _tiny_sets(self, n=12, t=16, seed=0):
         rng = np.random.default_rng(seed)
@@ -432,8 +437,8 @@ class TestCnnTrain:
         train, val = self._mel_set(7, 24, seed=1), self._mel_set(3, 24, seed=2)
         train.mels[3] = train.mels[3][:11]          # clips of unequal length
         model = models.JointCnnModel(seed=0, t_frames=16)
-        cfg = models.TrainConfig(epochs=1, batch_size=4)
-        models.cnn_train(model, train, val, cfg)
+        cfg = _knobs(epochs=1, batch_size=4)
+        models.cnn_train(model, train, val, **cfg)
         flat = np.concatenate([np.asarray(m, dtype=np.float64).ravel() for m in train.mels])
         assert model.input_mean == float(flat.mean())
         assert model.input_std == float(np.std(flat))
@@ -450,10 +455,10 @@ class TestCnnTrain:
         def peak(n):
             train = self._mel_set(n, frames, seed=4)
             model = models.JointCnnModel(seed=1, t_frames=t)
-            cfg = models.TrainConfig(epochs=1, batch_size=2)
+            cfg = _knobs(epochs=1, batch_size=2)
             tracemalloc.start()
             try:
-                models.cnn_train(model, train, val, cfg)
+                models.cnn_train(model, train, val, **cfg)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -469,7 +474,7 @@ class TestCnnTrain:
         t = 32
         train, val = self._mel_set(12, t, seed=5), self._mel_set(4, t, seed=6)
         model = models.JointCnnModel(seed=2, t_frames=t)
-        cfg = models.TrainConfig(epochs=1, batch_size=4)
+        cfg = _knobs(epochs=1, batch_size=4)
         x = models._stack_inputs(model, train.mels[:4])
         tracemalloc.start()
         try:
@@ -479,7 +484,7 @@ class TestCnnTrain:
             del graph
             tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
-            models.cnn_train(model, train, val, cfg)
+            models.cnn_train(model, train, val, **cfg)
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
@@ -497,9 +502,9 @@ class TestCnnTrain:
 
         monkeypatch.setattr(models, "batch_loss_graph", recording)
         model = models.JointCnnModel(seed=0, t_frames=16)
-        cfg = models.TrainConfig(epochs=1, batch_size=3, lr=1e300)
+        cfg = _knobs(epochs=1, batch_size=3, lr=1e300)
         with np.errstate(over="ignore"), pytest.raises(NonFiniteLoss) as err:
-            models.cnn_train(model, train, val, cfg)
+            models.cnn_train(model, train, val, **cfg)
         assert finite, "the first batch's loss is finite"
         assert f"epoch 0, batch at {3 * len(finite)}" in str(err.value)
         assert f"last finite batch loss {finite[-1]!r}" in str(err.value)
@@ -508,18 +513,18 @@ class TestCnnTrain:
         # the first step's update itself leaves float64 range
         train, val = self._tiny_sets()
         model = models.JointCnnModel(seed=0, t_frames=16)
-        cfg = models.TrainConfig(epochs=1, batch_size=3, lr=1e308)
+        cfg = _knobs(epochs=1, batch_size=3, lr=1e308)
         names = "|".join(map(re.escape, model.params))
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(NonFiniteLoss, match=rf"batch at 0 \(last finite batch loss "
                                                    rf"none\): parameter ({names}) after sgd_step"):
-            models.cnn_train(model, train, val, cfg)
+            models.cnn_train(model, train, val, **cfg)
 
     def test_patience_zero_runs_exactly_one_epoch(self):
         train, val = self._tiny_sets()
         model = models.JointCnnModel(seed=0, t_frames=16)
-        cfg = models.TrainConfig(epochs=10, early_stop_patience=0, seed=0)
-        history = models.cnn_train(model, train, val, cfg)
+        cfg = _knobs(epochs=10, patience=0, seed=0)
+        history = models.cnn_train(model, train, val, **cfg)
         assert len(history) == 1
 
     def test_same_seed_identical_history_and_params(self):
@@ -527,8 +532,8 @@ class TestCnnTrain:
         runs = []
         for _ in range(2):
             model = models.JointCnnModel(seed=5, t_frames=16)
-            cfg = models.TrainConfig(epochs=3, early_stop_patience=3, seed=5)
-            history = models.cnn_train(model, train, val, cfg)
+            cfg = _knobs(epochs=3, patience=3, seed=5)
+            history = models.cnn_train(model, train, val, **cfg)
             digest = b"".join(a.tobytes() for a in model.params.values())
             runs.append((history, digest))
         assert runs[0][0] == runs[1][0]
@@ -537,15 +542,15 @@ class TestCnnTrain:
     def test_training_loss_decreases(self):
         train, val = self._tiny_sets(n=24)
         model = models.JointCnnModel(seed=1, t_frames=16)
-        cfg = models.TrainConfig(epochs=10, lr=5e-3, early_stop_patience=10, seed=1)
-        history = models.cnn_train(model, train, val, cfg)
+        cfg = _knobs(epochs=10, lr=5e-3, patience=10, seed=1)
+        history = models.cnn_train(model, train, val, **cfg)
         assert history[9]["train_loss"] < history[0]["train_loss"]
 
     def test_separable_set_reaches_f1(self):
         train, val = self._tiny_sets(n=50, seed=2)
         model = models.JointCnnModel(seed=2, t_frames=16)
-        cfg = models.TrainConfig(epochs=30, lr=1e-2, early_stop_patience=30, seed=2)
-        models.cnn_train(model, train, val, cfg)
+        cfg = _knobs(epochs=30, lr=1e-2, patience=30, seed=2)
+        models.cnn_train(model, train, val, **cfg)
         decided = np.array([models.cnn_forward(model, m, threshold=0.5).detected
                             for m in val.mels], dtype=int)
         assert detection_f1((val.y_type >= 0).astype(int), decided) >= 0.95

@@ -255,11 +255,8 @@ def reference_generate_dataset(class_counts, negatives, clean, out_dir, seed,
             clip_id = f"{idx:05d}_{fc.value}"
             rel = f"wav/{clip_id}.wav"
             write_wav(out_dir / rel, scene, sg.SAMPLE_RATE)
-            rows.append({
-                "id": clip_id, "path": rel, "detection_label": "gunshot",
-                "class": fc.value, "duration_s": duration_s,
-                "clean": bool(clean), "seed": int(seed),
-            })
+            rows.append({"id": clip_id, "path": rel, "detection_label": "gunshot",
+                         "class": fc.value})
             idx += 1
     for _ in range(negatives):
         rng = np.random.default_rng([seed, idx])
@@ -273,11 +270,8 @@ def reference_generate_dataset(class_counts, negatives, clean, out_dir, seed,
         clip_id = f"{idx:05d}_background"
         rel = f"wav/{clip_id}.wav"
         write_wav(out_dir / rel, scene, sg.SAMPLE_RATE)
-        rows.append({
-            "id": clip_id, "path": rel, "detection_label": "no_gunshot",
-            "class": None, "duration_s": duration_s,
-            "clean": bool(clean), "seed": int(seed),
-        })
+        rows.append({"id": clip_id, "path": rel, "detection_label": "no_gunshot",
+                     "class": None})
         idx += 1
     with open(out_dir / "manifest.jsonl", "w", encoding="utf-8") as f:
         for row in rows:
@@ -306,10 +300,11 @@ def test_generate_dataset_matches_two_loop_reference(tmp_path, per_class, negati
 # sha256 of every file generate_dataset writes for one clip of each class and
 # three negatives at seed 11, recorded before the synthesizer moved from
 # AudioClip objects to sample arrays; the two-loop reference above moves with
-# the code, these do not
+# the code, these do not. A manifest row holds no synthesis setting, so both
+# mixes write the same manifest.
 PINNED_SHA256 = {
     "clean": {
-        "manifest.jsonl": "32142ec8edcb1dadfba3ef9bbd56c6b728d9ae670d4742e83b8de0569cfe8be7",
+        "manifest.jsonl": "ff7e9250fde15e6a3fe986b0ab25b5c0f2defa96e8fc8c7eac8964bf5247e4c8",
         "wav/00000_rifle.wav": "8dd04c4d869bb8438fec0ec8ada798d69f8931001d4a695386372af8cfe8b5e1",
         "wav/00001_submachine_gun.wav":
             "6e8d5200521c7e90fd99a282fc52b7abae84d8d5e8f2e924453c1f165cba29dc",
@@ -326,7 +321,7 @@ PINNED_SHA256 = {
             "e0f2dcfe99e6470c0485a3cf188aa344688b8d2a6f14208805028169186667ba",
     },
     "noisy": {
-        "manifest.jsonl": "59712b84680cf4627db7c2a3959c59929846eae88320c023bbd748c588cc6f0a",
+        "manifest.jsonl": "ff7e9250fde15e6a3fe986b0ab25b5c0f2defa96e8fc8c7eac8964bf5247e4c8",
         "wav/00000_rifle.wav": "2f7d7cb64f4d422797565519546ae81950d6f60412265da70562952fd6dcd38f",
         "wav/00001_submachine_gun.wav":
             "1842dcb982311bf12a265f36a193581d53a74bf6b88b9e6eaa737dc7a39f53fb",
