@@ -11,7 +11,8 @@ run leaves none behind.
 
 Exit codes: 0 ok, 2 usage error (including flags that do not go together:
 `generate --preset` with `--per-class`, `generate --scale` without
-`--preset`, `evaluate --subset` without `--split`; and data the command
+`--preset`, `evaluate --subset` without `--split`, `train` or `crossval
+--model svm` with a flag only the CNN reads; and data the command
 cannot use, such as a manifest row whose detection_label is neither gunshot
 nor no_gunshot or whose id is not one plain file name, or a split that
 names a clip the manifest lacks or lists one clip twice, in one list or
@@ -71,16 +72,20 @@ def _echo_config(args, out_dir, command):
 # generate
 # ---------------------------------------------------------------------------
 
+PER_CLASS = 20         # --per-class of a run that gives neither it nor --preset
 PRESET_SCALE = 0.05    # --scale of a --preset run that gives none
 
 
 def _class_counts(args):
-    """Clips per class: --per-class of each, or the --preset mix at --scale
-    (PRESET_SCALE when not given, written back to args so that config.json
-    records it). argparse refuses --preset with --per-class."""
+    """Clips per class: --per-class of each (PER_CLASS when not given), or
+    the --preset mix at --scale (PRESET_SCALE when not given); a default is
+    written back to args so that config.json records it, and only the one
+    the run uses. argparse refuses --preset with --per-class."""
     if args.preset is None:
         if args.scale is not None:
             raise UsageError("--scale applies only to a --preset class mix")
+        if args.per_class is None:
+            args.per_class = PER_CLASS
         return {fc: args.per_class for fc in CLASS_ORDER}
     if args.scale is None:
         args.scale = PRESET_SCALE
@@ -233,6 +238,22 @@ def cmd_featurize(args):
 # train
 # ---------------------------------------------------------------------------
 
+CNN_DEFAULTS = {"batch_size": 16, "lr": 1e-3, "patience": 5,
+                "input_frames": models.T_FIXED_DEFAULT}
+
+
+def _resolve_cnn_flags(args):
+    """Flags only the CNN reads: an SVM run given one exits 2, and a CNN run
+    gets the default of each it was not given, written back to args so that
+    config.json records it."""
+    for name, default in CNN_DEFAULTS.items():
+        if getattr(args, name) is None:
+            if args.model == "cnn":
+                setattr(args, name, default)
+        elif args.model != "cnn":
+            raise UsageError(f"--{name.replace('_', '-')} applies only to --model cnn")
+
+
 def _feature_kind(features_dir):
     return read_json(Path(features_dir) / "index.json", {"kind": str})["kind"]
 
@@ -331,6 +352,7 @@ def _fit(args, kind, train_rows, val_rows, feats):
 
 
 def cmd_train(args):
+    _resolve_cnn_flags(args)
     out_dir = Path(args.out)
     rows = load_manifest(Path(args.manifest))
     if args.split:
@@ -469,6 +491,7 @@ def cmd_evaluate(args):
 # ---------------------------------------------------------------------------
 
 def cmd_crossval(args):
+    _resolve_cnn_flags(args)
     out_dir = Path(args.out)
     rows = load_manifest(Path(args.manifest))
     kind = _feature_kind(args.features)
@@ -549,10 +572,11 @@ def _add_train_flags(p):
     p.add_argument("--epochs", type=_positive_int, default=30,
                    help="cnn: training epochs; svm: maximum dual-solver sweeps "
                         "per machine (stops earlier once converged)")
-    p.add_argument("--batch-size", type=_positive_int, default=16)
-    p.add_argument("--lr", type=_positive, default=1e-3)
-    p.add_argument("--patience", type=_non_negative_int, default=5)
-    p.add_argument("--input-frames", type=_positive_int, default=models.T_FIXED_DEFAULT)
+    cnn_only = lambda name: f"cnn only (default {CNN_DEFAULTS[name]})"
+    p.add_argument("--batch-size", type=_positive_int, help=cnn_only("batch_size"))
+    p.add_argument("--lr", type=_positive, help=cnn_only("lr"))
+    p.add_argument("--patience", type=_non_negative_int, help=cnn_only("patience"))
+    p.add_argument("--input-frames", type=_positive_int, help=cnn_only("input_frames"))
     p.add_argument("--threshold", type=_finite, default=None,
                    help="decision threshold; cnn default 0.5, svm 0.0")
 
@@ -566,7 +590,8 @@ def build_parser():
     g = sub.add_parser("generate", help="synthesize a labeled WAV dataset")
     g.add_argument("--out", required=True)
     mix = g.add_mutually_exclusive_group()
-    mix.add_argument("--per-class", type=_non_negative_int, default=20)
+    mix.add_argument("--per-class", type=_non_negative_int,
+                     help=f"clips per gun class (default {PER_CLASS})")
     mix.add_argument("--preset", choices=("paper-ratio",))
     g.add_argument("--scale", type=_positive,
                    help=f"scale factor for the preset class mix (default {PRESET_SCALE})")

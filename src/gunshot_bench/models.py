@@ -422,15 +422,49 @@ def _stack_inputs(model, mels):
     return np.stack([model.prepare_input(m) for m in mels])[:, None, :, :]
 
 
+STATS_BLOCK = 1 << 20    # float64 values _input_stats gathers at a time
+
+
 def _input_stats(mels):
     """Mean and std of every value of every mel, equal bit for bit to
-    np.mean / np.std of their float64 concatenation, from one float64 buffer
-    that the squared deviations overwrite in place."""
-    flat = np.concatenate([np.ravel(m) for m in mels], dtype=np.float64)
-    mean = flat.mean()
-    flat -= mean
-    flat *= flat
-    return float(mean), float(np.sqrt(flat.sum() / flat.size))
+    np.mean / np.std of their float64 concatenation, holding at most
+    STATS_BLOCK float64 values at a time.
+
+    numpy sums n > 128 float64 values pairwise: the first h = n//2 - (n//2) % 8
+    values, then the rest, each the same way. This walks that split over the
+    concatenation, which it never builds, down to ranges of at most
+    STATS_BLOCK values; np.add.reduce sums each range as the whole sum would.
+    STATS_BLOCK is at least 128, so every range split here numpy splits too.
+    The std pass squares each range's deviations in place and sums them over
+    the same tree."""
+    flats = [np.ravel(m) for m in mels]
+    starts = np.cumsum([0] + [f.size for f in flats])
+
+    def gather(lo, hi):
+        i = int(np.searchsorted(starts, lo, side="right")) - 1
+        parts = []
+        while lo < hi:
+            end = min(hi, starts[i + 1])
+            parts.append(flats[i][lo - starts[i] : end - starts[i]])
+            lo, i = end, i + 1
+        return np.concatenate(parts, dtype=np.float64)
+
+    def tree_sum(lo, hi, leaf):
+        if hi - lo <= STATS_BLOCK:
+            return np.add.reduce(leaf(gather(lo, hi)))
+        half = (hi - lo) // 2
+        half -= half % 8
+        return tree_sum(lo, lo + half, leaf) + tree_sum(lo + half, hi, leaf)
+
+    n = int(starts[-1])
+    mean = tree_sum(0, n, lambda block: block) / n
+
+    def squared_deviations(block):
+        block -= mean
+        block *= block
+        return block
+
+    return float(mean), float(np.sqrt(tree_sum(0, n, squared_deviations) / n))
 
 
 EVAL_BATCH = 64       # clips per validation-loss batch
@@ -458,9 +492,8 @@ def cnn_train(model, train_set, val_set, *, epochs, batch_size, lr, patience, se
     The input mean and std are taken over every training mel value; each
     batch is then standardized and stacked from the mels as it runs, so no
     float64 copy of either set is held. Memory beyond the mels themselves is
-    one float64 copy of the training mels while the stats are taken, then
-    the layer caches of one training step, which its backward frees layer
-    by layer.
+    STATS_BLOCK float64 values while the stats are taken, then the layer
+    caches of one training step, which its backward frees layer by layer.
 
     Returns the training history; the model is left holding the best-val
     parameters. Raises InvalidParam if either set is empty, and

@@ -6,12 +6,23 @@ cache)`, takes the gradient of the loss with respect to y and returns the
 input gradient, followed by one gradient per parameter for a layer that has
 parameters (`dense_backward` returns `(dx, dw, db)`). A loss's backward takes
 the loss's weight in the total loss. The cache holds only what the backward
-reads, and work that only the backward needs (pooling tie masks, conv2d's
-input gradient) is done there, so a forward whose cache is dropped costs
-inference nothing extra. backward() walks the `(layer backward, cache,
-parameter names)` steps that a network's forward kept, in reverse, and
-returns every parameter's gradient by name. Each forward checks its output
-for NaN/Inf and names itself in the NonFiniteTensor it raises.
+reads:
+
+- dense: its input and weights;
+- conv2d: its im2col columns and the weights as one [Cout, Cin*kh*kw] matrix;
+- maxpool2d: its input and output, channel-major;
+- relu: its input, which after a pool is that pool's output;
+- global_avg_pool: its input; sigmoid: its output;
+- bce: its input, that input clamped, and the labels;
+- cross_entropy: the shifted logits, the labels and their weights.
+
+Work that only the backward needs (pooling tie masks, conv2d's input
+gradient, one kernel tap at a time) is done there, so a forward whose cache
+is dropped costs inference nothing extra. backward() walks the `(layer
+backward, cache, parameter names)` steps that a network's forward kept, in
+reverse, and returns every parameter's gradient by name. Each forward
+checks its output for NaN/Inf and names itself in the NonFiniteTensor it
+raises.
 
 Memory layout: conv2d and maxpool2d take and return [B, C, H, W] arrays, but
 their outputs (and the input gradients their backwards return) are views of
@@ -143,11 +154,21 @@ def conv2d_backward(g, cache, need_dx=True):
     dw = (g_flat @ cols_flat.T).reshape(w_shape)
     dx = None
     if need_dx:
-        dcols = (w2.T @ g_flat).reshape(cin, kh, kw, bsz, ho, wo)
+        # One kernel tap at a time, so only one tap's [Cin, B*Ho*Wo] columns
+        # live beside cols_flat. A tap's GEMM gives its rows of the one GEMM
+        # w2.T @ g_flat bit for bit (a GEMM row's value does not depend on
+        # the matrix height); with one input channel it would be a GEMV,
+        # which rounds differently, so that case keeps the one GEMM.
+        if cin == 1:
+            dcols = (w2.T @ g_flat).reshape(kh, kw, 1, bsz, ho, wo)
+            tap = lambda i, j: dcols[i, j]
+        else:
+            w_taps = w2.reshape(w_shape).transpose(2, 3, 0, 1).copy()   # [kh, kw, Cout, Cin]
+            tap = lambda i, j: (w_taps[i, j].T @ g_flat).reshape(cin, bsz, ho, wo)
         dxp = np.zeros((cin, bsz, h + 2 * p, wdt + 2 * p))
         for i in range(kh):
             for j in range(kw):
-                dxp[:, :, i : i + s * ho : s, j : j + s * wo : s] += dcols[:, i, j]
+                dxp[:, :, i : i + s * ho : s, j : j + s * wo : s] += tap(i, j)
         dx = dxp[:, :, p : p + h, p : p + wdt].transpose(1, 0, 2, 3)
     return dx, dw, db
 
@@ -215,12 +236,13 @@ def global_avg_pool_backward(g, x):
 # ---------------------------------------------------------------------------
 
 def relu(x):
-    out = np.maximum(x, 0.0)
-    return _check_finite(out, "relu output"), out
+    """max(x, 0). The cache is x itself (x > 0 exactly where the output
+    is), which after a pool is memory the pool's cache holds already."""
+    return _check_finite(np.maximum(x, 0.0), "relu output"), x
 
 
-def relu_backward(g, out):
-    return g * (out > 0)
+def relu_backward(g, x):
+    return g * (x > 0)
 
 
 def sigmoid(x):

@@ -21,8 +21,10 @@ plain np.load reads a checkpoint's entries in the model's order; a
 manifest whose rows hold only ids, paths and labels, one of its WAVs 48 kHz
 stereo, runs every command, and rows and a model.meta.json with keys that
 no command reads give the same report; model.meta.json holds only what
-load_model and evaluate read; and generate refuses a class mix given two
-ways, and evaluate a --subset without a --split."""
+load_model and evaluate read; generate refuses a class mix given two
+ways, and evaluate a --subset without a --split; an SVM run refuses a flag
+only the CNN reads; and a config.json records only the knobs the run
+used."""
 
 import ctypes
 import json
@@ -384,6 +386,21 @@ def test_bad_train_flag_exits_usage(flag, value, tmp_path, capsys):
         assert f"argument {flag}:" in capsys.readouterr().err.splitlines()[-1]
 
 
+def test_generate_records_only_the_class_mix_it_used(tmp_path):
+    parse = cli.build_parser().parse_args
+    args = parse(["generate", "--out", "d"])
+    assert cli._class_counts(args) == {fc: cli.PER_CLASS for fc in cli.CLASS_ORDER}
+    assert args.per_class == cli.PER_CLASS
+    # a --per-class equal to its default is still a second class mix
+    with pytest.raises(SystemExit):
+        parse(["generate", "--out", "d", "--preset", "paper-ratio", "--per-class", "20"])
+    data = tmp_path / "data"
+    assert cli.main(["generate", "--out", str(data), "--preset", "paper-ratio",
+                     "--scale", "0.01", "--seed", "1"]) == cli.EXIT_OK
+    config = json.loads((data / "config.json").read_text())
+    assert config["per_class"] is None and config["scale"] == 0.01
+
+
 @pytest.fixture(scope="module")
 def small_data(tmp_path_factory):
     """The 60 clips of `generate --per-class 10 --negatives 10 --seed 1`
@@ -436,6 +453,36 @@ def test_crossval_wrong_feature_kind_exits_usage(small_data, tmp_path, capsys, m
     assert f"{model} needs" in capsys.readouterr().err
     assert not (tmp_path / "config.json").exists()
     assert not (tmp_path / "train").exists()
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--batch-size", "3"), ("--lr", "5"), ("--patience", "0"), ("--input-frames", "4"),
+])
+def test_cnn_only_flag_on_an_svm_run_exits_usage(small_data, tmp_path, capsys, flag, value):
+    manifest, root = small_data
+    for command in ("train", "crossval"):
+        out = tmp_path / command
+        code = cli.main([command, "--manifest", str(manifest), "--features",
+                         str(root / "melstats"), "--out", str(out), "--model", "svm",
+                         flag, value])
+        assert code == cli.EXIT_USAGE
+        assert f"{flag} applies only to --model cnn" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_train_config_records_only_the_flags_the_model_read(small_data, tmp_path):
+    manifest, root = small_data
+    cnn_only = ("batch_size", "lr", "patience", "input_frames")
+    assert cli.main(["train", "--manifest", str(manifest), "--features", str(root / "melstats"),
+                     "--out", str(tmp_path / "svm"), "--model", "svm"]) == cli.EXIT_OK
+    config = json.loads((tmp_path / "svm" / "config.json").read_text())
+    assert {name: config[name] for name in cnn_only} == dict.fromkeys(cnn_only)
+    # a CNN run records each default it used, as one that gave it does
+    args = cli.build_parser().parse_args(["train", "--manifest", "m", "--features", "f",
+                                          "--out", "o", "--model", "cnn", "--lr", "0.01"])
+    cli._resolve_cnn_flags(args)
+    assert {name: getattr(args, name) for name in cnn_only} == {
+        "batch_size": 16, "lr": 0.01, "patience": 5, "input_frames": models.T_FIXED_DEFAULT}
 
 
 def test_crossval_k_above_pool_exits_usage(small_data, tmp_path, capsys):

@@ -1,7 +1,8 @@
 """Layer and loss contracts: shape rules, worked examples, naive-loop and
-finite-difference oracles for values and gradients, optimizer behavior,
-checkpoint round-trips, and a checkpoint save that fails part way keeping
-the old file."""
+finite-difference oracles for values and gradients, conv2d's input gradient
+in the bytes of one GEMM and col2im, optimizer behavior, checkpoint
+round-trips, and a checkpoint save that fails part way keeping the old
+file."""
 
 import numpy as np
 import pytest
@@ -120,6 +121,29 @@ class TestConv2d:
         dx, dw, db = nn.conv2d_backward(g, cache, need_dx=False)
         assert dx is None
         assert np.array_equal(dw, got[1]) and np.array_equal(db, got[2])
+
+    @pytest.mark.parametrize("bsz", [1, 4])
+    @pytest.mark.parametrize("cin,cout,size", [(1, 16, 128), (16, 32, 64), (32, 64, 32)])
+    def test_dx_equals_the_one_gemm_col2im_bytes(self, cin, cout, size, bsz):
+        # the three conv layers of the CNN at 128 input frames: the input
+        # gradient built one kernel tap at a time has the bytes of one GEMM
+        # over every tap's columns followed by col2im
+        rng = np.random.default_rng(cin + bsz)
+        x = channel_major(rng.normal(size=(bsz, cin, size, size)))
+        w, b = rng.normal(size=(cout, cin, 3, 3)), rng.normal(size=cout)
+        out, cache = nn.conv2d(x, w, b, 1, 1)
+        g = channel_major(rng.normal(size=out.shape))
+        dx, _, _ = nn.conv2d_backward(g, cache)
+
+        g_flat = g.transpose(1, 0, 2, 3).reshape(cout, -1)
+        dcols = (w.reshape(cout, -1).T @ g_flat).reshape(cin, 3, 3, bsz, size, size)
+        dxp = np.zeros((cin, bsz, size + 2, size + 2))
+        for i in range(3):
+            for j in range(3):
+                dxp[:, :, i : i + size, j : j + size] += dcols[:, i, j]
+        assert dx.tobytes() == dxp[:, :, 1:-1, 1:-1].transpose(1, 0, 2, 3).tobytes()
+        # the cache is left as it was, so a second backward gives the same
+        assert nn.conv2d_backward(g, cache)[0].tobytes() == dx.tobytes()
 
     @pytest.mark.parametrize("stride,pad", [(1, 1), (2, 0)])
     def test_same_result_for_both_input_layouts(self, stride, pad):
