@@ -155,20 +155,17 @@ def conv2d_backward(g, cache, need_dx=True):
     dx = None
     if need_dx:
         # One kernel tap at a time, so only one tap's [Cin, B*Ho*Wo] columns
-        # live beside cols_flat. A tap's GEMM gives its rows of the one GEMM
-        # w2.T @ g_flat bit for bit (a GEMM row's value does not depend on
-        # the matrix height); with one input channel it would be a GEMV,
-        # which rounds differently, so that case keeps the one GEMM.
-        if cin == 1:
-            dcols = (w2.T @ g_flat).reshape(kh, kw, 1, bsz, ho, wo)
-            tap = lambda i, j: dcols[i, j]
-        else:
-            w_taps = w2.reshape(w_shape).transpose(2, 3, 0, 1).copy()   # [kh, kw, Cout, Cin]
-            tap = lambda i, j: (w_taps[i, j].T @ g_flat).reshape(cin, bsz, ho, wo)
+        # live beside cols_flat. With more than one input channel a tap's
+        # GEMM gives its rows of the one GEMM w2.T @ g_flat bit for bit (a
+        # GEMM row's value does not depend on the matrix height). With one
+        # it is a GEMV, which may round differently; the CNN never asks its
+        # one-channel conv1 for dx.
+        w_taps = w2.reshape(w_shape).transpose(2, 3, 0, 1).copy()   # [kh, kw, Cout, Cin]
         dxp = np.zeros((cin, bsz, h + 2 * p, wdt + 2 * p))
         for i in range(kh):
             for j in range(kw):
-                dxp[:, :, i : i + s * ho : s, j : j + s * wo : s] += tap(i, j)
+                dxp[:, :, i : i + s * ho : s, j : j + s * wo : s] += (
+                    (w_taps[i, j].T @ g_flat).reshape(cin, bsz, ho, wo))
         dx = dxp[:, :, p : p + h, p : p + wdt].transpose(1, 0, 2, 3)
     return dx, dw, db
 
