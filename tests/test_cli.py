@@ -12,8 +12,9 @@ featurize cannot use fails only its own clip; a refused command leaves
 no config.json and a failed generate no dataset; training reads no
 test-split cache; SVM evaluation, training and cross-validation honour
 their flags, rerun byte for byte and report machines stopped by the
-sweep cap; every command runs end to end on a tiny dataset, the CNN
-included; and the CNN pipeline gives the same bytes when rerun in a
+sweep cap, and cross-validation's folds, solved in one run, have the bytes
+of folds fitted one at a time; every command runs end to end on a tiny
+dataset, the CNN included; and the CNN pipeline gives the same bytes when rerun in a
 fresh process on another number of BLAS threads; a manifest id that
 would write outside --out is refused; a fresh-process featurize
 reuses the memory each clip frees instead of faulting it in again;
@@ -39,9 +40,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gunshot_bench import cli, dsp, models, nncore, wavio
+from gunshot_bench import cli, dsp, evaluation, models, nncore, wavio
 from gunshot_bench.errors import MalformedFile
-from gunshot_bench.manifest import CLASS_NAMES, write_json
+from gunshot_bench.manifest import (CLASS_NAMES, N_CLASSES, load_manifest, manifest_digest,
+                                    write_json)
 
 
 def test_cnn_without_validation_clips_exits_usage(tmp_path, capsys):
@@ -506,7 +508,9 @@ def test_svm_reports_machines_stopped_at_the_cap(small_data, tmp_path, capsys):
     assert lines["1000"] == []
     code = _crossval(manifest, root / "melstats", tmp_path / "cv", "svm", "--epochs", "1")
     assert code == cli.EXIT_OK
-    assert capsys.readouterr().err.count("machines stopped at the 1-sweep cap") == 5
+    assert capsys.readouterr().err.splitlines() == [
+        f"svm fold {i}: 6 of 6 machines stopped at the 1-sweep cap before KKT tolerance 1e-06"
+        for i in range(5)]
 
 
 def test_cnn_crossval_validation_is_stratified(small_data, tmp_path, monkeypatch):
@@ -980,6 +984,51 @@ def test_svm_crossval_rerun_is_byte_identical(melstats_data, svm_crossval, tmp_p
     assert _crossval(manifest, feats, tmp_path, "svm") == cli.EXIT_OK
     name = "aggregate.json"
     assert (tmp_path / name).read_bytes() == (svm_crossval / name).read_bytes()
+
+
+def test_svm_crossval_folds_equal_folds_fitted_alone(melstats_data, svm_crossval, tmp_path,
+                                                      monkeypatch):
+    """crossval solves the 5 folds' machines in one solver run; each fold's
+    report, and the aggregate, has the bytes of folds fitted one at a time."""
+    manifest, feats = melstats_data
+    runs = []
+    solve = models._train_svms
+
+    def counted(problems, *args):
+        runs.append(len(problems))
+        return solve(problems, *args)
+
+    monkeypatch.setattr(models, "_train_svms", counted)
+    assert _crossval(manifest, feats, tmp_path / "batched", "svm") == cli.EXIT_OK
+    assert runs == [5]
+    monkeypatch.setattr(models, "SVM_BATCH_BYTES", 0)     # every fold alone
+    assert _crossval(manifest, feats, tmp_path / "alone", "svm") == cli.EXIT_OK
+    assert runs == [5] + [1] * 5
+    for out in (tmp_path / "batched", tmp_path / "alone"):
+        assert (out / "aggregate.json").read_bytes() == \
+            (svm_crossval / "aggregate.json").read_bytes()
+
+    rows = load_manifest(manifest)
+    split = evaluation.stratified_split(rows, seed=1)
+    pool = [r for r in rows if r.id in set(split.train_ids) | set(split.val_ids)]
+    folds = evaluation.kfold(evaluation.strata(pool), k=5, seed=1)
+    assert len({len(fold) for fold in folds}) > 1
+    cached = cli._load_features(feats, pool, "melstats")
+    by_id = {r.id: r for r in pool}
+    for i, fold in enumerate(folds):
+        train_rows = [by_id[x] for j, other in enumerate(folds) if j != i for x in other]
+        x = np.stack([cached[r.id] for r in train_rows])
+        scaler = models.Standardizer.fit(x)
+        svm = models.svm_train(scaler.transform(x), cli._labels_for(train_rows), epochs=30,
+                               n_classes=N_CLASSES)
+        report = cli.evaluate_rows((svm, scaler), {"model": "svm", "feature_kind": "melstats"},
+                                   [by_id[x] for x in fold], cached, 0.0,
+                                   dataset_hash=manifest_digest(manifest), split_seed=1,
+                                   config={"fold": i})
+        write_json(tmp_path / f"alone{i}.json", report)
+        expected = (tmp_path / f"alone{i}.json").read_bytes()
+        for out in (svm_crossval, tmp_path / "batched", tmp_path / "alone"):
+            assert (out / f"fold{i}" / "report.json").read_bytes() == expected
 
 
 def test_svm_crossval_honours_threshold(melstats_data, tmp_path):

@@ -176,26 +176,40 @@ def overlapping_classes(n_per_class=12, k=4, d=3, seed=0):
     return x, np.repeat(np.arange(k), n_per_class)
 
 
+def integer_tie_problem(n, seed):
+    # small integer features make many violations equal, so argmax ties are
+    # broken by index, and pair steps that end on a bound are common
+    x = np.random.default_rng(seed).integers(-2, 3, size=(n, 3)).astype(float)
+    return x, np.arange(n) % 4
+
+
+def assert_machines_match_reference(model, x, labels, c, epochs):
+    """Every machine of `model`, fit on (x, labels), equals the reference's
+    lone machine bit for bit: weights, bias, history and converged flag.
+    Returns the reference's (w, b, history, converged) per machine."""
+    ys = [np.where(labels == cls, 1.0, -1.0) for cls in range(len(model.biases))]
+    weights, biases = list(model.weights), list(model.biases)
+    if model.det_weight is not None:
+        ys.append(np.where(labels >= 0, 1.0, -1.0))
+        weights.append(model.det_weight)
+        biases.append(model.det_bias)
+    ref = [reference_binary_svm(x, y, c, epochs, x @ x.T) for y in ys]
+    assert model.objective_history == [history for _, _, history, _ in ref]
+    assert model.converged == [converged for *_, converged in ref]
+    for (w, b, _, _), got_w, got_b in zip(ref, weights, biases, strict=True):
+        # bytes, not ==, so that a zero of the other sign counts as a change
+        assert got_w.tobytes() == w.tobytes()
+        assert np.float64(got_b).tobytes() == np.float64(b).tobytes()
+    return ref
+
+
 class TestBatchedSvmMatchesReference:
     """svm_train steps all machines together; each must equal, bit for bit,
     the machine solved alone by the reference."""
 
     def check(self, x, labels, c, epochs):
         model = models.svm_train(x, labels, c=c, epochs=epochs)
-        ys = [np.where(labels == cls, 1.0, -1.0) for cls in range(len(model.biases))]
-        weights, biases = list(model.weights), list(model.biases)
-        if model.det_weight is not None:
-            ys.append(np.where(labels >= 0, 1.0, -1.0))
-            weights.append(model.det_weight)
-            biases.append(model.det_bias)
-        ref = [reference_binary_svm(x, y, c, epochs, x @ x.T) for y in ys]
-        assert model.objective_history == [history for _, _, history, _ in ref]
-        assert model.converged == [converged for *_, converged in ref]
-        for (w, b, _, _), got_w, got_b in zip(ref, weights, biases, strict=True):
-            # bytes, not ==, so that a zero of the other sign counts as a change
-            assert got_w.tobytes() == w.tobytes()
-            assert np.float64(got_b).tobytes() == np.float64(b).tobytes()
-        return ref
+        return assert_machines_match_reference(model, x, labels, c, epochs)
 
     def test_machines_converge_at_different_sweeps(self):
         x, y = overlapping_classes()
@@ -227,12 +241,7 @@ class TestBatchedSvmMatchesReference:
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_integer_features_tie_and_hit_bounds_together(self, seed):
-        # small integer features make many violations equal, so argmax ties
-        # are broken by index, and pair steps that end on a bound are common
-        rng = np.random.default_rng(seed)
-        x = rng.integers(-2, 3, size=(40, 3)).astype(float)
-        y = np.arange(40) % 4
-        ref = self.check(x, y, c=1.0, epochs=60)
+        ref = self.check(*integer_tie_problem(40, seed), c=1.0, epochs=60)
         assert all(conv for *_, conv in ref)
 
     def test_benchmark_shaped_set(self):
@@ -249,6 +258,63 @@ class TestBatchedSvmMatchesReference:
         converged = [conv for *_, conv in ref]
         assert len(ref) == 6 and set(converged) == {True, False}
         assert len({len(history) for _, _, history, conv in ref if conv}) > 1
+
+
+class TestSvmTrainBatch:
+    """svm_train_batch steps the machines of several problems together, with
+    rows padded to the largest problem; each machine must equal, bit for
+    bit, the machine solved alone by the reference."""
+
+    def check(self, problems, c, epochs):
+        got = models.svm_train_batch(problems, c=c, epochs=epochs)
+        return [assert_machines_match_reference(model, x, labels, c, epochs)
+                for (x, labels), model in zip(problems, got, strict=True)]
+
+    def test_integer_feature_ties_in_problems_of_different_sizes(self):
+        problems = [integer_tie_problem(n, seed) for n, seed in ((40, 0), (37, 1), (41, 2))]
+        refs = self.check(problems, c=1.0, epochs=60)
+        assert all(conv for ref in refs for *_, conv in ref)
+
+    def test_no_free_alpha(self):
+        problems = [overlapping_classes(n_per_class=n, seed=seed)
+                    for n, seed in ((10, 2), (12, 3))]
+        self.check(problems, c=1e-8, epochs=20)
+
+    def test_machines_converge_mid_sweep_beside_capped_ones(self):
+        # a 36-row and a 48-row problem capped at 4 sweeps: some machines
+        # converge within a sweep, others run into the cap
+        problems = [overlapping_classes(n_per_class=n, seed=1) for n in (9, 12)]
+        refs = self.check(problems, c=1.0, epochs=4)
+        assert {conv for ref in refs for *_, conv in ref} == {True, False}
+        # a machine whose objective fell after its last sweep stopped mid-sweep
+        assert any(conv and history[-1] < history[-2]
+                   for ref in refs for _, _, history, conv in ref)
+
+    def test_problem_done_before_its_sweep_ends_beside_one_running_on(self):
+        # the last machine of the 18-row problem converges within a sweep,
+        # so at that sweep's end only the 48-row problem's machines still run
+        problems = [overlapping_classes(n_per_class=6, k=3, seed=2),
+                    overlapping_classes(n_per_class=12, seed=1)]
+        refs = self.check(problems, c=1.0, epochs=5)
+        assert all(conv for ref in refs for *_, conv in ref)
+
+    def test_runs_split_by_batch_bytes(self, monkeypatch):
+        problems = [integer_tie_problem(n, seed)
+                    for n, seed in ((40, 3), (37, 4), (41, 5), (20, 6))]
+        sizes = [len(x) for x, _ in problems]
+        # Gram and curvature bytes of the first two problems, rows padded to 40
+        monkeypatch.setattr(models, "SVM_BATCH_BYTES", 16 * 77 * 40)
+        runs = models.svm_batches(sizes)
+        assert runs == [[0, 1], [2, 3]]
+        for run in runs:
+            self.check([problems[p] for p in run], c=1.0, epochs=60)
+
+    def test_batches(self, monkeypatch):
+        monkeypatch.setattr(models, "SVM_BATCH_BYTES", 16 * 100 * 100)
+        assert models.svm_batches([]) == []
+        # a problem too large for the bound runs alone
+        assert models.svm_batches([120, 50, 50, 100]) == [[0], [1, 2], [3]]
+        assert models.svm_batches([40, 30, 20, 10]) == [[0, 1, 2, 3]]
 
 
 class TestStandardizer:
