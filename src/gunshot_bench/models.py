@@ -74,6 +74,9 @@ def _hinge_objective(x, y, w, b, c):
 SVM_KKT_TOL = 1e-6        # largest KKT violation left in a converged dual solution
 _MIN_CURVATURE = 1e-12    # guards pairs of coincident points (zero curvature)
 SVM_BATCH_BYTES = 32 << 20    # Gram and curvature bytes one batched solver run may hold
+SVM_VECTOR_MACHINES = 18      # machines from which a solver run updates its pairs in numpy
+_PAIR_SIGN = np.array([[1.0], [-1.0]])    # a_i y_i rises by the step, a_j y_j falls
+_PENALTY = np.array([-np.inf, 0.0])     # indexed by whether a_t y_t may still move that way
 
 
 def _curvature(gram):
@@ -110,16 +113,32 @@ def _train_svms(problems, c, max_sweeps):
     - i = argmax(v + pu), and the KKT violation is (v + pu)_i - min(v - pl).
       A 0 penalty changes a value at most in the sign of a zero, and argmax
       and argmin see the two zeros as equal;
-    - j = argmax(gain |gain| / curvature + pl), gain = (v + pu)_i - v. A
-      machine that gets this far has a violation >= SVM_KKT_TOL, so a point
-      in low has gain >= SVM_KKT_TOL > 0. The points a lone machine leaves
-      out (outside low, or gain <= 0) and the padding score -inf or <= 0,
-      so none wins or ties;
+    - j = argmax(gain |gain| / curvature), gain = (v + pu)_i - (v - pl),
+      which is (v + pu)_i - v in low and -inf outside it and in the padding.
+      A machine that gets this far has a violation >= SVM_KKT_TOL, so a
+      point in low has gain >= SVM_KKT_TOL > 0. The points a lone machine
+      leaves out (outside low, or gain <= 0) and the padding score -inf or
+      <= 0, so none wins or ties;
     - G += y S becomes v -= S: with y = +-1, -y (G + y S) and -y G - S
       differ at most in the sign of a zero, as negation is exact and
       rounding symmetric. The padding's Gram entries are 0, so its v stays 0.
-    The pair update is per machine, on Python floats (the same IEEE
-    doubles), and writes the new alphas and the four penalties it changes.
+    Both forms of the pair update take the step as
+    min(min(gain_j / curvature_ij, room_i), room_j), land a point exactly on
+    its bound when the step equals its room and otherwise move it by the
+    step, and write the four penalties the pair changes, with the same IEEE
+    results. A run of fewer than SVM_VECTOR_MACHINES machines updates each
+    machine's pair in a loop on Python floats, which beats numpy calls on
+    arrays this short; a larger run updates every running machine's pair at
+    once, in a fixed number of numpy calls over [2, machines] arrays. That
+    form keeps ay = a_t y_t per point, between lo and hi: (lo, hi) is (0, C)
+    for y_t > 0 and (-C, -0.0) for y_t < 0. So room_i = hi_i - ay_i and
+    room_j = ay_j - lo_j equal the loop's C - a or a exactly, ay_i + step
+    and ay_j - step are the loop's a_i + y_i step and a_j - y_j step times
+    y, and new - old ay is the loop's Gram-row coefficient (a' - a) y up to
+    the sign of a zero, which v absorbs as above. hi is -0.0 because a zero
+    alpha of a y_t < 0 point has ay = 0 * -1 = -0.0: a point landing on hi
+    keeps that ay, whose room is +0.0, and converts back to a = +0.0, so the
+    alphas written back hold the loop's bytes, zeros included.
     A machine freezes, and none of its entries is written again, once its
     KKT violation max_up(v) - min_low(v) is below SVM_KKT_TOL; the rest run
     on until they freeze or have made `max_sweeps` sweeps. A sweep is n_p
@@ -143,10 +162,10 @@ def _train_svms(problems, c, max_sweeps):
     else:
         # padded entries: Gram 0 keeps v at 0, and curvature 1 keeps the score finite
         gram, curvature = np.zeros((sum(sizes), width)), np.ones((sum(sizes), width))
-        for (x, _), lo, n in zip(problems, starts, sizes):
+        for (x, _), r0, n in zip(problems, starts, sizes):
             block = x @ x.T
-            gram[lo : lo + n, :n] = block
-            curvature[lo : lo + n, :n] = _curvature(block)
+            gram[r0 : r0 + n, :n] = block
+            curvature[r0 : r0 + n, :n] = _curvature(block)
     owner = np.repeat(np.arange(len(problems)), [len(labels) for _, labels in problems])
     m, n_of = len(owner), np.take(sizes, owner)
     ys = np.zeros((m, width))
@@ -160,45 +179,111 @@ def _train_svms(problems, c, max_sweeps):
 
     def solution(r):
         n = n_of[r]
-        y, v = ys[r, :n], viol[r, :n]
-        up, low = masks(y > 0, alpha[r, :n])
-        free = up & low
+        y, v, a = ys[r, :n], viol[r, :n], alpha[r, :n]
+        free = (a > 0) & (a < c)        # in both up and low, for either sign of y_t
         if free.any():
             b = v[free].mean()
         else:
+            up, low = masks(y > 0, a)
             b = (v[up].max() + v[low].min()) / 2.0
-        return problems[owner[r]][0].T @ (alpha[r, :n] * y), float(b)
+        return problems[owner[r]][0].T @ (a * y), float(b)
 
     def objective(r):
         return _hinge_objective(problems[owner[r]][0], ys[r, : n_of[r]], *solution(r), c)
 
     histories = [[objective(r)] for r in range(m)]
     converged = [False] * m
-    # machines still running; v, pu, pl, row0, yl, al hold their rows, and
-    # row0 is each one's problem's first row in gram and curvature
+    # machines still running; v, pu, pl, row0 and the pair update's state
+    # (ay, lo, hi or yl, al) hold their rows, and row0 is each one's
+    # problem's first row in gram and curvature
     live = np.arange(m if max_sweeps > 0 else 0)
-    v, row0, yl, al = viol.copy(), starts[owner], ys.tolist(), alpha.tolist()
+    v, row0 = viol.copy(), starts[owner]
     first = np.arange(len(live)) * width       # flat index of each row
     points = np.arange(width) < n_of[:, None]
     pu, pl = (np.where(mask & points, 0.0, -np.inf) for mask in masks(ys > 0, alpha))
+    vector = m >= SVM_VECTOR_MACHINES        # the pair update's form, for the whole run
+    if vector:
+        # a_t y_t of the running machines' points, and its bounds
+        ay = alpha * ys
+        lo, hi = np.where(ys > 0, 0.0, -c), np.where(ys > 0, c, -0.0)
+    else:
+        yl, al = ys.tolist(), alpha.tolist()
 
     def record(sel):
         # write back the rows of the running machines picked by `sel`, and
         # append their best objective so far
         rows = np.flatnonzero(sel)
-        alpha[live[rows]] = np.reshape([al[t] for t in rows], (len(rows), width))
+        if vector:
+            alpha[live[rows]] = ay[rows] * ys[live[rows]]
+        else:
+            alpha[live[rows]] = np.reshape([al[t] for t in rows], (len(rows), width))
         viol[live[rows]] = v[rows]
         for r in live[rows]:
             histories[r].append(min(histories[r][-1], objective(r)))
 
     def keep_rows(keep):
-        nonlocal live, v, pu, pl, row0, yl, al, first
+        nonlocal live, v, pu, pl, row0, first, ay, lo, hi, yl, al
         live, v, pu, pl, row0 = (t[keep] for t in (live, v, pu, pl, row0))
         first = np.arange(len(live)) * width       # flat index of each row
-        kept = np.flatnonzero(keep).tolist()
-        yl, al = [yl[t] for t in kept], [al[t] for t in kept]
+        if vector:
+            ay, lo, hi = ay[keep], lo[keep], hi[keep]
+        else:
+            kept = np.flatnonzero(keep).tolist()
+            yl, al = [yl[t] for t in kept], [al[t] for t in kept]
 
     penalty = (-np.inf, 0.0)      # indexed by whether a_t y_t may still move that way
+
+    def pair_floats(i, j, gain, cur):
+        # the new alphas of each machine's pair, on Python floats, and the
+        # coefficients (a_i' - a_i) y_i and (a_j' - a_j) y_j of its Gram
+        # rows; cur holds each machine's curvature row of i
+        ci, cj = [], []
+        for t, (ii, jj) in enumerate(zip(i.tolist(), j.tolist())):
+            yt, at = yl[t], al[t]
+            yi, yj, ai, aj = yt[ii], yt[jj], at[ii], at[jj]
+            room_i = c - ai if yi > 0 else ai
+            room_j = aj if yj > 0 else c - aj
+            # min(step, room_i, room_j) without the call: a tie keeps the earlier, as in min
+            step_t = gain.item(t, jj) / cur.item(t, jj)
+            if room_i < step_t:
+                step_t = room_i
+            if room_j < step_t:
+                step_t = room_j
+            # land exactly on a bound the step reached, so the point leaves
+            # the candidate set instead of being picked again for a 0 step
+            at[ii] = ni = (c if yi > 0 else 0.0) if step_t == room_i else ai + yi * step_t
+            at[jj] = nj = (0.0 if yj > 0 else c) if step_t == room_j else aj - yj * step_t
+            # a_t y_t rises with a_t when y_t > 0, and falls with it otherwise
+            rise, fall = penalty[ni < c], penalty[ni > 0]
+            pu[t, ii], pl[t, ii] = (rise, fall) if yi > 0 else (fall, rise)
+            rise, fall = penalty[nj < c], penalty[nj > 0]
+            pu[t, jj], pl[t, jj] = (rise, fall) if yj > 0 else (fall, rise)
+            ci.append((ni - ai) * yi)
+            cj.append((nj - aj) * yj)
+        return np.array(ci + cj)
+
+    def pair_arrays(i, j, gain, cur):
+        # pair_floats over [2, machines] arrays: row 0 holds i, row 1 holds j
+        f = np.concatenate((i, j)).reshape(2, -1)
+        f += first
+        old, low, high = ay.take(f), lo.take(f), hi.take(f)
+        target = np.where(_PAIR_SIGN > 0, high, low)
+        room = target - old
+        room *= _PAIR_SIGN                      # hi_i - ay_i, ay_j - lo_j
+        step = gain.take(f[1])
+        step /= cur.take(f[1])
+        np.minimum(step, room[0], out=step)
+        np.minimum(step, room[1], out=step)
+        new = step * _PAIR_SIGN
+        new += old
+        np.copyto(new, target, where=room == step)
+        ay.put(f, new)
+        pu.put(f, _PENALTY.take(new < high))      # a bool index takes entry 0 or 1
+        pl.put(f, _PENALTY.take(new > low))
+        new -= old
+        return new.ravel()
+
+    pair = pair_arrays if vector else pair_floats
     step = 0
     while len(live):
         # run to the next step at which a problem with running machines ends a sweep
@@ -214,46 +299,21 @@ def _train_svms(problems, c, max_sweeps):
                     converged[r] = True
                 keep = ~done
                 keep_rows(keep)
-                i, vi = i[keep], vi[keep]
+                i, vi, vl = i[keep], vi[keep], vl[keep]
                 if not len(live):
                     break
             gi = i + row0 if batched else i      # the rows of i in gram and curvature
-            gain = vi[:, None] - v
+            gain = vi[:, None] - vl
             score = np.abs(gain)
             score *= gain
-            score /= curvature.take(gi, axis=0)
-            score += pl
+            cur = curvature.take(gi, axis=0)
+            score /= cur
             j = score.argmax(axis=1)
             gj = j + row0 if batched else j
-            # the pair update is a few scalars per machine: plain floats beat
-            # numpy calls on arrays this short, with the same IEEE arithmetic
-            il, jl, gil, ci, cj = i.tolist(), j.tolist(), gi.tolist(), [], []
-            for t, (ii, jj, gii) in enumerate(zip(il, jl, gil)):
-                yt, at = yl[t], al[t]
-                yi, yj, ai, aj = yt[ii], yt[jj], at[ii], at[jj]
-                room_i = c - ai if yi > 0 else ai
-                room_j = aj if yj > 0 else c - aj
-                # min(step, room_i, room_j) without the call: a tie keeps the earlier, as in min
-                step_t = gain.item(t, jj) / curvature.item(gii, jj)
-                if room_i < step_t:
-                    step_t = room_i
-                if room_j < step_t:
-                    step_t = room_j
-                # land exactly on a bound the step reached, so the point leaves
-                # the candidate set instead of being picked again for a 0 step
-                at[ii] = ni = (c if yi > 0 else 0.0) if step_t == room_i else ai + yi * step_t
-                at[jj] = nj = (0.0 if yj > 0 else c) if step_t == room_j else aj - yj * step_t
-                # a_t y_t rises with a_t when y_t > 0, and falls with it otherwise
-                rise, fall = penalty[ni < c], penalty[ni > 0]
-                pu[t, ii], pl[t, ii] = (rise, fall) if yi > 0 else (fall, rise)
-                rise, fall = penalty[nj < c], penalty[nj > 0]
-                pu[t, jj], pl[t, jj] = (rise, fall) if yj > 0 else (fall, rise)
-                ci.append((ni - ai) * yi)
-                cj.append((nj - aj) * yj)
-            delta = gram.take(gil + gj.tolist(), axis=0)
-            delta *= np.array(ci + cj)[:, None]
-            delta[: len(il)] += delta[len(il) :]
-            v -= delta[: len(il)]
+            delta = gram.take(np.concatenate((gi, gj)), axis=0)
+            delta *= pair(i, j, gain, cur)[:, None]
+            delta[: len(i)] += delta[len(i) :]
+            v -= delta[: len(i)]
         if not len(live):
             break
         step = stop
@@ -272,8 +332,10 @@ def svm_batches(sizes):
     svm_train_batch: a run grows while the Gram and curvature of its
     problems, each row padded to the run's largest row count, fit in
     SVM_BATCH_BYTES, and a problem too large for it runs alone. Batching
-    pays while a pair step's fixed numpy call cost outweighs its work on the
-    padded rows, so it stops as the problems grow."""
+    pays while a step's fixed numpy call cost outweighs its work on the
+    padded rows: the run pays each call once for all its machines, and from
+    SVM_VECTOR_MACHINES machines on that includes the pair update's. So it
+    stops as the problems grow."""
     runs = []
     for p in range(len(sizes)):
         grown = runs[-1] + [p] if runs else [p]
@@ -333,8 +395,10 @@ def svm_train(features, labels, c=1.0, epochs=100, n_classes=None):
     losses with an unregularized bias, solved to a KKT violation of
     SVM_KKT_TOL or until `epochs` sweeps of the dual solver, whichever comes
     first. All machines share one Gram matrix and are solved together by
-    _train_svms: they step at once, and each freezes when it converges. The
-    solver has no random visiting order, so the fit takes no seed."""
+    _train_svms: they step at once, each freezes when it converges, and a
+    fit's few machines (one per type and the detector, fewer than
+    SVM_VECTOR_MACHINES) update their pairs on Python floats. The solver
+    has no random visiting order, so the fit takes no seed."""
     return svm_train_batch([(features, labels)], c, epochs, n_classes)[0]
 
 

@@ -183,33 +183,48 @@ def integer_tie_problem(n, seed):
     return x, np.arange(n) % 4
 
 
-def assert_machines_match_reference(model, x, labels, c, epochs):
-    """Every machine of `model`, fit on (x, labels), equals the reference's
-    lone machine bit for bit: weights, bias, history and converged flag.
-    Returns the reference's (w, b, history, converged) per machine."""
-    ys = [np.where(labels == cls, 1.0, -1.0) for cls in range(len(model.biases))]
-    weights, biases = list(model.weights), list(model.biases)
-    if model.det_weight is not None:
+def assert_machines_match_reference(fits, x, labels, c, epochs):
+    """Every machine of each model in `fits`, all fit on (x, labels), equals
+    the reference's lone machine bit for bit: weights, bias, history and
+    converged flag. Returns the reference's (w, b, history, converged) per
+    machine."""
+    ys = [np.where(labels == cls, 1.0, -1.0) for cls in range(len(fits[0].biases))]
+    if fits[0].det_weight is not None:
         ys.append(np.where(labels >= 0, 1.0, -1.0))
-        weights.append(model.det_weight)
-        biases.append(model.det_bias)
     ref = [reference_binary_svm(x, y, c, epochs, x @ x.T) for y in ys]
-    assert model.objective_history == [history for _, _, history, _ in ref]
-    assert model.converged == [converged for *_, converged in ref]
-    for (w, b, _, _), got_w, got_b in zip(ref, weights, biases, strict=True):
-        # bytes, not ==, so that a zero of the other sign counts as a change
-        assert got_w.tobytes() == w.tobytes()
-        assert np.float64(got_b).tobytes() == np.float64(b).tobytes()
+    for model in fits:
+        weights, biases = list(model.weights), list(model.biases)
+        if model.det_weight is not None:
+            weights.append(model.det_weight)
+            biases.append(model.det_bias)
+        assert model.objective_history == [history for _, _, history, _ in ref]
+        assert model.converged == [converged for *_, converged in ref]
+        for (w, b, _, _), got_w, got_b in zip(ref, weights, biases, strict=True):
+            # bytes, not ==, so that a zero of the other sign counts as a change
+            assert got_w.tobytes() == w.tobytes()
+            assert np.float64(got_b).tobytes() == np.float64(b).tobytes()
     return ref
+
+
+def fit_with_each_pair_update(fit):
+    """fit() once with each form of the solver's pair update: numpy arrays
+    (SVM_VECTOR_MACHINES at 1), then Python floats (above any test's machine
+    count). Returns the two results."""
+    fits = []
+    for machines in (1, 10**6):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(models, "SVM_VECTOR_MACHINES", machines)
+            fits.append(fit())
+    return fits
 
 
 class TestBatchedSvmMatchesReference:
     """svm_train steps all machines together; each must equal, bit for bit,
-    the machine solved alone by the reference."""
+    the machine solved alone by the reference, with either pair update."""
 
     def check(self, x, labels, c, epochs):
-        model = models.svm_train(x, labels, c=c, epochs=epochs)
-        return assert_machines_match_reference(model, x, labels, c, epochs)
+        fits = fit_with_each_pair_update(lambda: models.svm_train(x, labels, c=c, epochs=epochs))
+        return assert_machines_match_reference(fits, x, labels, c, epochs)
 
     def test_machines_converge_at_different_sweeps(self):
         x, y = overlapping_classes()
@@ -244,6 +259,13 @@ class TestBatchedSvmMatchesReference:
         ref = self.check(*integer_tie_problem(40, seed), c=1.0, epochs=60)
         assert all(conv for *_, conv in ref)
 
+    def test_step_lands_exactly_on_a_bound(self):
+        # at C = 1, a power of two, a + (C - a) rounds back to C for every
+        # 0 <= a <= C, so a step that moved a point by its room would end on
+        # the bound anyway; at C = 1.3 it need not, and some steps here
+        # reach a bound where it does not
+        self.check(*integer_tie_problem(30, 7), c=1.3, epochs=40)
+
     def test_benchmark_shaped_set(self):
         # 100 rows of 256 correlated features, 5 classes and the detector,
         # capped at 30 sweeps: some machines stop at the cap, others
@@ -263,12 +285,14 @@ class TestBatchedSvmMatchesReference:
 class TestSvmTrainBatch:
     """svm_train_batch steps the machines of several problems together, with
     rows padded to the largest problem; each machine must equal, bit for
-    bit, the machine solved alone by the reference."""
+    bit, the machine solved alone by the reference, with either pair
+    update."""
 
     def check(self, problems, c, epochs):
-        got = models.svm_train_batch(problems, c=c, epochs=epochs)
-        return [assert_machines_match_reference(model, x, labels, c, epochs)
-                for (x, labels), model in zip(problems, got, strict=True)]
+        got = fit_with_each_pair_update(lambda: models.svm_train_batch(problems, c=c,
+                                                                       epochs=epochs))
+        return [assert_machines_match_reference(fits, x, labels, c, epochs)
+                for (x, labels), *fits in zip(problems, *got, strict=True)]
 
     def test_integer_feature_ties_in_problems_of_different_sizes(self):
         problems = [integer_tie_problem(n, seed) for n, seed in ((40, 0), (37, 1), (41, 2))]
