@@ -25,7 +25,10 @@ of a mel cache aside), 4 numeric failure.
 Each error class carries its code (see `errors`). A file that does not
 parse, or lacks a key the command needs or holds it with the wrong type (a
 manifest line, a split, `index.json`, `model.meta.json`, a WAV), exits 3.
-`featurize` decides whether a cache is up to date from its header alone.
+`featurize` decides whether a cache is up to date from its header alone:
+its source_hash covers the clip's WAV bytes, the feature parameters that
+`index.json` records and, for boaw, the centroids of the codebook that
+encoded it, so a codebook fit to another manifest recomputes every cache.
 """
 
 import argparse
@@ -188,9 +191,10 @@ def cmd_featurize(args):
     if args.kind == "autocorr":
         params.update(max_lag=args.autocorr_lag)
 
-    codebook = None
+    codebook, hashed = None, params      # hashed: what a cache's source_hash covers
     if args.kind == "boaw":
         codebook = _fit_boaw_codebook(base, rows, args.boaw_k, args.seed)
+        hashed = {**params, "codebook": hashlib.sha256(codebook.centroids.tobytes()).hexdigest()}
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -203,7 +207,7 @@ def cmd_featurize(args):
         except OSError as e:
             corrupt.append((row.id, str(e)))
             continue
-        src_hash = _source_hash(wav_bytes, params)
+        src_hash = _source_hash(wav_bytes, hashed)
         if dest.exists():
             try:
                 hdr = dsp.read_feature_header(dest)

@@ -98,18 +98,21 @@ def _train_svms(problems, c, max_sweeps):
     violation and j by the second-order rule (Fan, Chen & Lin, JMLR 2005),
     and moves the pair to the dual optimum along the line that keeps
     sum a_i y_i fixed. The dual gradient G = Qa - 1 is updated in O(n) per
-    step from the problem's Gram matrix x x'.
+    step from the problem's Gram matrix K = x x'.
 
     The machines are independent, so all that are still running, of every
     problem, step together, and each step picks the same i and j and writes
-    the same alphas, bit for bit, as a machine solved alone. The Gram and
-    curvature rows of every problem are stacked in one flat array each, so a
-    machine gathers its rows through its problem's first row, and each
-    machine's rows are padded to the largest n_p. For the running machines
-    the loop keeps rows of v = -y G, and of two penalties that are 0 or
-    -inf: pu is 0 where a_t y_t may still rise (the "up" set), pl is 0
-    where it may still fall (the "low" set), and both are -inf in the
-    padding. Then
+    the same values, bit for bit, as a machine solved alone. The Gram and
+    curvature rows of every problem are stacked in one flat array each,
+    padded to the largest n_p, and a machine gathers its rows through its
+    problem's first row; a lone problem is a run of one. Each running
+    machine keeps rows of v = -y G, of ay = a_t y_t, of its upper bound hi,
+    and of two penalties that are 0 or -inf: pu is 0 where ay may still rise
+    (the "up" set), pl is 0 where it may still fall (the "low" set), and
+    both are -inf in the padding. 0 <= a_t <= C puts ay in [hi - C, hi],
+    with hi = C where y_t > 0 and -0.0, the a_t y_t of a_t = 0, where
+    y_t < 0: so ay stays a_t y_t bit for bit, zeros included, and hi - C is
+    0 or -C exactly. Then
     - i = argmax(v + pu), and the KKT violation is (v + pu)_i - min(v - pl).
       A 0 penalty changes a value at most in the sign of a zero, and argmax
       and argmin see the two zeros as equal;
@@ -119,33 +122,28 @@ def _train_svms(problems, c, max_sweeps):
       point in low has gain >= SVM_KKT_TOL > 0. The points a lone machine
       leaves out (outside low, or gain <= 0) and the padding score -inf or
       <= 0, so none wins or ties;
-    - G += y S becomes v -= S: with y = +-1, -y (G + y S) and -y G - S
-      differ at most in the sign of a zero, as negation is exact and
-      rounding symmetric. The padding's Gram entries are 0, so its v stays 0.
-    Both forms of the pair update take the step as
-    min(min(gain_j / curvature_ij, room_i), room_j), land a point exactly on
-    its bound when the step equals its room and otherwise move it by the
-    step, and write the four penalties the pair changes, with the same IEEE
-    results. A run of fewer than SVM_VECTOR_MACHINES machines updates each
-    machine's pair in a loop on Python floats, which beats numpy calls on
-    arrays this short; a larger run updates every running machine's pair at
-    once, in a fixed number of numpy calls over [2, machines] arrays. That
-    form keeps ay = a_t y_t per point, between lo and hi: (lo, hi) is (0, C)
-    for y_t > 0 and (-C, -0.0) for y_t < 0. So room_i = hi_i - ay_i and
-    room_j = ay_j - lo_j equal the loop's C - a or a exactly, ay_i + step
-    and ay_j - step are the loop's a_i + y_i step and a_j - y_j step times
-    y, and new - old ay is the loop's Gram-row coefficient (a' - a) y up to
-    the sign of a zero, which v absorbs as above. hi is -0.0 because a zero
-    alpha of a y_t < 0 point has ay = 0 * -1 = -0.0: a point landing on hi
-    keeps that ay, whose room is +0.0, and converts back to a = +0.0, so the
-    alphas written back hold the loop's bytes, zeros included.
+    - the pair moves by min(min(gain_j / curvature_ij, room_i), room_j),
+      with room_i = hi_i - ay_i and room_j = ay_j - lo_j, lo = hi - C: ay_i
+      rises by it and ay_j falls by it, and a point whose room it equals
+      lands exactly on its bound, so it leaves the candidate set instead of
+      being picked again for a 0 step;
+    - G += y S, S = (ay' - ay)_i K_i + (ay' - ay)_j K_j, becomes v -= S:
+      with y = +-1, -y (G + y S) and -y G - S differ at most in the sign of
+      a zero, as negation is exact and rounding symmetric. The padding's
+      Gram entries are 0, so its v stays 0.
+    A run of fewer than SVM_VECTOR_MACHINES machines updates each machine's
+    pair in a loop on Python floats, which beats numpy calls on arrays this
+    short; a larger run updates every running machine's pair at once, in a
+    fixed number of numpy calls over [2, machines] arrays. Both forms give
+    the same IEEE results.
     A machine freezes, and none of its entries is written again, once its
     KKT violation max_up(v) - min_low(v) is below SVM_KKT_TOL; the rest run
     on until they freeze or have made `max_sweeps` sweeps. A sweep is n_p
     steps of the machine's own problem: every machine has taken the same
     number of steps, so the machines of one problem end their sweeps
-    together. b is the mean of v over free a_t, or the midpoint of the
-    feasible KKT interval when no a_t is free (the C -> 0 case).
+    together. w = x' ay, and b is the mean of v over free a_t, or the
+    midpoint of the feasible KKT interval when no a_t is free (the C -> 0
+    case).
 
     Returns, per problem, (w [m_p, d], b [m_p], histories, converged). A
     history holds the best primal objective seen so far, at the start,
@@ -155,118 +153,57 @@ def _train_svms(problems, c, max_sweeps):
     sizes = [len(x) for x, _ in problems]
     width = max(sizes)
     starts = np.cumsum([0] + sizes)[:-1]      # each problem's first row in gram and curvature
-    batched = len(problems) > 1
-    if not batched:
-        gram = problems[0][0] @ problems[0][0].T
-        curvature = _curvature(gram)
-    else:
-        # padded entries: Gram 0 keeps v at 0, and curvature 1 keeps the score finite
-        gram, curvature = np.zeros((sum(sizes), width)), np.ones((sum(sizes), width))
-        for (x, _), r0, n in zip(problems, starts, sizes):
-            block = x @ x.T
-            gram[r0 : r0 + n, :n] = block
-            curvature[r0 : r0 + n, :n] = _curvature(block)
+    # padded entries: Gram 0 keeps v at 0, and curvature 1 keeps the score finite
+    gram, curvature = np.zeros((sum(sizes), width)), np.ones((sum(sizes), width))
+    for (x, _), r0, n in zip(problems, starts, sizes):
+        block = x @ x.T
+        gram[r0 : r0 + n, :n] = block
+        curvature[r0 : r0 + n, :n] = _curvature(block)
     owner = np.repeat(np.arange(len(problems)), [len(labels) for _, labels in problems])
     m, n_of = len(owner), np.take(sizes, owner)
     ys = np.zeros((m, width))
     for p, (_, labels) in enumerate(problems):
         ys[owner == p, : sizes[p]] = labels
-    alpha, viol = np.zeros((m, width)), ys.copy()     # viol = -y G, and G = -1 at a = 0
-
-    def masks(p, a):
-        # (up, low): a_t y_t may still rise, may still fall
-        return np.where(p, a < c, a > 0), np.where(p, a > 0, a < c)
-
-    def solution(r):
-        n = n_of[r]
-        y, v, a = ys[r, :n], viol[r, :n], alpha[r, :n]
-        free = (a > 0) & (a < c)        # in both up and low, for either sign of y_t
-        if free.any():
-            b = v[free].mean()
-        else:
-            up, low = masks(y > 0, a)
-            b = (v[up].max() + v[low].min()) / 2.0
-        return problems[owner[r]][0].T @ (a * y), float(b)
-
-    def objective(r):
-        return _hinge_objective(problems[owner[r]][0], ys[r, : n_of[r]], *solution(r), c)
-
-    histories = [[objective(r)] for r in range(m)]
-    converged = [False] * m
-    # machines still running; v, pu, pl, row0 and the pair update's state
-    # (ay, lo, hi or yl, al) hold their rows, and row0 is each one's
-    # problem's first row in gram and curvature
-    live = np.arange(m if max_sweeps > 0 else 0)
-    v, row0 = viol.copy(), starts[owner]
-    first = np.arange(len(live)) * width       # flat index of each row
+    # the running machines: live holds their indices, and v, ay, hi, pu, pl
+    # and row0 (the first row of the machine's problem in gram and
+    # curvature) hold their rows. At a = 0, G = -1 and ay = 0 y_t.
+    live, v, ay, row0 = np.arange(m), ys.copy(), 0.0 * ys, starts[owner]
+    first = np.arange(m) * width       # flat index of each row
+    hi = np.where(ys > 0, c, -0.0)
     points = np.arange(width) < n_of[:, None]
-    pu, pl = (np.where(mask & points, 0.0, -np.inf) for mask in masks(ys > 0, alpha))
-    vector = m >= SVM_VECTOR_MACHINES        # the pair update's form, for the whole run
-    if vector:
-        # a_t y_t of the running machines' points, and its bounds
-        ay = alpha * ys
-        lo, hi = np.where(ys > 0, 0.0, -c), np.where(ys > 0, c, -0.0)
-    else:
-        yl, al = ys.tolist(), alpha.tolist()
+    pu, pl = (np.where(mask & points, 0.0, -np.inf) for mask in (ay < hi, ay > hi - c))
+    penalty = _PENALTY.tolist()
 
     def record(sel):
-        # write back the rows of the running machines picked by `sel`, and
-        # append their best objective so far
-        rows = np.flatnonzero(sel)
-        if vector:
-            alpha[live[rows]] = ay[rows] * ys[live[rows]]
-        else:
-            alpha[live[rows]] = np.reshape([al[t] for t in rows], (len(rows), width))
-        viol[live[rows]] = v[rows]
-        for r in live[rows]:
-            histories[r].append(min(histories[r][-1], objective(r)))
+        # the solution of each running machine picked by `sel`, and its best
+        # primal objective so far
+        for t in np.flatnonzero(sel).tolist():
+            r, n = live[t], n_of[live[t]]
+            x, y, a, vt = problems[owner[r]][0], ys[r, :n], ay[t, :n], v[t, :n]
+            up, low = a < hi[t, :n], a > hi[t, :n] - c
+            free = up & low
+            b = vt[free].mean() if free.any() else (vt[up].max() + vt[low].min()) / 2.0
+            solved[r] = x.T @ a, float(b)
+            objective = _hinge_objective(x, y, *solved[r], c)
+            histories[r].append(min(histories[r][-1:] + [objective]))   # none before the start
 
     def keep_rows(keep):
-        nonlocal live, v, pu, pl, row0, first, ay, lo, hi, yl, al
-        live, v, pu, pl, row0 = (t[keep] for t in (live, v, pu, pl, row0))
+        nonlocal live, v, ay, hi, pu, pl, row0, first
+        live, v, ay, hi, pu, pl, row0 = (t[keep] for t in (live, v, ay, hi, pu, pl, row0))
         first = np.arange(len(live)) * width       # flat index of each row
-        if vector:
-            ay, lo, hi = ay[keep], lo[keep], hi[keep]
-        else:
-            kept = np.flatnonzero(keep).tolist()
-            yl, al = [yl[t] for t in kept], [al[t] for t in kept]
 
-    penalty = (-np.inf, 0.0)      # indexed by whether a_t y_t may still move that way
-
-    def pair_floats(i, j, gain, cur):
-        # the new alphas of each machine's pair, on Python floats, and the
-        # coefficients (a_i' - a_i) y_i and (a_j' - a_j) y_j of its Gram
-        # rows; cur holds each machine's curvature row of i
-        ci, cj = [], []
-        for t, (ii, jj) in enumerate(zip(i.tolist(), j.tolist())):
-            yt, at = yl[t], al[t]
-            yi, yj, ai, aj = yt[ii], yt[jj], at[ii], at[jj]
-            room_i = c - ai if yi > 0 else ai
-            room_j = aj if yj > 0 else c - aj
-            # min(step, room_i, room_j) without the call: a tie keeps the earlier, as in min
-            step_t = gain.item(t, jj) / cur.item(t, jj)
-            if room_i < step_t:
-                step_t = room_i
-            if room_j < step_t:
-                step_t = room_j
-            # land exactly on a bound the step reached, so the point leaves
-            # the candidate set instead of being picked again for a 0 step
-            at[ii] = ni = (c if yi > 0 else 0.0) if step_t == room_i else ai + yi * step_t
-            at[jj] = nj = (0.0 if yj > 0 else c) if step_t == room_j else aj - yj * step_t
-            # a_t y_t rises with a_t when y_t > 0, and falls with it otherwise
-            rise, fall = penalty[ni < c], penalty[ni > 0]
-            pu[t, ii], pl[t, ii] = (rise, fall) if yi > 0 else (fall, rise)
-            rise, fall = penalty[nj < c], penalty[nj > 0]
-            pu[t, jj], pl[t, jj] = (rise, fall) if yj > 0 else (fall, rise)
-            ci.append((ni - ai) * yi)
-            cj.append((nj - aj) * yj)
-        return np.array(ci + cj)
+    solved, histories, converged = [None] * m, [[] for _ in range(m)], np.zeros(m, bool)
+    record(np.ones(m, bool))      # the starting point
+    keep_rows(np.full(m, max_sweeps > 0))      # with no sweep, every machine stops there
 
     def pair_arrays(i, j, gain, cur):
-        # pair_floats over [2, machines] arrays: row 0 holds i, row 1 holds j
+        # the new a_t y_t of every machine's pair, over [2, machines] arrays
+        # (row 0 holds i, row 1 holds j), and the coefficients new - old of
+        # its Gram rows; cur holds each machine's curvature row of i
         f = np.concatenate((i, j)).reshape(2, -1)
         f += first
-        old, low, high = ay.take(f), lo.take(f), hi.take(f)
+        old, high = ay.take(f), hi.take(f)
+        low = high - c
         target = np.where(_PAIR_SIGN > 0, high, low)
         room = target - old
         room *= _PAIR_SIGN                      # hi_i - ay_i, ay_j - lo_j
@@ -274,6 +211,8 @@ def _train_svms(problems, c, max_sweeps):
         step /= cur.take(f[1])
         np.minimum(step, room[0], out=step)
         np.minimum(step, room[1], out=step)
+        # land exactly on a bound the step reached, so the point leaves the
+        # candidate set instead of being picked again for a 0 step
         new = step * _PAIR_SIGN
         new += old
         np.copyto(new, target, where=room == step)
@@ -283,7 +222,30 @@ def _train_svms(problems, c, max_sweeps):
         new -= old
         return new.ravel()
 
-    pair = pair_arrays if vector else pair_floats
+    def pair_floats(i, j, gain, cur):
+        # pair_arrays on Python floats, one machine at a time
+        di, dj = [], []
+        for t, (ii, jj) in enumerate(zip(i.tolist(), j.tolist())):
+            old_i, old_j = ay.item(t, ii), ay.item(t, jj)
+            hi_i, hi_j = hi.item(t, ii), hi.item(t, jj)
+            lo_i, lo_j = hi_i - c, hi_j - c
+            room_i, room_j = hi_i - old_i, old_j - lo_j
+            # min(step, room_i, room_j) without the call: a tie keeps the earlier, as in min
+            step_t = gain.item(t, jj) / cur.item(t, jj)
+            if room_i < step_t:
+                step_t = room_i
+            if room_j < step_t:
+                step_t = room_j
+            ay[t, ii] = new_i = hi_i if step_t == room_i else old_i + step_t
+            ay[t, jj] = new_j = lo_j if step_t == room_j else old_j - step_t
+            pu[t, ii], pl[t, ii] = penalty[new_i < hi_i], penalty[new_i > lo_i]
+            pu[t, jj], pl[t, jj] = penalty[new_j < hi_j], penalty[new_j > lo_j]
+            di.append(new_i - old_i)
+            dj.append(new_j - old_j)
+        return np.array(di + dj)
+
+    # numpy calls beat a loop on Python floats only over enough machines
+    pair = pair_arrays if m >= SVM_VECTOR_MACHINES else pair_floats
     step = 0
     while len(live):
         # run to the next step at which a problem with running machines ends a sweep
@@ -295,22 +257,20 @@ def _train_svms(problems, c, max_sweeps):
             done = vi - vl.ravel()[first + k] < SVM_KKT_TOL
             if any(done.tolist()):
                 record(done)
-                for r in live[done]:
-                    converged[r] = True
+                converged[live[done]] = True
                 keep = ~done
                 keep_rows(keep)
                 i, vi, vl = i[keep], vi[keep], vl[keep]
                 if not len(live):
                     break
-            gi = i + row0 if batched else i      # the rows of i in gram and curvature
+            gi = i + row0      # the rows of i in gram and curvature
             gain = vi[:, None] - vl
             score = np.abs(gain)
             score *= gain
             cur = curvature.take(gi, axis=0)
             score /= cur
             j = score.argmax(axis=1)
-            gj = j + row0 if batched else j
-            delta = gram.take(np.concatenate((gi, gj)), axis=0)
+            delta = gram.take(np.concatenate((gi, j + row0)), axis=0)
             delta *= pair(i, j, gain, cur)[:, None]
             delta[: len(i)] += delta[len(i) :]
             v -= delta[: len(i)]
@@ -321,9 +281,8 @@ def _train_svms(problems, c, max_sweeps):
         ended = step % n_live == 0
         record(ended)
         keep_rows(~(ended & (step == max_sweeps * n_live)))
-    solved = [solution(r) for r in range(m)]
     return [(np.array([solved[r][0] for r in rows]), np.array([solved[r][1] for r in rows]),
-             [histories[r] for r in rows], [converged[r] for r in rows])
+             [histories[r] for r in rows], converged[rows].tolist())
             for rows in (np.flatnonzero(owner == p) for p in range(len(problems)))]
 
 
@@ -331,11 +290,11 @@ def svm_batches(sizes):
     """Runs of consecutive problems, as lists of indices, to solve together by
     svm_train_batch: a run grows while the Gram and curvature of its
     problems, each row padded to the run's largest row count, fit in
-    SVM_BATCH_BYTES, and a problem too large for it runs alone. Batching
-    pays while a step's fixed numpy call cost outweighs its work on the
-    padded rows: the run pays each call once for all its machines, and from
-    SVM_VECTOR_MACHINES machines on that includes the pair update's. So it
-    stops as the problems grow."""
+    SVM_BATCH_BYTES, and a problem too large for it is a run of one.
+    Batching pays while a step's fixed numpy call cost outweighs its work on
+    the padded rows: the run pays each call once for all its machines, and
+    from SVM_VECTOR_MACHINES machines on that includes the pair update's. So
+    it stops as the problems grow."""
     runs = []
     for p in range(len(sizes)):
         grown = runs[-1] + [p] if runs else [p]
@@ -395,10 +354,11 @@ def svm_train(features, labels, c=1.0, epochs=100, n_classes=None):
     losses with an unregularized bias, solved to a KKT violation of
     SVM_KKT_TOL or until `epochs` sweeps of the dual solver, whichever comes
     first. All machines share one Gram matrix and are solved together by
-    _train_svms: they step at once, each freezes when it converges, and a
-    fit's few machines (one per type and the detector, fewer than
-    SVM_VECTOR_MACHINES) update their pairs on Python floats. The solver
-    has no random visiting order, so the fit takes no seed."""
+    _train_svms, as a run of one problem: they step at once, each freezes
+    when it converges, and a fit's few machines (one per type and the
+    detector, fewer than SVM_VECTOR_MACHINES) update their pairs on Python
+    floats. The solver has no random visiting order, so the fit takes no
+    seed."""
     return svm_train_batch([(features, labels)], c, epochs, n_classes)[0]
 
 

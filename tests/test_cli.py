@@ -234,6 +234,29 @@ def test_featurize_wav_cut_in_its_header_is_named_in_the_failed_line(tiny_data, 
     assert capsys.readouterr().err.splitlines() == [f"  FAILED {clip_id}: {wav}: EOFError"]
 
 
+def test_boaw_caches_of_another_codebook_are_recomputed(tiny_data, tmp_path, capsys):
+    # a manifest that grows fits another codebook, so every boaw cache is
+    # encoded again, to the bytes of a fresh directory; a rerun keeps them
+    data = tmp_path / "data"
+    shutil.copytree(tiny_data.parent, data)
+    lines = (data / "manifest.jsonl").read_text().splitlines(keepends=True)
+    (data / "part.jsonl").write_text("".join(lines[:3]))
+
+    def featurize(manifest, out):
+        assert cli.main(["featurize", "--manifest", str(data / manifest), "--kind", "boaw",
+                         "--boaw-k", "4", "--out", str(tmp_path / out)]) == cli.EXIT_OK
+        return capsys.readouterr().out
+
+    featurize("part.jsonl", "grown")
+    assert "5 computed, 0 up-to-date" in featurize("manifest.jsonl", "grown")
+    assert "0 computed, 5 up-to-date" in featurize("manifest.jsonl", "grown")
+    featurize("manifest.jsonl", "fresh")
+    fresh = sorted((tmp_path / "fresh").glob("*.feat"))
+    assert len(fresh) == 5
+    for path in fresh:
+        assert (tmp_path / "grown" / path.name).read_bytes() == path.read_bytes()
+
+
 @pytest.fixture(scope="module")
 def melstats_data(tmp_path_factory):
     """The 140-clip dataset of `generate --per-class 20 --negatives 40 --seed 1`

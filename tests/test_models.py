@@ -223,8 +223,13 @@ class TestBatchedSvmMatchesReference:
     the machine solved alone by the reference, with either pair update."""
 
     def check(self, x, labels, c, epochs):
-        fits = fit_with_each_pair_update(lambda: models.svm_train(x, labels, c=c, epochs=epochs))
-        return assert_machines_match_reference(fits, x, labels, c, epochs)
+        # epochs=0 too: no sweep, so every history has one entry, no machine
+        # converges and every a stays 0
+        for sweeps in (0, epochs):
+            fits = fit_with_each_pair_update(lambda: models.svm_train(x, labels, c=c,
+                                                                      epochs=sweeps))
+            ref = assert_machines_match_reference(fits, x, labels, c, sweeps)
+        return ref
 
     def test_machines_converge_at_different_sweeps(self):
         x, y = overlapping_classes()
@@ -289,10 +294,13 @@ class TestSvmTrainBatch:
     update."""
 
     def check(self, problems, c, epochs):
-        got = fit_with_each_pair_update(lambda: models.svm_train_batch(problems, c=c,
-                                                                       epochs=epochs))
-        return [assert_machines_match_reference(fits, x, labels, c, epochs)
-                for (x, labels), *fits in zip(problems, *got, strict=True)]
+        # epochs=0 too, as in TestBatchedSvmMatchesReference.check
+        for sweeps in (0, epochs):
+            got = fit_with_each_pair_update(lambda: models.svm_train_batch(problems, c=c,
+                                                                           epochs=sweeps))
+            refs = [assert_machines_match_reference(fits, x, labels, c, sweeps)
+                    for (x, labels), *fits in zip(problems, *got, strict=True)]
+        return refs
 
     def test_integer_feature_ties_in_problems_of_different_sizes(self):
         problems = [integer_tie_problem(n, seed) for n, seed in ((40, 0), (37, 1), (41, 2))]
