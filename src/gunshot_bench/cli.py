@@ -3,11 +3,13 @@ plus k-fold cross-validation. Once a command has checked its input, it
 echoes its fully-resolved config (defaults and seeds included) into the
 output directory, so a refused run leaves no config behind; rerunning an
 identical config reproduces identical outputs byte for byte. `featurize`
-echoes it next to `index.json` once every clip is done, because it finds a
+echoes it next to the caches once every clip is done, because it finds a
 flag the clips cannot meet (more codewords than descriptors, a lag beyond a
-clip) only while fitting the codebook or computing a clip. `generate`
-moves its dataset into place only once every clip is written, so a failed
-run leaves none behind.
+clip) only while fitting the codebook or computing a clip. A feature
+directory is its caches: each cache's header holds its kind, and the
+commands that read a directory take its kind from the first cache they
+read. `generate` moves its dataset into place only once every clip is
+written, so a failed run leaves none behind.
 
 Exit codes: 0 ok, 2 usage error (including flags that do not go together:
 `generate --preset` with `--per-class`, `generate --scale` without
@@ -19,16 +21,17 @@ names a clip the manifest lacks or lists one clip twice, in one list or
 across two), 3 I/O failure (including a checkpoint not the exact .npz of its
 entries, a model directory that cannot be used, or a feature cache that
 fails its check: a bad magic, a header that does not parse, another
-version, a payload cut short of its shape, another kind than its
-directory's, or another shape than the first cache read, the frame count
-of a mel cache aside), 4 numeric failure.
+version, a payload cut short of its shape, or another kind or shape than
+the first cache read, the frame count of a mel cache aside), 4 numeric
+failure.
 Each error class carries its code (see `errors`). A file that does not
 parse, or lacks a key the command needs or holds it with the wrong type (a
-manifest line, a split, `index.json`, `model.meta.json`, a WAV), exits 3.
+manifest line, a split, `model.meta.json`, a WAV), exits 3.
 `featurize` decides whether a cache is up to date from its header alone:
-its source_hash covers the clip's WAV bytes, the feature parameters that
-`index.json` records and, for boaw, the centroids of the codebook that
-encoded it, so a codebook fit to another manifest recomputes every cache.
+its source_hash covers the clip's WAV bytes, the feature parameters (kind,
+window, hop, mel bands and the kind's own flags) and, for boaw, the
+centroids of the codebook that encoded it, so a codebook fit to another
+manifest recomputes every cache.
 """
 
 import argparse
@@ -101,14 +104,14 @@ def cmd_generate(args):
     if sum(counts.values()) + args.negatives == 0:
         raise UsageError("nothing to generate: the requested class mix has 0 clips")
     # Build the dataset beside out_dir and move it in once every clip is
-    # written, so a run that fails part way (a burst longer than the clip)
-    # leaves no partial dataset. A new out_dir is one rename; into an
-    # existing one the files move one by one, the manifest last.
+    # written, so a run that fails part way (a scene the synthesizer
+    # refuses, a full disk) leaves no partial dataset. A new out_dir is one
+    # rename; into an existing one the files move one by one, manifest last.
     staging = out_dir.parent / f".{out_dir.name}.partial-{os.getpid()}"
     try:
         _echo_config(args, staging, "generate")
         rows = synthgun.generate_dataset(counts, args.negatives, not args.noisy,
-                                         staging, args.seed, duration_s=args.duration)
+                                         staging, args.seed)
         if not out_dir.exists():
             staging.rename(out_dir)
         else:
@@ -143,9 +146,7 @@ def _extract(kind, clip, boaw_codebook=None, autocorr_lag=DEFAULT_AUTOCORR_LAG):
         return dsp.mel_stats(mel).values
     if kind == "boaw":
         return dsp.boaw_encode(mel, boaw_codebook).values
-    if kind == "autocorr":
-        return dsp.autocorrelation(clip, autocorr_lag)
-    raise UsageError(f"unknown feature kind {kind}")
+    return dsp.autocorrelation(clip, autocorr_lag)
 
 
 def _load_clip(base, row):
@@ -184,17 +185,16 @@ def cmd_featurize(args):
         raise UsageError(f"manifest {manifest_path} lists no clips")
     base = manifest_path.parent
 
+    # what each cache's source_hash covers besides its WAV bytes
     params = {"kind": args.kind, "win": dsp.WIN_SAMPLES, "hop": dsp.HOP_SAMPLES,
               "n_mels": dsp.N_MELS}
-    if args.kind == "boaw":
-        params.update(boaw_k=args.boaw_k, boaw_seed=args.seed)
-    if args.kind == "autocorr":
-        params.update(max_lag=args.autocorr_lag)
-
-    codebook, hashed = None, params      # hashed: what a cache's source_hash covers
+    codebook = None
     if args.kind == "boaw":
         codebook = _fit_boaw_codebook(base, rows, args.boaw_k, args.seed)
-        hashed = {**params, "codebook": hashlib.sha256(codebook.centroids.tobytes()).hexdigest()}
+        params.update(boaw_k=args.boaw_k, boaw_seed=args.seed,
+                      codebook=hashlib.sha256(codebook.centroids.tobytes()).hexdigest())
+    if args.kind == "autocorr":
+        params.update(max_lag=args.autocorr_lag)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -207,7 +207,7 @@ def cmd_featurize(args):
         except OSError as e:
             corrupt.append((row.id, str(e)))
             continue
-        src_hash = _source_hash(wav_bytes, hashed)
+        src_hash = _source_hash(wav_bytes, params)
         if dest.exists():
             try:
                 hdr = dsp.read_feature_header(dest)
@@ -229,8 +229,6 @@ def cmd_featurize(args):
         computed += 1
 
     _echo_config(args, out_dir, "featurize")
-    index = {"kind": args.kind, "params": params, "count": computed + skipped}
-    write_json(out_dir / "index.json", index)
     print(f"featurize: {computed} computed, {skipped} up-to-date, "
           f"{len(corrupt)} failed")
     for cid, msg in corrupt:
@@ -242,8 +240,7 @@ def cmd_featurize(args):
 # train
 # ---------------------------------------------------------------------------
 
-CNN_DEFAULTS = {"batch_size": 16, "lr": 1e-3, "patience": 5,
-                "input_frames": models.T_FIXED_DEFAULT}
+CNN_DEFAULTS = {"batch_size": 16, "lr": 1e-3, "patience": 5}
 
 
 def _resolve_cnn_flags(args):
@@ -258,33 +255,30 @@ def _resolve_cnn_flags(args):
             raise UsageError(f"--{name.replace('_', '-')} applies only to --model cnn")
 
 
-def _feature_kind(features_dir):
-    return read_json(Path(features_dir) / "index.json", {"kind": str})["kind"]
-
-
-def _load_features(features_dir, rows, kind):
-    """The cached features of `rows` only, kept as the cache's float32: every
-    consumer casts to float64, which is exact. MalformedFile naming the cache
-    whose header holds another kind than `kind` (the directory's), or naming
-    it and the first cache read when their shapes differ (for `mel`, whose
-    frame count follows the clip's length, their band counts)."""
-    feats = {}
-    fixed = slice(1, None) if kind == "mel" else slice(None)
-    first = None
+def _load_features(features_dir, rows):
+    """(features, kind): the cached features of `rows` only, kept as the
+    cache's float32 (every consumer casts to float64, which is exact), and
+    the kind in the first cache's header, None for no rows. MalformedFile
+    naming the first cache if its header holds no kind, or naming a cache
+    and the first one read when their kinds or shapes differ (for `mel`,
+    whose frame count follows the clip's length, their band counts)."""
+    feats, kind, first = {}, None, None
     for row in rows:
         path = Path(features_dir) / f"{row.id}.feat"
         if not path.exists():
             raise UsageError(f"missing feature cache for {row.id}; run featurize first")
         values, hdr = dsp.load_feature(path)
-        if hdr.get("kind") != kind:
-            raise MalformedFile(f"{path}: cache of kind {hdr.get('kind')!r} in a {kind} directory")
         if first is None:
-            first = path, values.shape
+            kind, first = require_keys(hdr, {"kind": str}, path)["kind"], (path, values.shape)
+            fixed = slice(1, None) if kind == "mel" else slice(None)
+        if hdr.get("kind") != kind:
+            raise MalformedFile(f"{path}: cache of kind {hdr.get('kind')!r}; "
+                                f"{first[0]} is of kind {kind!r}")
         if values.shape[fixed] != first[1][fixed]:
             raise MalformedFile(f"{path}: shape {values.shape} does not match "
                                 f"{first[0]}'s {first[1]}")
         feats[row.id] = values
-    return feats
+    return feats, kind
 
 
 def _labels_for(rows):
@@ -314,7 +308,8 @@ def _mel_set(rows, feats):
 
 
 def _check_kind(model, kind):
-    if (model == "cnn") != (kind == "mel"):
+    """UsageError unless `model` reads `kind`; None (no cache read) passes."""
+    if kind is not None and (model == "cnn") != (kind == "mel"):
         need = "kind=mel" if model == "cnn" else "vector (melstats/boaw/autocorr)"
         raise UsageError(f"{model} needs {need} features, found {kind}")
 
@@ -332,11 +327,11 @@ def _fit(args, kind, row_sets, val_rows, feats):
     meta = {"model": args.model, "feature_kind": kind}
     if args.model == "cnn":
         (train_rows,) = row_sets
-        model = models.JointCnnModel(seed=args.seed, t_frames=args.input_frames)
+        model = models.JointCnnModel(seed=args.seed)
         history = models.cnn_train(model, _mel_set(train_rows, feats), _mel_set(val_rows, feats),
                                    epochs=args.epochs, batch_size=args.batch_size, lr=args.lr,
                                    patience=args.patience, seed=args.seed)
-        meta.update(threshold=args.threshold, input_frames=args.input_frames)
+        meta.update(threshold=args.threshold)
         yield model, meta, model.named_arrays(), history
         return
 
@@ -381,10 +376,9 @@ def cmd_train(args):
         split = evaluation.SplitSpec.load(args.split)
     else:
         split = evaluation.stratified_split(rows, seed=args.seed)
-    kind = _feature_kind(args.features)
-    _check_kind(args.model, kind)
     train_rows, val_rows, _ = _split_rows(rows, split)
-    feats = _load_features(args.features, train_rows + val_rows, kind)
+    feats, kind = _load_features(args.features, train_rows + val_rows)
+    _check_kind(args.model, kind)
 
     t0 = time.perf_counter()
     [(bundle, meta, arrays, history)] = _fit(args, kind, [train_rows], val_rows, feats)
@@ -411,14 +405,12 @@ def load_model(checkpoint_dir):
     JointCnnModel or an (SvmModel, Standardizer) pair. A directory that
     cannot be used raises MalformedFile naming it and the bad entry."""
     checkpoint_dir = Path(checkpoint_dir)
-    where = f"{checkpoint_dir}: model.meta.json"
     meta = read_json(checkpoint_dir / "model.meta.json", {"model": str, "feature_kind": str},
-                     where)
+                     f"{checkpoint_dir}: model.meta.json")
     arrays = nncore.load_checkpoint(checkpoint_dir / "model.ckpt")
     kind = meta["model"]
     if kind == "cnn":
-        require_keys(meta, {"input_frames": int}, where)
-        model = models.JointCnnModel(seed=0, t_frames=meta["input_frames"])
+        model = models.JointCnnModel(seed=0)
         shapes = {name: a.shape for name, a in model.named_arrays().items()}
     elif kind == "svm":
         d = np.shape(arrays.get("weights"))[-1:]    # the feature length
@@ -486,10 +478,9 @@ def cmd_evaluate(args):
         raise UsageError(f"no clips to evaluate: the {args.subset} subset is empty"
                          if args.split else f"manifest {args.manifest} lists no clips")
 
-    kind = _feature_kind(args.features)
+    feats, kind = _load_features(args.features, subset)
     if kind != meta["feature_kind"]:
         raise UsageError(f"feature kind {kind} does not match model ({meta['feature_kind']})")
-    feats = _load_features(args.features, subset, kind)
     if meta["model"] == "svm":
         # a cache of the right kind featurized with another --autocorr-lag or --boaw-k
         want = model_bundle[0].weights.shape[1]
@@ -518,15 +509,14 @@ def cmd_crossval(args):
     _resolve_cnn_flags(args)
     out_dir = Path(args.out)
     rows = load_manifest(Path(args.manifest))
-    kind = _feature_kind(args.features)
-    _check_kind(args.model, kind)
     split = evaluation.stratified_split(rows, seed=args.seed)
     pool_ids = set(split.train_ids) | set(split.val_ids)
     pool = [r for r in rows if r.id in pool_ids]
     if args.k > len(pool):
         raise UsageError(f"--k {args.k} exceeds the {len(pool)} clips in the pool")
     folds = evaluation.kfold(evaluation.strata(pool), k=args.k, seed=args.seed)
-    feats = _load_features(args.features, pool, kind)
+    feats, kind = _load_features(args.features, pool)
+    _check_kind(args.model, kind)
     _echo_config(args, out_dir, "crossval")
     by_id = {r.id: r for r in pool}
     default = 0.5 if args.model == "cnn" else 0.0    # a probability vs an SVM margin
@@ -607,7 +597,6 @@ def _add_train_flags(p):
     p.add_argument("--batch-size", type=_positive_int, help=cnn_only("batch_size"))
     p.add_argument("--lr", type=_positive, help=cnn_only("lr"))
     p.add_argument("--patience", type=_non_negative_int, help=cnn_only("patience"))
-    p.add_argument("--input-frames", type=_positive_int, help=cnn_only("input_frames"))
     p.add_argument("--threshold", type=_finite, default=None,
                    help="decision threshold; cnn default 0.5, svm 0.0")
 
@@ -629,7 +618,6 @@ def build_parser():
     g.add_argument("--negatives", type=_non_negative_int, default=0)
     g.add_argument("--noisy", action="store_true",
                    help="low SNR, reverb, random distances (default is clean)")
-    g.add_argument("--duration", type=_positive, default=2.0)
     g.add_argument("--seed", type=int, default=0)
     g.set_defaults(func=cmd_generate)
 

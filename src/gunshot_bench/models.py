@@ -518,7 +518,7 @@ def cnn_forward(model, mel_frames, threshold=0.5):
     p_gunshot reaches `threshold`; a class ranks by p_gunshot * its posterior."""
     x = model.prepare_input(mel_frames)[None, None, :, :]
     p_gun, logits, _ = model.forward(x)
-    p, posteriors = float(p_gun[0]), nn.softmax(logits, axis=1)[0]
+    p, posteriors = float(p_gun[0]), nn.softmax(logits)[0]
     return Prediction(p, posteriors, p >= threshold, p * posteriors)
 
 

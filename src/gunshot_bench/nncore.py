@@ -252,12 +252,12 @@ def sigmoid_backward(g, out):
     return g * out * (1.0 - out)
 
 
-def softmax(x, axis=-1):
-    """Stable softmax along an axis; rows sum to 1. Inference only: the
+def softmax(x):
+    """Stable softmax along the last axis; rows sum to 1. Inference only: the
     training loss takes logits (cross_entropy), so it has no backward."""
-    z = x - x.max(axis=axis, keepdims=True)
+    z = x - x.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    return _check_finite(e / e.sum(axis=axis, keepdims=True), "softmax output")
+    return _check_finite(e / e.sum(axis=-1, keepdims=True), "softmax output")
 
 
 # ---------------------------------------------------------------------------

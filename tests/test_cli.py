@@ -40,7 +40,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gunshot_bench import cli, dsp, evaluation, models, nncore, wavio
+from gunshot_bench import cli, dsp, evaluation, models, nncore, synthgun, wavio
 from gunshot_bench.errors import MalformedFile
 from gunshot_bench.manifest import (CLASS_NAMES, N_CLASSES, load_manifest, manifest_digest,
                                     write_json)
@@ -61,19 +61,34 @@ def test_cnn_without_validation_clips_exits_usage(tmp_path, capsys):
     assert not (tmp_path / "cnn").exists()
 
 
-# a burst of this mix does not fit its 1.5 s clip after 63 clips are written
-OVERFLOWING_MIX = ["--preset", "paper-ratio", "--scale", "0.025", "--negatives", "25",
-                   "--duration", "1.5", "--seed", "2"]
+# a mix of 12 clips, which _overflow_the_10th_clip makes fail part way
+FAILING_MIX = ["--per-class", "2", "--negatives", "2", "--seed", "2"]
 
 
-def test_scene_overflow_exits_usage(tmp_path, capsys):
-    code = cli.main(["generate", "--out", str(tmp_path / "data"), *OVERFLOWING_MIX])
+def _overflow_the_10th_clip(monkeypatch):
+    """Make generate's 10th clip a scene whose event overruns it, as a burst
+    longer than its clip would: compose_scene refuses it."""
+    synth_clip, calls = synthgun.synth_clip, []
+
+    def failing(firearm, rng, clean):
+        calls.append(firearm)
+        if len(calls) == 10:
+            return synthgun.compose_scene([(synthgun.CLIP_SECONDS, np.ones(1))],
+                                          synthgun.SceneConfig(), rng)
+        return synth_clip(firearm, rng, clean)
+
+    monkeypatch.setattr(synthgun, "synth_clip", failing)
+
+
+def test_scene_overflow_exits_usage(tmp_path, capsys, monkeypatch):
+    _overflow_the_10th_clip(monkeypatch)
+    code = cli.main(["generate", "--out", str(tmp_path / "data"), *FAILING_MIX])
     assert code == cli.EXIT_USAGE
     assert "exceeds" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []    # neither the dataset nor its staging copy
 
 
-def test_generate_into_an_existing_directory(tmp_path):
+def test_generate_into_an_existing_directory(tmp_path, monkeypatch):
     fresh, existing = tmp_path / "fresh", tmp_path / "existing"
     existing.mkdir()
     (existing / "notes.txt").write_text("kept")
@@ -88,7 +103,8 @@ def test_generate_into_an_existing_directory(tmp_path):
             assert (fresh / name).read_bytes() == (existing / name).read_bytes(), name
     # a run that fails part way leaves the existing dataset as it was
     before = {p: p.read_bytes() for p in existing.rglob("*") if p.is_file()}
-    assert cli.main(["generate", "--out", str(existing), *OVERFLOWING_MIX]) == cli.EXIT_USAGE
+    _overflow_the_10th_clip(monkeypatch)
+    assert cli.main(["generate", "--out", str(existing), *FAILING_MIX]) == cli.EXIT_USAGE
     assert {p: p.read_bytes() for p in existing.rglob("*") if p.is_file()} == before
     assert sorted(tmp_path.iterdir()) == [existing, fresh]
 
@@ -97,8 +113,8 @@ def test_generate_into_an_existing_directory(tmp_path):
     ["--preset", "paper-ratio", "--scale", "0"],
     ["--preset", "paper-ratio", "--scale", "1e-6"],
     ["--per-class", "0"],
-    ["--duration", "nan"],
-    ["--duration", "inf"],
+    ["--preset", "paper-ratio", "--scale", "nan"],
+    ["--preset", "paper-ratio", "--scale", "inf"],
     # class-mix flags that do not go together
     ["--preset", "paper-ratio", "--per-class", "3"],
     ["--per-class", "3", "--scale", "0.5"],
@@ -110,6 +126,19 @@ def test_generate_zero_clips_exits_usage(args, tmp_path, capsys):
     assert not (tmp_path / "data" / "manifest.jsonl").exists()
     assert not (tmp_path / "data").exists()
     assert capsys.readouterr().err.splitlines()[-1].startswith(("error:", "gsb generate: error:"))
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "--per-class", "1", "--duration", "3"],
+    ["train", "--manifest", "m", "--features", "f", "--model", "cnn", "--input-frames", "64"],
+], ids=["generate-duration", "train-input-frames"])
+def test_clip_geometry_takes_no_flag(argv, tmp_path, capsys):
+    # every clip lasts synthgun.CLIP_SECONDS and every CNN reads
+    # models.T_FIXED_DEFAULT frames of it; no flag moves either
+    assert cli.main([*argv, "--out", str(tmp_path / "out")]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "unrecognized arguments" in err.splitlines()[-1] and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_featurize_empty_manifest_exits_usage(tmp_path, capsys):
@@ -401,7 +430,7 @@ def test_evaluate_features_of_another_length_exits_usage(feature_params_data, tm
 
 @pytest.mark.parametrize("flag,value", [
     ("--epochs", "0"), ("--batch-size", "0"), ("--lr", "nan"), ("--lr", "abc"),
-    ("--patience", "-1"), ("--input-frames", "0"), ("--threshold", "inf"),
+    ("--patience", "-1"), ("--threshold", "inf"),
 ])
 def test_bad_train_flag_exits_usage(flag, value, tmp_path, capsys):
     for command in ("train", "crossval"):
@@ -442,7 +471,7 @@ def small_data(tmp_path_factory):
 
 @pytest.mark.parametrize("model,kind,extra", [
     ("svm", "melstats", []),
-    ("cnn", "mel", ["--epochs", "1", "--input-frames", "16"]),
+    ("cnn", "mel", ["--epochs", "1"]),
 ])
 def test_train_reads_no_test_split_cache(small_data, tmp_path, model, kind, extra):
     manifest, root = small_data
@@ -481,7 +510,7 @@ def test_crossval_wrong_feature_kind_exits_usage(small_data, tmp_path, capsys, m
 
 
 @pytest.mark.parametrize("flag,value", [
-    ("--batch-size", "3"), ("--lr", "5"), ("--patience", "0"), ("--input-frames", "4"),
+    ("--batch-size", "3"), ("--lr", "5"), ("--patience", "0"),
 ])
 def test_cnn_only_flag_on_an_svm_run_exits_usage(small_data, tmp_path, capsys, flag, value):
     manifest, root = small_data
@@ -497,7 +526,7 @@ def test_cnn_only_flag_on_an_svm_run_exits_usage(small_data, tmp_path, capsys, f
 
 def test_train_config_records_only_the_flags_the_model_read(small_data, tmp_path):
     manifest, root = small_data
-    cnn_only = ("batch_size", "lr", "patience", "input_frames")
+    cnn_only = ("batch_size", "lr", "patience")
     assert cli.main(["train", "--manifest", str(manifest), "--features", str(root / "melstats"),
                      "--out", str(tmp_path / "svm"), "--model", "svm"]) == cli.EXIT_OK
     config = json.loads((tmp_path / "svm" / "config.json").read_text())
@@ -507,7 +536,7 @@ def test_train_config_records_only_the_flags_the_model_read(small_data, tmp_path
                                           "--out", "o", "--model", "cnn", "--lr", "0.01"])
     cli._resolve_cnn_flags(args)
     assert {name: getattr(args, name) for name in cnn_only} == {
-        "batch_size": 16, "lr": 0.01, "patience": 5, "input_frames": models.T_FIXED_DEFAULT}
+        "batch_size": 16, "lr": 0.01, "patience": 5}
 
 
 def test_crossval_k_above_pool_exits_usage(small_data, tmp_path, capsys):
@@ -545,7 +574,7 @@ def test_cnn_crossval_validation_is_stratified(small_data, tmp_path, monkeypatch
         return []
 
     monkeypatch.setattr(models, "cnn_train", fake_cnn_train)
-    assert _crossval(manifest, root / "mel", tmp_path, "cnn", "--input-frames", "16") == cli.EXIT_OK
+    assert _crossval(manifest, root / "mel", tmp_path, "cnn") == cli.EXIT_OK
     assert len(seen) == 5
     for fold_types, val_types in seen:
         labels, counts = np.unique(fold_types, return_counts=True)
@@ -557,8 +586,7 @@ def trained_models(small_data, tmp_path_factory):
     """Model directories of a 1-epoch CNN and a melstats SVM on small_data."""
     manifest, root = small_data
     out = tmp_path_factory.mktemp("trained")
-    for model, kind, extra in (("cnn", "mel", ["--epochs", "1", "--input-frames", "16"]),
-                               ("svm", "melstats", [])):
+    for model, kind, extra in (("cnn", "mel", ["--epochs", "1"]), ("svm", "melstats", [])):
         assert cli.main(["train", "--manifest", str(manifest), "--features", str(root / kind),
                          "--out", str(out / model), "--model", model, "--seed", "1",
                          *extra]) == cli.EXIT_OK
@@ -675,7 +703,7 @@ def test_checkpoint_is_a_plain_npz_of_the_model_arrays(trained_models, model):
 
 
 def test_model_meta_holds_what_load_model_and_evaluate_read(trained_models):
-    keys = {"cnn": {"model", "feature_kind", "threshold", "input_frames"},
+    keys = {"cnn": {"model", "feature_kind", "threshold"},
             "svm": {"model", "feature_kind", "threshold"}}
     for model, want in keys.items():
         assert set(json.loads((trained_models / model / "model.meta.json").read_text())) == want
@@ -739,8 +767,7 @@ def test_manifest_of_recordings_runs_end_to_end(tmp_path):
         assert cli.main(["featurize", "--manifest", str(manifest), "--kind", kind,
                          "--out", str(tmp_path / kind)]) == cli.EXIT_OK
     for model, kind, extra in (("svm", "melstats", []),
-                               ("cnn", "mel", ["--epochs", "1", "--input-frames", "16",
-                                               "--threshold", "0.5"])):
+                               ("cnn", "mel", ["--epochs", "1", "--threshold", "0.5"])):
         assert cli.main(["train", "--manifest", str(manifest), "--features",
                          str(tmp_path / kind), "--out", str(tmp_path / model), "--model", model,
                          "--seed", "1", *extra]) == cli.EXIT_OK
@@ -758,8 +785,7 @@ def test_non_finite_activation_in_cnn_training_exits_numeric(small_data, tmp_pat
     with np.errstate(over="ignore", invalid="ignore"):
         code = cli.main(["train", "--manifest", str(manifest), "--features", str(root / "mel"),
                          "--out", str(tmp_path), "--model", "cnn", "--seed", "1",
-                         "--epochs", "1", "--batch-size", "64", "--lr", "1e150",
-                         "--input-frames", "32"])
+                         "--epochs", "1", "--batch-size", "64", "--lr", "1e150"])
     assert code == cli.EXIT_NUMERIC
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("numeric failure:"), err
@@ -802,10 +828,6 @@ def _with_split_ids(edit, command="train"):
 def _featurize_manifest(text):
     return lambda d: ["featurize", "--manifest", _put(d["tmp"] / "manifest.jsonl", text),
                       "--kind", "melstats", "--out", d["tmp"] / "feats"]
-
-
-def _with_index(text):
-    return lambda d: _train_argv(d, features=_put(d["tmp"] / "f" / "index.json", text).parent)
 
 
 def _evaluate_meta(model, edit):
@@ -879,8 +901,7 @@ def _with_damaged_cache(command, ids, damage, model="svm", nth=0):
         victim.write_bytes(damage(victim.read_bytes()))
         d["named"] = victim
         if model == "cnn":
-            return _train_argv(d, "--input-frames", "16", "--epochs", "1", model="cnn",
-                               features=feats)
+            return _train_argv(d, "--epochs", "1", model="cnn", features=feats)
         if command == "train":
             return _train_argv(d, features=feats)
         if command == "evaluate":
@@ -898,12 +919,6 @@ def _with_damaged_cache(command, ids, damage, model="svm", nth=0):
     (_featurize_manifest('{"id": "x"\n'), cli.EXIT_IO, "I/O failure:"),
     (_featurize_manifest('{"id": "x"}\n'), cli.EXIT_IO, "I/O failure:"),
     (_evaluate_meta("svm", lambda m: m.pop("feature_kind")), cli.EXIT_IO, "I/O failure:"),
-    (_evaluate_meta("cnn", lambda m: m.pop("input_frames")), cli.EXIT_IO, "I/O failure:"),
-    (_with_index("{"), cli.EXIT_IO, "I/O failure:"),
-    (_with_index("[]"), cli.EXIT_IO, "I/O failure:"),
-    (_with_index('{"count": 1}'), cli.EXIT_IO, "I/O failure:"),
-    (lambda d: _train_argv(d, "--input-frames", "4", "--epochs", "1", model="cnn"),
-     cli.EXIT_USAGE, "error:"),
     (_boaw_with_first_wav(_cut_in_header), cli.EXIT_IO, "I/O failure:"),
     (_boaw_with_first_wav(_as_24_bit), cli.EXIT_IO, "I/O failure:"),
     (_with_split('{"train_ids": [], "val_ids": [], "test_ids": [], "seed": 1}'),
@@ -912,9 +927,6 @@ def _with_damaged_cache(command, ids, damage, model="svm", nth=0):
      cli.EXIT_IO, "I/O failure:"),
     (_featurize_manifest('{"id": "x", "path": 5, "detection_label": "no_gunshot"}\n'),
      cli.EXIT_IO, "I/O failure:"),
-    (_evaluate_meta("cnn", lambda m: m.update(input_frames="x")), cli.EXIT_IO, "I/O failure:"),
-    (_evaluate_meta("cnn", lambda m: m.update(input_frames=True)), cli.EXIT_IO, "I/O failure:"),
-    (_evaluate_meta("cnn", lambda m: m.update(input_frames=16.0)), cli.EXIT_IO, "I/O failure:"),
     (_evaluate_meta("svm", lambda m: m.update(feature_kind=3)), cli.EXIT_IO, "I/O failure:"),
     (_with_split_ids(lambda s: s["train_ids"].extend(s["test_ids"])),
      cli.EXIT_USAGE, "error:"),
@@ -944,13 +956,9 @@ def _with_damaged_cache(command, ids, damage, model="svm", nth=0):
     (_with_damaged_cache("train", "train_ids", _cache_of("mel", (171, 64)), "cnn", nth=1),
      cli.EXIT_IO, "I/O failure:"),
 ], ids=["split-not-json", "split-without-val_ids", "manifest-line-not-json",
-        "manifest-line-without-path", "svm-meta-without-feature_kind",
-        "cnn-meta-without-input_frames", "index-not-json", "index-not-an-object",
-        "index-without-kind", "cnn-input-frames-below-the-pools", "boaw-truncated-wav",
+        "manifest-line-without-path", "svm-meta-without-feature_kind", "boaw-truncated-wav",
         "boaw-24-bit-wav", "svm-empty-train-split", "split-train_ids-not-a-list",
-        "manifest-path-not-a-string", "cnn-meta-input_frames-not-an-int",
-        "cnn-meta-input_frames-true", "cnn-meta-input_frames-a-float",
-        "svm-meta-feature_kind-not-a-string", "split-test-ids-also-in-train",
+        "manifest-path-not-a-string", "svm-meta-feature_kind-not-a-string", "split-test-ids-also-in-train",
         "split-names-an-unknown-clip", "split-lists-a-clip-twice",
         "evaluate-split-train-ids-also-in-test",
         "manifest-detection_label-unknown", "manifest-id-outside-the-out-dir",
@@ -1036,7 +1044,8 @@ def test_svm_crossval_folds_equal_folds_fitted_alone(melstats_data, svm_crossval
     pool = [r for r in rows if r.id in set(split.train_ids) | set(split.val_ids)]
     folds = evaluation.kfold(evaluation.strata(pool), k=5, seed=1)
     assert len({len(fold) for fold in folds}) > 1
-    cached = cli._load_features(feats, pool, "melstats")
+    cached, kind = cli._load_features(feats, pool)
+    assert kind == "melstats"
     by_id = {r.id: r for r in pool}
     for i, fold in enumerate(folds):
         train_rows = [by_id[x] for j, other in enumerate(folds) if j != i for x in other]
@@ -1077,7 +1086,7 @@ def _run_pipeline(root):
             "featurize", "--manifest", manifest, "--kind", kind, "--out", str(root / kind),
             "--boaw-k", "8", "--seed", "1"])
     models_by_kind = {"melstats": ["svm"], "boaw": ["svm"], "autocorr": ["svm"],
-                      "mel": ["cnn", "--epochs", "1", "--input-frames", "32"]}
+                      "mel": ["cnn", "--epochs", "1"]}
     for kind, model in models_by_kind.items():
         ckpt = root / f"{model[0]}_{kind}"
         codes[f"train {kind}"] = cli.main([
@@ -1098,8 +1107,8 @@ def test_pipeline_runs_end_to_end_and_reruns_byte_for_byte(tmp_path):
         assert codes == dict.fromkeys(codes, cli.EXIT_OK)
     files = sorted(p.relative_to(runs[0]) for p in runs[0].rglob("*") if p.is_file())
     # each command writes config.json; generate 30 WAVs and a manifest, featurize
-    # 30 caches and an index, train 4 files, evaluate 2 reports, crossval 5 + 1
-    assert len(files) == 32 + 4 * 32 + 4 * 5 + 4 * 3 + 7
+    # 30 caches, train 4 files, evaluate 2 reports, crossval 5 + 1
+    assert len(files) == 32 + 4 * 31 + 4 * 5 + 4 * 3 + 7
     assert files == sorted(p.relative_to(runs[1]) for p in runs[1].rglob("*") if p.is_file())
     for name in files:
         if name.name != "config.json":    # it echoes the output paths
@@ -1127,7 +1136,7 @@ def _run_cnn_pipeline_in_fresh_processes(root, hash_seed, blas_threads):
          "--seed", "1"],
         ["featurize", "--manifest", manifest, "--kind", "mel", "--out", mel],
         ["train", "--manifest", manifest, "--features", mel, "--out", ckpt, "--model", "cnn",
-         "--seed", "1", "--epochs", "2", "--batch-size", "4", "--input-frames", "32"],
+         "--seed", "1", "--epochs", "2", "--batch-size", "4"],
         ["evaluate", "--checkpoint", ckpt, "--manifest", manifest, "--features", mel,
          "--out", root / "eval", "--split", ckpt / "split.json", "--threshold", "0.5"],
     ):
@@ -1138,8 +1147,8 @@ def _run_cnn_pipeline_in_fresh_processes(root, hash_seed, blas_threads):
 def test_cnn_pipeline_reruns_byte_for_byte_in_a_fresh_process(tmp_path):
     # boaw is left out: its codebook sample still hashes with Python's
     # per-process salt (the benchmark fault boaw-rerun-bytes). The two runs
-    # also differ in BLAS threads: at --input-frames 32 and batch 4, conv1's
-    # 16x9 by 9x16384 GEMM is large enough for OpenBLAS to split.
+    # also differ in BLAS threads: at 128 frames and batch 4, conv1's
+    # 16x9 by 9x65536 GEMM is large enough for OpenBLAS to split.
     runs = [tmp_path / "run1", tmp_path / "run2"]
     for n, root in enumerate(runs, start=1):
         _run_cnn_pipeline_in_fresh_processes(root, hash_seed=n, blas_threads=n)

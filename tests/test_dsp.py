@@ -11,7 +11,7 @@ import pytest
 
 from gunshot_bench import dsp
 from gunshot_bench.errors import InvalidParam, MalformedFile, UnsupportedFormat
-from gunshot_bench.synthgun import AudioClip, synth_muzzle_blast
+from gunshot_bench.synthgun import AudioClip, synth_impulse
 
 
 class TestFft:
@@ -132,7 +132,7 @@ class TestMelSpectrogram:
         np.testing.assert_allclose((b - a)[strong], np.log(4.0), atol=1e-6)
 
     def test_shotgun_band_energy(self):
-        blast = synth_muzzle_blast(500.0, 10.0, 0.8)
+        blast = synth_impulse(500.0, 10.0, 0.8)
         padded = AudioClip(np.concatenate([np.zeros(256), blast,
                                            np.zeros(2048 - 256 - len(blast))]))
         mel = dsp.mel_spectrogram(padded)

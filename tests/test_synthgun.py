@@ -1,13 +1,13 @@
 """Synthesizer contracts: pulse shapes, class-conditional sampling,
 scene composition, and dataset generation determinism."""
 
-import dataclasses
 import hashlib
 import json
 
 import numpy as np
 import pytest
 
+from gunshot_bench import dsp, models
 from gunshot_bench import synthgun as sg
 from gunshot_bench.errors import InvalidParam
 from gunshot_bench.manifest import load_manifest
@@ -21,31 +21,23 @@ def spectral_peak_hz(samples, nfft=16384, rate=44100):
 
 class TestMuzzleBlast:
     def test_4ms_pulse_length_and_peak(self):
-        x = sg.synth_muzzle_blast(1000.0, 4.0, 1.0)
+        x = sg.synth_impulse(1000.0, 4.0, 1.0)
         assert len(x) == 177
         peak = spectral_peak_hz(x)
         assert 794.0 <= peak <= 1260.0   # within 1/3 octave of 1 kHz
 
     def test_zero_amplitude(self):
-        x = sg.synth_muzzle_blast(800.0, 5.0, 0.0)
+        x = sg.synth_impulse(800.0, 5.0, 0.0)
         assert len(x) == int(np.ceil(0.005 * 44100))
         np.testing.assert_array_equal(x, 0.0)
 
     def test_shotgun_band(self):
-        x = sg.synth_muzzle_blast(500.0, 10.0, 0.5)
+        x = sg.synth_impulse(500.0, 10.0, 0.5)
         assert 100.0 <= spectral_peak_hz(x) <= 800.0
 
     def test_max_sample_equals_amplitude(self):
-        x = sg.synth_muzzle_blast(1200.0, 4.0, 0.37)
+        x = sg.synth_impulse(1200.0, 4.0, 0.37)
         np.testing.assert_allclose(np.abs(x).max(), 0.37, atol=1e-12)
-
-    @pytest.mark.parametrize("freq,dur,amp", [
-        (1000.0, 0.0, 1.0), (1000.0, -1.0, 1.0), (1000.0, 25.0, 1.0),
-        (1000.0, 4.0, -0.1), (23000.0, 4.0, 1.0), (0.0, 4.0, 1.0),
-    ])
-    def test_invalid_params(self, freq, dur, amp):
-        with pytest.raises(InvalidParam):
-            sg.synth_muzzle_blast(freq, dur, amp)
 
 
 class TestShockwave:
@@ -67,11 +59,6 @@ class TestShockwave:
         first, second = x[: n // 2 - 1], x[n // 2 + 1 :]
         assert np.all(np.diff(first) > 0) and np.all(np.diff(second) > 0)
         assert first[-1] > 0 > second[0]
-
-    @pytest.mark.parametrize("dur", [50.0, 99.0, 1001.0, 5000.0])
-    def test_invalid_duration(self, dur):
-        with pytest.raises(InvalidParam):
-            sg.synth_shockwave(dur, 1.0)
 
 
 def _count_pulses(samples, thresh_ratio=0.35):
@@ -148,7 +135,7 @@ class TestComposeScene:
         np.testing.assert_allclose(rms, 0.1, rtol=0.05)
 
     def test_high_snr_matches_dry_mix(self):
-        pulse = sg.synth_muzzle_blast(800.0, 5.0, 0.5)
+        pulse = sg.synth_impulse(800.0, 5.0, 0.5)
         cfg = sg.SceneConfig(duration_s=0.5, snr_db=40.0)
         wet = sg.compose_scene([(0.1, pulse)], cfg, np.random.default_rng(1))
         dry = np.zeros(int(0.5 * 44100))
@@ -157,7 +144,7 @@ class TestComposeScene:
         assert corr >= 0.99
 
     def test_inverse_distance_scaling(self):
-        pulse = sg.synth_muzzle_blast(800.0, 5.0, 0.5)
+        pulse = sg.synth_impulse(800.0, 5.0, 0.5)
         out = {}
         for d in (1.0, 2.0):
             cfg = sg.SceneConfig(duration_s=0.5, snr_db=80.0, distance_m=d)
@@ -166,14 +153,14 @@ class TestComposeScene:
         np.testing.assert_allclose(ratio, 0.5, atol=1e-6)
 
     def test_overflow_raises(self):
-        pulse = sg.synth_muzzle_blast(800.0, 5.0, 0.5)
+        pulse = sg.synth_impulse(800.0, 5.0, 0.5)
         cfg = sg.SceneConfig(duration_s=0.1)
         with pytest.raises(InvalidParam,
                            match=r"event at 0\.099s \(\+0\.005s\) exceeds 0\.100s scene"):
             sg.compose_scene([(0.099, pulse)], cfg, np.random.default_rng(0))
 
     def test_reverb_adds_delayed_copies(self):
-        pulse = sg.synth_muzzle_blast(800.0, 4.0, 0.5)
+        pulse = sg.synth_impulse(800.0, 4.0, 0.5)
         cfg = sg.SceneConfig(duration_s=0.5, snr_db=80.0,
                              reverb_delay_ms=50.0, reverb_decay=0.5, reverb_taps=2)
         wet = sg.compose_scene([(0.05, pulse)], cfg, np.random.default_rng(3))
@@ -185,14 +172,14 @@ class TestComposeScene:
         np.testing.assert_allclose(peak1 / peak0, 0.5, atol=0.05)
 
     def test_non_finite_event_rejected(self):
-        pulse = sg.synth_muzzle_blast(800.0, 5.0, 0.5)
+        pulse = sg.synth_impulse(800.0, 5.0, 0.5)
         pulse[3] = np.nan
         with pytest.raises(InvalidParam):
             sg.compose_scene([(0.05, pulse)], sg.SceneConfig(duration_s=0.2),
                              np.random.default_rng(0))
 
     def test_clipping_guard(self):
-        pulse = sg.synth_muzzle_blast(800.0, 5.0, 2.0)
+        pulse = sg.synth_impulse(800.0, 5.0, 2.0)
         cfg = sg.SceneConfig(duration_s=0.2, snr_db=60.0)
         out = sg.compose_scene([(0.05, pulse)], cfg, np.random.default_rng(4))
         assert np.abs(out).max() <= 0.99 + 1e-12
@@ -237,8 +224,7 @@ class TestGenerateDataset:
             sg.generate_dataset({sg.FirearmClass.RIFLE: -1}, 0, True, tmp_path, 0)
 
 
-def reference_generate_dataset(class_counts, negatives, clean, out_dir, seed,
-                               duration_s=2.0):
+def reference_generate_dataset(class_counts, negatives, clean, out_dir, seed):
     """generate_dataset written out as two loops, shots then negatives, each
     spelling out its draws from the clip's rng and building its manifest
     row by hand."""
@@ -249,8 +235,8 @@ def reference_generate_dataset(class_counts, negatives, clean, out_dir, seed,
         for _ in range(class_counts.get(fc, 0)):
             rng = np.random.default_rng([seed, idx])
             _, shot = sg.synth_shot(sg.DEFAULT_CLASS_SPECS[fc], rng)
-            cfg = sg._sample_scene_config(rng, duration_s, clean)
-            onset = sg._sample_onset(rng, duration_s, len(shot) / sg.SAMPLE_RATE)
+            cfg = sg._sample_scene_config(rng, clean)
+            onset = sg._sample_onset(rng, len(shot) / sg.SAMPLE_RATE)
             scene = sg.compose_scene([(onset, shot)], cfg, rng)
             clip_id = f"{idx:05d}_{fc.value}"
             rel = f"wav/{clip_id}.wav"
@@ -260,12 +246,11 @@ def reference_generate_dataset(class_counts, negatives, clean, out_dir, seed,
             idx += 1
     for _ in range(negatives):
         rng = np.random.default_rng([seed, idx])
-        cfg = sg._sample_scene_config(rng, duration_s, clean)
+        cfg = sg._sample_scene_config(rng, clean)
         events = []
         if rng.random() < 2.0 / 3.0:
             impulse = sg._distractor(rng)
-            events = [(sg._sample_onset(rng, duration_s, len(impulse) / sg.SAMPLE_RATE),
-                       impulse)]
+            events = [(sg._sample_onset(rng, len(impulse) / sg.SAMPLE_RATE), impulse)]
         scene = sg.compose_scene(events, cfg, rng)
         clip_id = f"{idx:05d}_background"
         rel = f"wav/{clip_id}.wav"
@@ -295,6 +280,50 @@ def test_generate_dataset_matches_two_loop_reference(tmp_path, per_class, negati
     for name in names:
         assert (tmp_path / "new" / name).read_bytes() == \
             (tmp_path / "ref" / name).read_bytes(), name
+
+
+def _cnn_window_s():
+    """(start, end) in seconds of the frames that the CNN's center crop keeps
+    of a CLIP_SECONDS clip: the start of the first kept frame's window and
+    the end of the last's."""
+    n = int(round(sg.CLIP_SECONDS * sg.SAMPLE_RATE))
+    frames = 1 + (n - dsp.WIN_SAMPLES) // dsp.HOP_SAMPLES
+    numbered = np.repeat(np.arange(frames, dtype=float)[:, None], dsp.N_MELS, axis=1)
+    kept = models.JointCnnModel().prepare_input(numbered)[:, 0]
+    first, last = int(kept[0]), int(kept[-1])
+    np.testing.assert_array_equal(kept, np.arange(first, last + 1))    # a crop, no padding
+    assert len(kept) == models.T_FIXED_DEFAULT
+    return (first * dsp.HOP_SAMPLES / sg.SAMPLE_RATE,
+            (last * dsp.HOP_SAMPLES + dsp.WIN_SAMPLES) / sg.SAMPLE_RATE)
+
+
+@pytest.mark.parametrize("clean", [True, False], ids=["clean", "noisy"])
+def test_every_shot_starts_in_the_frames_the_cnn_reads(clean):
+    # a clip's label holds only if the CNN's crop sees its shot: replay shot
+    # clips' draws in synth_clip's order and check where the first shot
+    # lands, from the shockwave's start to the end of its muzzle blast
+    start_s, end_s = _cnn_window_s()
+    assert 0.24 < start_s < end_s < 1.75
+
+    def check(onset, blast_end_s, what):
+        assert start_s <= onset and onset + blast_end_s <= end_s, (what, onset)
+
+    for k, spec in enumerate(sg.DEFAULT_CLASS_SPECS.values()):
+        for i in range(30):
+            rng = np.random.default_rng([k, i])
+            event, shot = sg.synth_shot(spec, rng)
+            sg._sample_scene_config(rng, clean)
+            onset = sg._sample_onset(rng, len(shot) / sg.SAMPLE_RATE)
+            check(onset, event.onset + event.blast_duration_ms / 1000.0, (spec.firearm, i))
+    # the longest burst a machine gun fires (every shot, every gap 10% long,
+    # the latest shockwave lead, the longest blast) does not fit between the
+    # margins, so its onset is pinned to the first one
+    spec = sg.DEFAULT_CLASS_SPECS[sg.FirearmClass.MACHINE_GUN]
+    blast_end_s = 1.0e-3 + spec.blast_duration_range[1] / 1000.0
+    longest_s = (spec.burst.count_range[1] - 1) * 1.1 / spec.burst.rate_hz_range[0] + blast_end_s
+    assert longest_s > sg.CLIP_SECONDS - 2 * sg.ONSET_MARGIN_S
+    onset = sg._sample_onset(np.random.default_rng(0), longest_s)
+    check(onset, blast_end_s, "longest machine-gun burst")
 
 
 # sha256 of every file generate_dataset writes for one clip of each class and
@@ -351,7 +380,14 @@ def test_generate_dataset_writes_pinned_bytes(tmp_path, mix):
 class TestClassSpecs:
     def test_default_specs_validate(self):
         for spec in sg.DEFAULT_CLASS_SPECS.values():
-            dataclasses.replace(spec)    # runs the spec's checks again
+            for lo, hi in (spec.peak_freq_range, spec.blast_duration_range,
+                           spec.spl_at_1m_range):
+                assert 0 < lo < hi, spec
+            assert spec.peak_freq_range[1] < sg.SAMPLE_RATE / 2
+            assert 0.0 <= spec.shockwave_prob <= 1.0
+            if spec.burst is not None:
+                lo, hi = spec.burst.rate_hz_range
+                assert 0 < lo < hi and 1 <= spec.burst.count_range[0] <= spec.burst.count_range[1]
 
     def test_exactly_five_classes(self):
         assert len(sg.FirearmClass) == 5
@@ -362,17 +398,6 @@ class TestClassSpecs:
             has_burst = spec.burst is not None
             assert has_burst == (fc in (sg.FirearmClass.MACHINE_GUN,
                                         sg.FirearmClass.SUBMACHINE_GUN))
-
-    def test_invalid_spec_rejected(self):
-        with pytest.raises(InvalidParam):
-            sg.FirearmClassSpec(sg.FirearmClass.RIFLE, (1500.0, 200.0),
-                                (5.0, 8.0), (167.0, 171.0), 0.9)
-
-    @pytest.mark.parametrize("prob", [-0.1, 1.5, float("nan")])
-    def test_shockwave_prob_outside_unit_interval_rejected(self, prob):
-        with pytest.raises(InvalidParam):
-            sg.FirearmClassSpec(sg.FirearmClass.RIFLE, (200.0, 1500.0),
-                                (5.0, 8.0), (167.0, 171.0), prob)
 
     def test_spl_amplitude_anchor(self):
         assert sg.spl_to_amplitude(165.0) == 1.0
