@@ -38,6 +38,7 @@ import argparse
 import ctypes
 import functools
 import hashlib
+import io
 import json
 import math
 import os
@@ -149,10 +150,12 @@ def _extract(kind, clip, boaw_codebook=None, autocorr_lag=DEFAULT_AUTOCORR_LAG):
     return dsp.autocorrelation(clip, autocorr_lag)
 
 
-def _load_clip(base, row):
-    """The clip of `row`; MalformedFile naming it if its WAV does not decode."""
+def _load_clip(base, row, wav_bytes):
+    """The clip of `row`, decoded from `wav_bytes`, the bytes read from its
+    WAV (and hashed, in featurize); MalformedFile naming the WAV if they do
+    not decode."""
     try:
-        samples, rate = read_wav(base / row.path)
+        samples, rate = read_wav(io.BytesIO(wav_bytes))
     except (wave_mod.Error, EOFError, ValueError) as e:
         raise MalformedFile(f"{base / row.path}: {str(e) or type(e).__name__}") from None
     clip = synthgun.AudioClip(samples, rate, {"id": row.id})
@@ -166,14 +169,19 @@ BOAW_FRAMES_PER_CLIP = 32    # log-mel frames each clip gives the codebook fit
 
 def _fit_boaw_codebook(base, rows, k, seed):
     """Codebook over a deterministic subsample of log-mel frames, written
-    into one preallocated matrix so the descriptors are held once."""
+    into one preallocated matrix so the descriptors are held once. Each
+    clip's mel is computed for its sampled frames only: the draw needs only
+    the clip's frame count, and the selected rows are the full mel's rows
+    bit for bit."""
     frames = np.empty((len(rows) * BOAW_FRAMES_PER_CLIP, dsp.N_MELS))
     filled = 0
     for row in rows:
-        mel = dsp.mel_spectrogram(_load_clip(base, row)).frames
+        clip = _load_clip(base, row, (base / row.path).read_bytes())
+        n_frames = dsp.frame_count(len(clip.samples))
         rng = np.random.default_rng([seed, hash(row.id) & 0x7FFFFFFF])
-        take = min(BOAW_FRAMES_PER_CLIP, len(mel))
-        frames[filled : filled + take] = mel[rng.choice(len(mel), size=take, replace=False)]
+        take = min(BOAW_FRAMES_PER_CLIP, n_frames)
+        picked = rng.choice(n_frames, size=take, replace=False)
+        frames[filled : filled + take] = dsp.mel_spectrogram(clip, picked).frames
         filled += take
     return dsp.kmeans_fit(frames[:filled], k=k, iters=25, seed=seed)
 
@@ -217,7 +225,7 @@ def cmd_featurize(args):
             except (MalformedFile, OSError):
                 pass
         try:
-            clip = _load_clip(base, row)
+            clip = _load_clip(base, row, wav_bytes)
             values = _extract(args.kind, clip, codebook, args.autocorr_lag)
         except InvalidParam:
             raise    # a flag the clip cannot meet, such as a lag beyond its length

@@ -32,13 +32,13 @@ def write_wav(path, samples, sample_rate=44100):
         w.writeframes(data.tobytes())
 
 
-def read_wav(path):
-    """Read a 16-bit PCM WAV file.
+def read_wav(source):
+    """Read a 16-bit PCM WAV file, from a path or a binary file object.
 
     Returns (samples, sample_rate); samples are float64 in [-1, 1],
     shape (n,) for mono or (n, channels) for multi-channel files.
     """
-    with wave.open(str(path), "rb") as w:
+    with wave.open(source if hasattr(source, "read") else str(source), "rb") as w:
         channels = w.getnchannels()
         width = w.getsampwidth()
         rate = w.getframerate()

@@ -230,6 +230,59 @@ def test_featurize_unusable_wav_fails_that_clip_only(tiny_data, tmp_path, capsys
     assert captured.err.splitlines() == [f"  FAILED {clip_id}: {message}"]
 
 
+def test_boaw_codebook_refuses_a_clip_shorter_than_one_window(tiny_data, tmp_path, capsys):
+    # the fit draws a clip's frames from its frame count, which refuses a
+    # clip under one window with stft's message before any draw
+    manifest, _, _ = _damage_first_wav(tiny_data, tmp_path, _too_short)
+    code = cli.main(["featurize", "--manifest", str(manifest), "--kind", "boaw",
+                     "--boaw-k", "4", "--out", str(tmp_path / "boaw")])
+    assert code == cli.EXIT_USAGE
+    assert capsys.readouterr().err.splitlines() == ["error: need at least 1024 samples, got 1000"]
+
+
+def test_boaw_codebook_fit_takes_the_full_mels_rows(tiny_data, monkeypatch):
+    # the fit computes only the frames it samples; its descriptors are the
+    # rows that the same draws take from each clip's full mel
+    base, rows, seed = tiny_data.parent, load_manifest(tiny_data), 3
+    expected = []
+    for row in rows:
+        clip = cli._load_clip(base, row, (base / row.path).read_bytes())
+        mel = dsp.mel_spectrogram(clip).frames
+        rng = np.random.default_rng([seed, hash(row.id) & 0x7FFFFFFF])
+        take = min(cli.BOAW_FRAMES_PER_CLIP, len(mel))
+        expected.append(mel[rng.choice(len(mel), size=take, replace=False)])
+    seen = []
+    monkeypatch.setattr(dsp, "kmeans_fit", lambda x, **kw: seen.append(x.copy()))
+    cli._fit_boaw_codebook(base, rows, 4, seed)
+    assert seen[0].tobytes() == np.concatenate(expected).tobytes()
+
+
+def test_featurize_decodes_the_wav_bytes_it_hashed(tiny_data, tmp_path, monkeypatch):
+    # a WAV replaced right after featurize hashed it must not give a cache
+    # whose source_hash describes other samples than its values
+    data = tmp_path / "data"
+    shutil.copytree(tiny_data.parent, data)
+    rows = load_manifest(data / "manifest.jsonl")
+    wav, other = data / rows[0].path, data / rows[1].path
+    hashed, source_hash = wav.read_bytes(), cli._source_hash
+
+    def hash_then_swap(wav_bytes, params):
+        if wav_bytes == hashed:
+            shutil.copyfile(other, wav)
+        return source_hash(wav_bytes, params)
+
+    def featurize(manifest, out):
+        assert cli.main(["featurize", "--manifest", str(manifest), "--kind", "melstats",
+                         "--out", str(tmp_path / out)]) == cli.EXIT_OK
+
+    featurize(tiny_data, "kept")
+    monkeypatch.setattr(cli, "_source_hash", hash_then_swap)
+    featurize(data / "manifest.jsonl", "swapped")
+    assert wav.read_bytes() == other.read_bytes()
+    cache = f"{rows[0].id}.feat"
+    assert (tmp_path / "swapped" / cache).read_bytes() == (tmp_path / "kept" / cache).read_bytes()
+
+
 def _damage_first_wav(tiny_data, tmp_path, damage):
     """A copy of tiny_data whose first WAV `damage` rewrites; returns the
     copy's manifest, the clip's id and its WAV."""

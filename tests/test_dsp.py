@@ -1,5 +1,7 @@
 """DSP contracts: FFT against an independent reference, STFT framing,
-mel filterbank geometry, spectrogram behavior, autocorrelation, k-means,
+mel filterbank geometry, spectrogram behavior (the band-grouped filterbank
+product against the dense one, and a frame selection against the full
+spectrogram's rows), autocorrelation, k-means,
 BoAW encoding, summary stats, and input normalization; blocked k-means
 and resampling give the whole-matrix bytes in a bounded working set."""
 
@@ -148,6 +150,35 @@ class TestMelSpectrogram:
         a = dsp.mel_spectrogram(AudioClip(x)).frames
         b = dsp.mel_spectrogram(AudioClip(shifted)).frames
         np.testing.assert_allclose(b[1 : a.shape[0] + 1], a, atol=1e-6)
+
+    def test_selected_frames_are_the_full_rows_bit_for_bit(self):
+        rng = np.random.default_rng(5)
+        clip = AudioClip(rng.normal(size=88200) * 0.3)
+        full = dsp.mel_spectrogram(clip).frames
+        for frames in (rng.permutation(len(full))[:32], [57], np.arange(len(full))):
+            selected = dsp.mel_spectrogram(clip, frames).frames
+            assert selected.tobytes() == full[frames].tobytes()
+
+    def test_band_groups_hold_every_weight(self):
+        weights = dsp.default_filterbank().weights
+        groups = dsp._filterbank_groups()
+        bands = [band + i for band, _, w in groups for i in range(w.shape[1])]
+        assert bands == list(range(dsp.N_MELS))
+        rebuilt = np.zeros_like(weights)
+        for band, lo, w in groups:
+            rebuilt[band : band + w.shape[1], lo : lo + len(w)] = w.T
+        assert rebuilt.tobytes() == weights.tobytes()
+        # band 0's triangle ends below the first bin past 0 Hz: it has no
+        # nonzero weight, and its group still holds its zero column
+        assert np.flatnonzero(~weights.any(axis=1)).tolist() == [0]
+
+    def test_band_groups_give_the_dense_product(self):
+        spec = dsp.stft(np.random.default_rng(6).normal(size=88200))
+        power = spec.real**2 + spec.imag**2
+        dense = power @ dsp.default_filterbank().weights.T
+        for rows in (slice(None), slice(3, 4)):
+            np.testing.assert_allclose(dsp._filterbank_product(power[rows]), dense[rows],
+                                       rtol=1e-12, atol=0)
 
 
 class TestAutocorrelation:

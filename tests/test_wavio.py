@@ -1,6 +1,8 @@
-"""WAV I/O contracts: exact round trips on the int16 grid, clamping of
-out-of-range input, and refusal of sample widths other than 16 bits."""
+"""WAV I/O contracts: exact round trips on the int16 grid, from a path or
+from the file's bytes, clamping of out-of-range input, and refusal of
+sample widths other than 16 bits."""
 
+import io
 import wave
 
 import numpy as np
@@ -26,6 +28,8 @@ def test_round_trip_exact_on_int16_grid(tmp_path, pcm, rate):
     assert back_rate == rate
     assert back.shape == samples.shape
     np.testing.assert_array_equal(back, samples)
+    from_bytes, _ = read_wav(io.BytesIO(path.read_bytes()))
+    np.testing.assert_array_equal(from_bytes, samples)
 
 
 @given(st.lists(st.floats(allow_nan=False, width=64), min_size=1, max_size=200))
