@@ -679,8 +679,12 @@ def _keep_freed_memory():
     trim the heap (a command is one short process), and mmap only blocks of
     32 MB and up, glibc's own ceiling for its dynamic mmap threshold. Setting
     either value turns that dynamic threshold off, and its 128 KB start
-    would then mmap every large array afresh, so both are set. A no-op where
-    libc has no mallopt."""
+    would then mmap every large array afresh, so both are set. And keep to
+    the one main arena: glibc gives each thread that allocates its own, so
+    the memory a worker thread (generate's synthesizers) frees would stay
+    in that worker's arena, never trimmed either and out of the main
+    thread's reach, and each worker's arena would add to the peak. A no-op
+    where libc has no mallopt."""
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (AttributeError, OSError, TypeError):
@@ -688,6 +692,7 @@ def _keep_freed_memory():
     mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
     mallopt(-1, -1)             # M_TRIM_THRESHOLD: never
     mallopt(-3, 32 << 20)       # M_MMAP_THRESHOLD
+    mallopt(-8, 1)              # M_ARENA_MAX: the main arena only
 
 
 def main(argv=None):

@@ -7,7 +7,10 @@ events with comb-filter reverberation, 1/distance attenuation, and white
 noise at a target SNR. `synth_clip` is the recipe for one dataset clip, a
 shot scene or a background scene, and `generate_dataset` applies it to every
 clip of a class mix. Generation is a pure function of (arguments, seed):
-every clip derives its own RNG stream from (seed, clip index).
+every clip derives its own RNG stream from (seed, clip index), so clips
+synthesize on SYNTH_THREADS worker threads (numpy's Gaussian draw, most of a
+clip's time, releases the GIL) while the calling thread writes them in plan
+order, with the bytes of a one-thread run.
 
 Every clip lasts CLIP_SECONDS. It and `models.T_FIXED_DEFAULT`, the frames
 the CNN crops from a clip's log-mel, are two halves of one contract: the
@@ -21,7 +24,10 @@ them as WAVs. `AudioClip` is the container of a clip read from disk, at its
 own rate, for the features in `dsp`.
 """
 
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +47,8 @@ THUMP_FREQ_RANGE = (30.0, 80.0)
 CLICK_FREQ_RANGE = (4000.0, 12000.0)
 
 BANDPASS_Q = 2.5    # quality factor of the band shaping of every impulse
+
+SYNTH_THREADS = 2    # worker threads that synthesize clips in generate_dataset
 
 
 @dataclass(frozen=True)
@@ -266,7 +274,9 @@ def compose_scene(events, config, rng):
     else:
         ref_rms = 1.0
     noise_rms = ref_rms * 10.0 ** (-config.snr_db / 20.0)
-    out = mix + rng.normal(0.0, noise_rms, n) if noise_rms > 0 else mix
+    # standard_normal * rms draws rng.normal(0, rms)'s stream and bits,
+    # without its loc add
+    out = mix + rng.standard_normal(n) * noise_rms if noise_rms > 0 else mix
 
     peak = np.abs(out).max()
     if peak > 0.99:
@@ -350,7 +360,12 @@ def generate_dataset(class_counts, negatives, clean, out_dir, seed):
     clean=True: SNR >= 30 dB, no reverb, 1 m. clean=False: SNR in [0, 15] dB,
     reverb on, distances in [1, 50] m. Clips come class by class in
     CLASS_ORDER, then the negatives. Deterministic: clip i uses rng stream
-    (seed, i)."""
+    (seed, i), whichever thread draws it.
+
+    SYNTH_THREADS workers run synth_clip, at most 2 * SYNTH_THREADS clips
+    ahead of the writer; only the calling thread writes, WAVs in plan order
+    and then the manifest. If a clip raises, the workers finish the clips
+    already submitted and are joined before the exception leaves."""
     for fc, cnt in class_counts.items():
         if cnt < 0:
             raise InvalidParam(f"negative count for {fc}")
@@ -363,12 +378,19 @@ def generate_dataset(class_counts, negatives, clean, out_dir, seed):
     plan += [None] * negatives
 
     rows = []
-    for idx, fc in enumerate(plan):
-        scene = synth_clip(fc, np.random.default_rng([seed, idx]), clean)
-        class_name = None if fc is None else fc.value
-        clip_id = f"{idx:05d}_{class_name or 'background'}"
-        rel = f"wav/{clip_id}.wav"
-        write_wav(out_dir / rel, scene, SAMPLE_RATE)
-        rows.append(ManifestRow(clip_id, rel, NO_GUNSHOT if fc is None else GUNSHOT, class_name))
+    with ThreadPoolExecutor(SYNTH_THREADS) as pool:
+        # submitted lazily: each clip written lets one more start
+        clips = (pool.submit(synth_clip, fc, np.random.default_rng([seed, idx]), clean)
+                 for idx, fc in enumerate(plan))
+        pending = deque(islice(clips, 2 * SYNTH_THREADS))
+        for idx, fc in enumerate(plan):
+            scene = pending.popleft().result()
+            pending.extend(islice(clips, 1))
+            class_name = None if fc is None else fc.value
+            clip_id = f"{idx:05d}_{class_name or 'background'}"
+            rel = f"wav/{clip_id}.wav"
+            write_wav(out_dir / rel, scene, SAMPLE_RATE)
+            rows.append(ManifestRow(clip_id, rel, NO_GUNSHOT if fc is None else GUNSHOT,
+                                    class_name))
     write_manifest(out_dir / "manifest.jsonl", rows)
     return rows

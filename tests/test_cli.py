@@ -34,6 +34,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import threading
 import wave
 from pathlib import Path
 
@@ -67,12 +68,16 @@ FAILING_MIX = ["--per-class", "2", "--negatives", "2", "--seed", "2"]
 
 def _overflow_the_10th_clip(monkeypatch):
     """Make generate's 10th clip a scene whose event overruns it, as a burst
-    longer than its clip would: compose_scene refuses it."""
-    synth_clip, calls = synthgun.synth_clip, []
+    longer than its clip would: compose_scene refuses it. Clips synthesize
+    on worker threads, so one lock covers the count and its check, and
+    exactly one call is the 10th."""
+    synth_clip, calls, lock = synthgun.synth_clip, [], threading.Lock()
 
     def failing(firearm, rng, clean):
-        calls.append(firearm)
-        if len(calls) == 10:
+        with lock:
+            calls.append(firearm)
+            tenth = len(calls) == 10
+        if tenth:
             return synthgun.compose_scene([(synthgun.CLIP_SECONDS, np.ones(1))],
                                           synthgun.SceneConfig(), rng)
         return synth_clip(firearm, rng, clean)

@@ -1,8 +1,10 @@
 """Synthesizer contracts: pulse shapes, class-conditional sampling,
-scene composition, and dataset generation determinism."""
+scene composition, and dataset generation determinism, at any number of
+synthesis threads, with the workers joined and bounded when a clip fails."""
 
 import hashlib
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -375,6 +377,60 @@ def test_generate_dataset_writes_pinned_bytes(tmp_path, mix):
     found = {str(p.relative_to(tmp_path)): hashlib.sha256(p.read_bytes()).hexdigest()
              for p in sorted(tmp_path.rglob("*.*"))}
     assert found == PINNED_SHA256[mix]
+
+
+@pytest.mark.parametrize("clean", [True, False], ids=["clean", "noisy"])
+def test_generate_dataset_bytes_do_not_depend_on_the_thread_count(tmp_path, monkeypatch,
+                                                                  clean):
+    # two clips of each class, the bursts of the two automatic ones among
+    # them, and four negatives: more clips than are ever in flight
+    counts = {fc: 2 for fc in sg.CLASS_ORDER}
+    for threads in (1, 2):
+        monkeypatch.setattr(sg, "SYNTH_THREADS", threads)
+        sg.generate_dataset(counts, 4, clean, tmp_path / str(threads), seed=4)
+    one, two = tmp_path / "1", tmp_path / "2"
+    names = sorted(p.relative_to(one) for p in one.rglob("*.*"))
+    assert len(names) == 5 * 2 + 4 + 1
+    assert names == sorted(p.relative_to(two) for p in two.rglob("*.*"))
+    for name in names:
+        assert (one / name).read_bytes() == (two / name).read_bytes(), name
+
+
+def _fail_the_nth_clip(monkeypatch, n):
+    """Make synth_clip's n-th call raise InvalidParam; returns the list of
+    calls, which the workers append to under one lock."""
+    synth_clip, calls, lock = sg.synth_clip, [], threading.Lock()
+
+    def failing(firearm, rng, clean):
+        with lock:
+            calls.append(firearm)
+            nth = len(calls) == n
+        if nth:
+            raise InvalidParam(f"call {n} fails")
+        return synth_clip(firearm, rng, clean)
+
+    monkeypatch.setattr(sg, "synth_clip", failing)
+    return calls
+
+
+def test_generate_dataset_joins_its_workers(tmp_path, monkeypatch):
+    before = threading.active_count()
+    sg.generate_dataset({sg.FirearmClass.RIFLE: 6}, 6, True, tmp_path / "ok", seed=1)
+    assert threading.active_count() == before
+    _fail_the_nth_clip(monkeypatch, 5)
+    with pytest.raises(InvalidParam, match="call 5 fails"):
+        sg.generate_dataset({sg.FirearmClass.RIFLE: 6}, 6, True, tmp_path / "failed", seed=1)
+    assert threading.active_count() == before
+
+
+def test_generate_dataset_stops_within_the_in_flight_bound_after_a_failing_clip(tmp_path,
+                                                                               monkeypatch):
+    # the writer reads the failure when it reaches the failed clip; by then
+    # fewer than 2 * SYNTH_THREADS later clips were submitted, and no more are
+    calls = _fail_the_nth_clip(monkeypatch, 5)
+    with pytest.raises(InvalidParam, match="call 5 fails"):
+        sg.generate_dataset({}, 60, True, tmp_path, seed=1)
+    assert 5 <= len(calls) <= 5 + 2 * sg.SYNTH_THREADS
 
 
 class TestClassSpecs:
