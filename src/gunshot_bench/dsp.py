@@ -139,7 +139,6 @@ def mel_to_hz(m):
 @dataclass
 class MelFilterbank:
     weights: np.ndarray       # [N_MELS, WIN_SAMPLES//2 + 1]
-    center_freqs: np.ndarray  # [N_MELS] triangle peaks in Hz
 
 
 @functools.lru_cache(maxsize=1)
@@ -157,7 +156,7 @@ def default_filterbank():
     fall = (hi - bins[None, :]) / (hi - ctr)
     weights = np.maximum(0.0, np.minimum(rise, fall))
     weights *= 2.0 / (hi - lo)
-    return MelFilterbank(weights, pts[1:-1].copy())
+    return MelFilterbank(weights)
 
 
 # ---------------------------------------------------------------------------

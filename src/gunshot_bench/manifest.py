@@ -96,20 +96,19 @@ def write_manifest(path, rows):
 
 
 def load_manifest(path, check_paths=True):
-    """Load and validate a manifest: each line an object holding `id`,
-    `path` and `detection_label` as strings (else MalformedFile), unique ids
+    """Load and validate a manifest: UTF-8 text, each line an object holding
+    `id`, `path` and `detection_label` as strings (else MalformedFile), unique ids
     that are each one plain file name (not empty, `.` or `..`, and without
     `/`, `\\` or NUL, since caches are written to `<out>/<id>.feat`), a
     detection_label of gunshot or no_gunshot, class present iff gunshot, and
     (optionally) every referenced audio file on disk (else InvalidParam)."""
     path = Path(path)
-    rows = []
-    with open(path, encoding="utf-8") as f:
-        for n, line in enumerate(f, 1):
-            line = line.strip()
-            if line:
-                d = read_json(path, ManifestRow.KEYS, f"{path} line {n}", line)
-                rows.append(ManifestRow.from_dict(d))
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise MalformedFile(f"{path}: not UTF-8 text ({e})") from None
+    rows = [ManifestRow.from_dict(read_json(path, ManifestRow.KEYS, f"{path} line {n}", line))
+            for n, line in enumerate(map(str.strip, text.split("\n")), 1) if line]
     ids = [r.id for r in rows]
     if len(set(ids)) != len(ids):
         raise InvalidParam(f"duplicate ids in manifest {path}")

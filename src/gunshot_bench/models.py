@@ -5,10 +5,12 @@ A clip's only label is its gun type, 0..K-1, or NEGATIVE_LABEL for a clip
 without a gunshot; its detection label is derived as type >= 0 wherever it
 is needed (the manifest holds a class exactly when a clip has a gunshot).
 
-The CNN's SGD momentum and the weight of its type loss are the constants
-MOMENTUM and LAMBDA_TYPE, since every caller uses one value (the loss and
-the optimizer still take both as parameters); the SVM's C is `svm_train`'s
-`c`, 1.0 by default.
+The CNN reads a clip's log-mel cropped or padded to T_FIXED_DEFAULT frames,
+a constant like the clip length (synthgun.CLIP_SECONDS), and standardized by
+the training mels. Its SGD momentum and the weight of its type loss are the
+constants MOMENTUM and LAMBDA_TYPE, since every caller uses one value (the
+loss and the optimizer still take both as parameters); the SVM's C is
+`svm_train`'s `c`, 1.0 by default.
 """
 
 from dataclasses import dataclass, field
@@ -389,7 +391,7 @@ def svm_prediction(model, feature, threshold=0.0):
 
 TRUNK_CHANNELS = (16, 32, 64)
 HEAD_WIDTH = 32
-T_FIXED_DEFAULT = 128
+T_FIXED_DEFAULT = 128    # frames of every CNN input; see synthgun.ONSET_MARGIN_S
 TRUNK_CHUNK = 4        # clips per trunk pass when no cache is kept
 MOMENTUM = 0.9         # SGD momentum of cnn_train
 LAMBDA_TYPE = 1.0      # weight of the type loss in cnn_train's joint loss
@@ -400,8 +402,7 @@ class JointCnnModel:
     global average pool) feeding a sigmoid detection head and a softmax
     gun-type head. `params` maps each parameter name to its float64 array."""
 
-    def __init__(self, seed=0, t_frames=T_FIXED_DEFAULT):
-        self.t_frames = int(t_frames)
+    def __init__(self, seed=0):
         self.input_mean = 0.0
         self.input_std = 1.0
         rng = np.random.default_rng(seed)
@@ -439,11 +440,11 @@ class JointCnnModel:
     # -- input handling -----------------------------------------------------
 
     def prepare_input(self, mel_frames):
-        """Center-crop or pad log-mel frames to t_frames, then standardize."""
+        """Center-crop or pad log-mel frames to T_FIXED_DEFAULT, then standardize."""
         m = np.asarray(mel_frames, dtype=np.float64)
         if m.ndim != 2 or m.shape[1] != N_MELS:
             raise InvalidParam(f"expected [T, {N_MELS}] frames, got {m.shape}")
-        t = self.t_frames
+        t = T_FIXED_DEFAULT
         if m.shape[0] > t:
             start = (m.shape[0] - t) // 2
             m = m[start : start + t]
@@ -558,49 +559,15 @@ def _stack_inputs(model, mels):
     return np.stack([model.prepare_input(m) for m in mels])[:, None, :, :]
 
 
-STATS_BLOCK = 1 << 20    # float64 values _input_stats gathers at a time
-
-
 def _input_stats(mels):
-    """Mean and std of every value of every mel, equal bit for bit to
-    np.mean / np.std of their float64 concatenation, holding at most
-    STATS_BLOCK float64 values at a time.
-
-    numpy sums n > 128 float64 values pairwise: the first h = n//2 - (n//2) % 8
-    values, then the rest, each the same way. This walks that split over the
-    concatenation, which it never builds, down to ranges of at most
-    STATS_BLOCK values; np.add.reduce sums each range as the whole sum would.
-    STATS_BLOCK is at least 128, so every range split here numpy splits too.
-    The std pass squares each range's deviations in place and sums them over
-    the same tree."""
-    flats = [np.ravel(m) for m in mels]
-    starts = np.cumsum([0] + [f.size for f in flats])
-
-    def gather(lo, hi):
-        i = int(np.searchsorted(starts, lo, side="right")) - 1
-        parts = []
-        while lo < hi:
-            end = min(hi, starts[i + 1])
-            parts.append(flats[i][lo - starts[i] : end - starts[i]])
-            lo, i = end, i + 1
-        return np.concatenate(parts, dtype=np.float64)
-
-    def tree_sum(lo, hi, leaf):
-        if hi - lo <= STATS_BLOCK:
-            return np.add.reduce(leaf(gather(lo, hi)))
-        half = (hi - lo) // 2
-        half -= half % 8
-        return tree_sum(lo, lo + half, leaf) + tree_sum(lo + half, hi, leaf)
-
-    n = int(starts[-1])
-    mean = tree_sum(0, n, lambda block: block) / n
-
-    def squared_deviations(block):
-        block -= mean
-        block *= block
-        return block
-
-    return float(mean), float(np.sqrt(tree_sum(0, n, squared_deviations) / n))
+    """Mean and std of every value of every mel, within float tolerance of
+    np.mean / np.std of their never-built concatenation: numpy sums each mel
+    in float64, in clip order, holding one mel's float64 deviations at a time."""
+    n = sum(np.size(m) for m in mels)
+    mean = sum(float(np.sum(m, dtype=np.float64)) for m in mels) / n
+    squares = sum(float(np.sum(np.square(np.subtract(m, mean, dtype=np.float64))))
+                  for m in mels)
+    return mean, float(np.sqrt(squares / n))
 
 
 EVAL_BATCH = 64       # clips per validation-loss batch
@@ -628,8 +595,8 @@ def cnn_train(model, train_set, val_set, *, epochs, batch_size, lr, patience, se
     The input mean and std are taken over every training mel value; each
     batch is then standardized and stacked from the mels as it runs, so no
     float64 copy of either set is held. Memory beyond the mels themselves is
-    STATS_BLOCK float64 values while the stats are taken, then the layer
-    caches of one training step, which its backward frees layer by layer.
+    one mel's float64 copy while the stats are taken, then the layer caches
+    of one training step, which its backward frees layer by layer.
 
     Returns the training history; the model is left holding the best-val
     parameters. Raises InvalidParam if either set is empty, and

@@ -287,12 +287,12 @@ def bce_backward(g, cache):
     return float(g) * dp * inside
 
 
-def cross_entropy(logits, classes, sample_weight=None):
+def cross_entropy(logits, classes, sample_weight):
     """Softmax cross-entropy computed from logits via log-sum-exp.
 
-    classes: int array [B]. sample_weight (optional): per-example multiplier;
-    the loss is sum(w_i * ce_i) / B, so masked-out examples contribute zero
-    loss and zero gradient.
+    classes: int array [B]. sample_weight: per-example multiplier [B]; the
+    loss is sum(w_i * ce_i) / B, so masked-out examples contribute zero loss
+    and zero gradient.
     """
     if logits.ndim != 2:
         raise InvalidParam("cross_entropy expects logits[B,K]")
@@ -302,7 +302,7 @@ def cross_entropy(logits, classes, sample_weight=None):
         raise InvalidParam(f"cross_entropy got {cls.shape[0]} labels for batch of {b}")
     if cls.min() < 0 or cls.max() >= k:
         raise InvalidParam("class index out of range")
-    w = np.ones(b) if sample_weight is None else np.asarray(sample_weight, dtype=np.float64).reshape(-1)
+    w = np.asarray(sample_weight, dtype=np.float64).reshape(-1)
     if w.shape[0] != b:
         raise InvalidParam("sample_weight length mismatch")
 
@@ -331,7 +331,7 @@ class OptimizerState:
     """Momentum SGD state: one velocity buffer per parameter name, made by
     the first step."""
 
-    def __init__(self, lr, momentum=0.0):
+    def __init__(self, lr, momentum):
         self.lr = float(lr)
         self.momentum = float(momentum)
         self.velocities = None

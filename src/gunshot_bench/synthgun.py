@@ -12,10 +12,10 @@ synthesize on SYNTH_THREADS worker threads (numpy's Gaussian draw, most of a
 clip's time, releases the GIL) while the calling thread writes them in plan
 order, with the bytes of a one-thread run.
 
-Every clip lasts CLIP_SECONDS. It and `models.T_FIXED_DEFAULT`, the frames
-the CNN crops from a clip's log-mel, are two halves of one contract: the
-crop sees every onset (ONSET_MARGIN_S), so a clip's label holds for what the
-CNN reads. A test in tests/test_synthgun.py checks it.
+Every scene lasts CLIP_SECONDS, which nothing overrides. It and
+`models.T_FIXED_DEFAULT`, the frames the CNN crops from a clip's log-mel, are
+two halves of one contract: the crop sees every onset (ONSET_MARGIN_S), so a
+clip's label holds for what the CNN reads. tests/test_synthgun.py checks it.
 
 Everything here works at SAMPLE_RATE on plain float64 sample arrays: the
 pulse and shot synthesizers return one, `compose_scene` mixes
@@ -124,7 +124,7 @@ class ShotEvent:
 
 @dataclass
 class SceneConfig:
-    duration_s: float = CLIP_SECONDS
+    """The acoustics of one scene; its length is always CLIP_SECONDS."""
     snr_db: float = 40.0
     reverb_delay_ms: float = 0.0
     reverb_decay: float = 0.0     # per-tap geometric factor, in [0, 1)
@@ -234,7 +234,7 @@ def synth_shot(spec, rng):
 
 
 def compose_scene(events, config, rng):
-    """Mix (onset seconds, samples) events into a scene's samples.
+    """Mix (onset seconds, samples) events into a CLIP_SECONDS scene's samples.
 
     Pipeline: sum at onsets -> 1/distance scaling -> feed-forward comb reverb
     (taps at multiples of delay with geometric decay) -> white noise sized so
@@ -243,14 +243,14 @@ def compose_scene(events, config, rng):
     to 0.99 only if it would clip. An event that overruns the scene, or
     samples that are not finite, raise InvalidParam."""
     sr = SAMPLE_RATE
-    n = int(round(config.duration_s * sr))
+    n = int(round(CLIP_SECONDS * sr))
     mix = np.zeros(n)
     for onset_s, samples in events:
         i0 = int(round(onset_s * sr))
         if i0 < 0 or i0 + len(samples) > n:
             raise InvalidParam(
                 f"event at {onset_s:.3f}s (+{len(samples) / sr:.3f}s) exceeds "
-                f"{config.duration_s:.3f}s scene")
+                f"{CLIP_SECONDS:.3f}s scene")
         mix[i0 : i0 + len(samples)] += samples
 
     mix /= config.distance_m

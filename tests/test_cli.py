@@ -748,7 +748,7 @@ def test_checkpoint_is_a_plain_npz_of_the_model_arrays(trained_models, model):
     bundle, _ = cli.load_model(trained_models / model)
     if model == "cnn":
         expected = bundle.named_arrays()
-        assert list(expected) == list(models.JointCnnModel(t_frames=16).named_arrays())
+        assert list(expected) == list(models.JointCnnModel().named_arrays())
     else:
         svm, scaler = bundle
         expected = {"weights": svm.weights, "biases": svm.biases, "scaler_mean": scaler.mean,
@@ -888,6 +888,25 @@ def _featurize_manifest(text):
                       "--kind", "melstats", "--out", d["tmp"] / "feats"]
 
 
+def _not_utf_8_manifest(command):
+    """`command` on a manifest whose bytes do not decode as UTF-8; the error
+    must name the manifest."""
+    def argv(d):
+        manifest = d["tmp"] / "manifest.jsonl"
+        manifest.write_bytes(b'\xff\xfe{"id": "a"}\n')
+        d["named"], d["manifest"] = manifest, manifest
+        if command == "featurize":
+            return ["featurize", "--manifest", manifest, "--kind", "mel", "--out", d["tmp"] / "f"]
+        if command == "train":
+            return _train_argv(d)
+        if command == "evaluate":
+            return ["evaluate", "--checkpoint", d["trained"] / "svm", "--manifest", manifest,
+                    "--features", _features(d, "svm"), "--out", d["tmp"] / "eval"]
+        return ["crossval", "--manifest", manifest, "--features", _features(d, "svm"),
+                "--out", d["tmp"] / "cv", "--model", "svm", "--seed", "1", "--k", "2"]
+    return argv
+
+
 def _evaluate_meta(model, edit):
     def argv(d):
         model_dir = d["tmp"] / model
@@ -1013,6 +1032,10 @@ def _with_damaged_cache(command, ids, damage, model="svm", nth=0):
      cli.EXIT_IO, "I/O failure:"),
     (_with_damaged_cache("train", "train_ids", _cache_of("mel", (171, 64)), "cnn", nth=1),
      cli.EXIT_IO, "I/O failure:"),
+    (_not_utf_8_manifest("featurize"), cli.EXIT_IO, "I/O failure:"),
+    (_not_utf_8_manifest("train"), cli.EXIT_IO, "I/O failure:"),
+    (_not_utf_8_manifest("evaluate"), cli.EXIT_IO, "I/O failure:"),
+    (_not_utf_8_manifest("crossval"), cli.EXIT_IO, "I/O failure:"),
 ], ids=["split-not-json", "split-without-val_ids", "manifest-line-not-json",
         "manifest-line-without-path", "svm-meta-without-feature_kind", "boaw-truncated-wav",
         "boaw-24-bit-wav", "svm-empty-train-split", "split-train_ids-not-a-list",
@@ -1024,7 +1047,9 @@ def _with_damaged_cache(command, ids, damage, model="svm", nth=0):
         "crossval-cache-payload-cut", "train-cache-bad-magic", "train-cache-of-another-kind",
         "train-cache-of-another-length", "train-first-cache-of-another-length",
         "evaluate-cache-of-another-kind", "crossval-cache-of-another-length",
-        "cnn-train-cache-of-another-band-count"])
+        "cnn-train-cache-of-another-band-count", "manifest-not-utf-8",
+        "train-manifest-not-utf-8", "evaluate-manifest-not-utf-8",
+        "crossval-manifest-not-utf-8"])
 def test_unusable_input_exits_with_its_code_and_one_line(small_data, trained_models, tiny_data,
                                                          tmp_path, capsys, make_argv, code, label):
     manifest, root = small_data

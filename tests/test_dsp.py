@@ -84,6 +84,12 @@ class TestMelScale:
             assert abs(back - f) / f < 1e-9
 
 
+def mel_centers_hz():
+    """The N_MELS triangle peaks in Hz: uniform on the mel scale from 0 Hz to
+    Nyquist, without the two end points."""
+    return dsp.mel_to_hz(np.linspace(0.0, dsp.hz_to_mel(22050.0), dsp.N_MELS + 2))[1:-1]
+
+
 class TestFilterbank:
     def setup_method(self):
         self.bank = dsp.default_filterbank()
@@ -113,11 +119,15 @@ class TestFilterbank:
                     assert not falling, "filter row is not unimodal"
 
     def test_adjacent_filters_overlap(self):
-        c = self.bank.center_freqs
+        c = mel_centers_hz()
         assert np.all(np.diff(c) > 0)
         # triangle i spans (pt[i], pt[i+2]): neighbor peaks fall inside it
         pts = dsp.mel_to_hz(np.linspace(0, dsp.hz_to_mel(22050.0), 130))
         assert np.all(pts[2:-1] < pts[3:])  # each filter overlaps the next span
+        # each row that covers a bin peaks within one bin of its center
+        covers = self.bank.weights.any(axis=1)
+        peaks = self.bank.weights.argmax(axis=1) * 44100 / 1024
+        assert np.all(np.abs(peaks - c)[covers] <= 44100 / 1024)
 
 
 class TestMelSpectrogram:
@@ -138,9 +148,8 @@ class TestMelSpectrogram:
         padded = AudioClip(np.concatenate([np.zeros(256), blast,
                                            np.zeros(2048 - 256 - len(blast))]))
         mel = dsp.mel_spectrogram(padded)
-        bank = dsp.default_filterbank()
         frame = mel.frames[np.unravel_index(mel.frames.argmax(), mel.frames.shape)[0]]
-        center = bank.center_freqs[int(frame.argmax())]
+        center = mel_centers_hz()[int(frame.argmax())]
         assert 100.0 <= center <= 800.0
 
     def test_translation_covariance(self):

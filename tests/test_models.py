@@ -1,6 +1,7 @@
 """Classifier contracts: SVM training/prediction behavior, joint CNN
 forward/loss/training semantics, and prediction plumbing."""
 
+import math
 import re
 import tracemalloc
 
@@ -363,9 +364,16 @@ class TestStandardizer:
         assert np.isfinite(z).all()
 
 
+def _cnn(monkeypatch, seed, frames):
+    """A JointCnnModel whose inputs are `frames` frames long, for one test:
+    small inputs keep the CNN tests fast."""
+    monkeypatch.setattr(models, "T_FIXED_DEFAULT", frames)
+    return models.JointCnnModel(seed=seed)
+
+
 class TestCnnForward:
-    def test_zero_input_zero_heads_symmetric(self):
-        model = models.JointCnnModel(seed=0, t_frames=32)
+    def test_zero_input_zero_heads_symmetric(self, monkeypatch):
+        model = _cnn(monkeypatch, 0, 32)
         for name in ("det1.w", "det1.b", "det2.w", "det2.b",
                      "typ1.w", "typ1.b", "typ2.w", "typ2.b"):
             model.params[name][:] = 0.0
@@ -374,33 +382,33 @@ class TestCnnForward:
         assert pred.p_gunshot == 0.5
         np.testing.assert_allclose(pred.type_posteriors, 0.2, atol=1e-12)
 
-    def test_posteriors_sum_to_one(self):
-        model = models.JointCnnModel(seed=1, t_frames=32)
+    def test_posteriors_sum_to_one(self, monkeypatch):
+        model = _cnn(monkeypatch, 1, 32)
         mel = np.random.default_rng(0).normal(size=(40, 128))
         pred = models.cnn_forward(model, mel)
         np.testing.assert_allclose(pred.type_posteriors.sum(), 1.0, atol=1e-9)
 
     def test_wrong_band_count_rejected(self):
-        model = models.JointCnnModel(seed=0, t_frames=32)
+        model = models.JointCnnModel(seed=0)
         with pytest.raises(InvalidParam,
                            match=re.escape("expected [T, 128] frames, got (32, 64)")):
             models.cnn_forward(model, np.zeros((32, 64)))
 
-    def test_crop_and_pad(self):
-        model = models.JointCnnModel(seed=0, t_frames=32)
+    def test_crop_and_pad(self, monkeypatch):
+        model = _cnn(monkeypatch, 0, 32)
         long = model.prepare_input(np.random.default_rng(0).normal(size=(50, 128)))
         short = model.prepare_input(np.random.default_rng(0).normal(size=(10, 128)))
         assert long.shape == (32, 128) and short.shape == (32, 128)
 
-    def test_prediction_scores_are_p_times_posteriors(self):
-        model = models.JointCnnModel(seed=4, t_frames=16)
+    def test_prediction_scores_are_p_times_posteriors(self, monkeypatch):
+        model = _cnn(monkeypatch, 4, 16)
         rng = np.random.default_rng(3)
         for _ in range(4):
             pred = models.cnn_forward(model, rng.normal(size=(16, 128)))
             np.testing.assert_array_equal(pred.scores, pred.p_gunshot * pred.type_posteriors)
 
-    def test_detection_head_scale_leaves_type_argmax(self):
-        model = models.JointCnnModel(seed=2, t_frames=32)
+    def test_detection_head_scale_leaves_type_argmax(self, monkeypatch):
+        model = _cnn(monkeypatch, 2, 32)
         mel = np.random.default_rng(1).normal(size=(32, 128))
         before = models.cnn_forward(model, mel).type_posteriors
         model.params["det1.w"] *= 2.0      # heads are independent after trunk
@@ -410,7 +418,7 @@ class TestCnnForward:
 
 class TestJointLoss:
     def test_lambda_zero_kills_type_gradient(self):
-        model = models.JointCnnModel(seed=3, t_frames=16)
+        model = models.JointCnnModel(seed=3)
         x = np.random.default_rng(0).normal(size=(2, 1, 16, 128))
         _, graph = models.batch_loss_graph(model, x, np.array([2, 4]), lambda_type=0.0,
                                            keep_caches=True)
@@ -419,7 +427,7 @@ class TestJointLoss:
             assert np.all(grads[name] == 0.0)
 
     def test_trunk_receives_gradient_from_both_heads(self):
-        model = models.JointCnnModel(seed=4, t_frames=16)
+        model = models.JointCnnModel(seed=4)
         x = np.abs(np.random.default_rng(1).normal(size=(4, 1, 16, 128))) + 0.1
         y_type = np.array([0, 1, 2, 3])
 
@@ -435,7 +443,7 @@ class TestJointLoss:
     def test_gradient_of_every_parameter_matches_finite_differences(self):
         # a [4, 1, 8, 8] batch with both heads active and a negative clip;
         # the 8x8 input halves to 4x4, 2x2 and 1x1 through the three pools
-        model = models.JointCnnModel(seed=12, t_frames=8)
+        model = models.JointCnnModel(seed=12)
         x = np.random.default_rng(4).normal(size=(4, 1, 8, 8))
         y_type = np.array([3, models.NEGATIVE_LABEL, 0, 4])
 
@@ -462,11 +470,11 @@ class TestArrayParams:
         y_type = np.where(np.arange(n) % 2 == 1, np.arange(n) % 5, models.NEGATIVE_LABEL)
         return x, y_type
 
-    def test_eval_loss_keeps_no_activations(self):
+    def test_eval_loss_keeps_no_activations(self, monkeypatch):
         # kept caches hold every layer's activations and im2col columns until
         # they are dropped; without them, only the largest single op's are
         # live at once
-        model = models.JointCnnModel(seed=5, t_frames=32)
+        model = _cnn(monkeypatch, 5, 32)
         x, y_type = self._batch(16, 32)
 
         def peak_bytes(fn):
@@ -486,7 +494,7 @@ class TestArrayParams:
     def test_trunk_relu_caches_the_pool_output(self):
         # relu's cache is its input, which in the trunk is memory the pool's
         # cache already holds, so a kept step stores no relu output
-        model = models.JointCnnModel(seed=4, t_frames=16)
+        model = models.JointCnnModel(seed=4)
         x, _ = self._batch(2, 16)
         *_, (trunk, _, _) = model.forward(x, keep_caches=True)
         relus = [i for i, (bwd, _, _) in enumerate(trunk) if bwd is nn.relu_backward]
@@ -503,7 +511,7 @@ class TestArrayParams:
         # the pool output the pool's cache holds: so the walk holds little
         # beyond the forward's caches. An im2col-sized input gradient beside
         # the columns, or a relu output kept as well, makes it 1.2x.
-        model = models.JointCnnModel(seed=3, t_frames=t)
+        model = models.JointCnnModel(seed=3)
         x, y_type = self._batch(4, t)
         tracemalloc.start()
         try:
@@ -523,7 +531,7 @@ class TestArrayParams:
         # keeps no cache runs the trunk in chunks, the training one over the
         # whole batch
         assert n % models.TRUNK_CHUNK
-        model = models.JointCnnModel(seed=6, t_frames=16)
+        model = models.JointCnnModel(seed=6)
         x, y_type = self._batch(n, 16)
         *kept, steps = model.forward(x, keep_caches=True)
         *plain, no_steps = model.forward(x)
@@ -534,6 +542,9 @@ class TestArrayParams:
         plain, no_graph = models.batch_loss_graph(model, x, y_type, 0.7)
         assert graph is not None and no_graph is None
         assert plain == kept
+
+
+STATS_RTOL = 1e-13    # the input stats' largest error relative to exact sums
 
 
 def _knobs(**given):
@@ -565,43 +576,46 @@ class TestCnnTrain:
         y_type = np.where(np.arange(n) % 2 == 1, np.arange(n) % 5, models.NEGATIVE_LABEL)
         return models.LabeledMelSet(mels, y_type)
 
-    def test_input_stats_equal_numpy_on_the_concatenated_mels(self):
+    @staticmethod
+    def _exact_stats(mels):
+        """math.fsum mean and std of every value of `mels`, in float64."""
+        flat = np.concatenate([np.ravel(m) for m in mels], dtype=np.float64)
+        mean = math.fsum(flat) / flat.size
+        return mean, math.sqrt(math.fsum((flat - mean) ** 2) / flat.size)
+
+    def test_input_stats_equal_numpy_on_the_concatenated_mels(self, monkeypatch):
         train, val = self._mel_set(7, 24, seed=1), self._mel_set(3, 24, seed=2)
         train.mels[3] = train.mels[3][:11]          # clips of unequal length
-        model = models.JointCnnModel(seed=0, t_frames=16)
+        model = _cnn(monkeypatch, 0, 16)
         cfg = _knobs(epochs=1, batch_size=4)
         models.cnn_train(model, train, val, **cfg)
         flat = np.concatenate([np.asarray(m, dtype=np.float64).ravel() for m in train.mels])
-        assert model.input_mean == float(flat.mean())
-        assert model.input_std == float(np.std(flat))
+        for got, want in ((model.input_mean, flat.mean()), (model.input_std, np.std(flat))):
+            assert abs(got - want) <= STATS_RTOL * abs(want)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_input_stats_in_blocks_equal_numpy(self, monkeypatch, dtype):
-        # 1000-value blocks split the 11 mels mid-clip, and no length is a
-        # multiple of 8. The values span orders of magnitude, so their sums
-        # round differently in any other order than numpy's pairwise split;
-        # float32 is the type of a mel cache.
-        monkeypatch.setattr(models, "STATS_BLOCK", 1000)
+    def test_input_stats_match_exact_sums(self, dtype):
+        # 11 mels of unequal length, none a multiple of 8, whose values span
+        # orders of magnitude, so the order of a float64 sum shows in its
+        # low bits; float32 is the type of a mel cache
         rng = np.random.default_rng(9)
         shapes = [(frames, 13) for frames in (1, 13, 97, 211, 3, 45, 301, 5, 77, 129, 33)]
         mels = [(rng.normal(size=shape) * np.exp(2.0 * rng.normal(size=shape))).astype(dtype)
                 for shape in shapes]
-        flat = np.concatenate([m.ravel() for m in mels], dtype=np.float64)
-        assert flat.size > 8 * models.STATS_BLOCK
-        assert models._input_stats(mels) == (float(np.mean(flat)), float(np.std(flat)))
+        for got, want in zip(models._input_stats(mels), self._exact_stats(mels), strict=True):
+            assert abs(got - want) <= STATS_RTOL * abs(want), (got, want)
 
     def test_peak_memory_does_not_grow_by_a_float64_copy_per_clip(self, monkeypatch):
         # Mels 64x longer than the model's input would make a float64 copy
         # of the training mels the peak, growing by one copy per extra clip.
-        # The stats hold STATS_BLOCK values at a time, here under one clip,
-        # so 16 more clips leave the peak where it was.
-        monkeypatch.setattr(models, "STATS_BLOCK", 1 << 14)
+        # The stats hold one mel's float64 copy at a time, so 16 more clips
+        # leave the peak where it was.
         frames, t = 512, 8
         val = self._mel_set(4, frames, seed=3)
 
         def peak(n):
             train = self._mel_set(n, frames, seed=4)
-            model = models.JointCnnModel(seed=1, t_frames=t)
+            model = _cnn(monkeypatch, 1, t)
             cfg = _knobs(epochs=1, batch_size=2)
             tracemalloc.start()
             try:
@@ -613,14 +627,14 @@ class TestCnnTrain:
         extra_float64_bytes = 16 * frames * 128 * 8
         assert peak(24) - peak(8) < 0.25 * extra_float64_bytes
 
-    def test_peak_memory_holds_one_steps_caches(self):
+    def test_peak_memory_holds_one_steps_caches(self, monkeypatch):
         # A step's layer caches are freed as its backward runs, so no step's
         # caches are alive while the next step's forward builds its own;
         # holding the previous step's graph through the next forward makes
         # the peak about two steps' caches.
         t = 32
         train, val = self._mel_set(12, t, seed=5), self._mel_set(4, t, seed=6)
-        model = models.JointCnnModel(seed=2, t_frames=t)
+        model = _cnn(monkeypatch, 2, t)
         cfg = _knobs(epochs=1, batch_size=4)
         x = models._stack_inputs(model, train.mels[:4])
         tracemalloc.start()
@@ -648,7 +662,7 @@ class TestCnnTrain:
             return loss, graph
 
         monkeypatch.setattr(models, "batch_loss_graph", recording)
-        model = models.JointCnnModel(seed=0, t_frames=16)
+        model = _cnn(monkeypatch, 0, 16)
         cfg = _knobs(epochs=1, batch_size=3, lr=1e300)
         with np.errstate(over="ignore"), pytest.raises(NonFiniteLoss) as err:
             models.cnn_train(model, train, val, **cfg)
@@ -656,10 +670,10 @@ class TestCnnTrain:
         assert f"epoch 0, batch at {3 * len(finite)}" in str(err.value)
         assert f"last finite batch loss {finite[-1]!r}" in str(err.value)
 
-    def test_parameter_overflow_ends_in_non_finite_loss(self):
+    def test_parameter_overflow_ends_in_non_finite_loss(self, monkeypatch):
         # the first step's update itself leaves float64 range
         train, val = self._tiny_sets()
-        model = models.JointCnnModel(seed=0, t_frames=16)
+        model = _cnn(monkeypatch, 0, 16)
         cfg = _knobs(epochs=1, batch_size=3, lr=1e308)
         names = "|".join(map(re.escape, model.params))
         with np.errstate(over="ignore", invalid="ignore"), \
@@ -667,18 +681,18 @@ class TestCnnTrain:
                                                    rf"none\): parameter ({names}) after sgd_step"):
             models.cnn_train(model, train, val, **cfg)
 
-    def test_patience_zero_runs_exactly_one_epoch(self):
+    def test_patience_zero_runs_exactly_one_epoch(self, monkeypatch):
         train, val = self._tiny_sets()
-        model = models.JointCnnModel(seed=0, t_frames=16)
+        model = _cnn(monkeypatch, 0, 16)
         cfg = _knobs(epochs=10, patience=0, seed=0)
         history = models.cnn_train(model, train, val, **cfg)
         assert len(history) == 1
 
-    def test_same_seed_identical_history_and_params(self):
+    def test_same_seed_identical_history_and_params(self, monkeypatch):
         train, val = self._tiny_sets()
         runs = []
         for _ in range(2):
-            model = models.JointCnnModel(seed=5, t_frames=16)
+            model = _cnn(monkeypatch, 5, 16)
             cfg = _knobs(epochs=3, patience=3, seed=5)
             history = models.cnn_train(model, train, val, **cfg)
             digest = b"".join(a.tobytes() for a in model.params.values())
@@ -686,16 +700,16 @@ class TestCnnTrain:
         assert runs[0][0] == runs[1][0]
         assert runs[0][1] == runs[1][1]
 
-    def test_training_loss_decreases(self):
+    def test_training_loss_decreases(self, monkeypatch):
         train, val = self._tiny_sets(n=24)
-        model = models.JointCnnModel(seed=1, t_frames=16)
+        model = _cnn(monkeypatch, 1, 16)
         cfg = _knobs(epochs=10, lr=5e-3, patience=10, seed=1)
         history = models.cnn_train(model, train, val, **cfg)
         assert history[9]["train_loss"] < history[0]["train_loss"]
 
-    def test_separable_set_reaches_f1(self):
+    def test_separable_set_reaches_f1(self, monkeypatch):
         train, val = self._tiny_sets(n=50, seed=2)
-        model = models.JointCnnModel(seed=2, t_frames=16)
+        model = _cnn(monkeypatch, 2, 16)
         cfg = _knobs(epochs=30, lr=1e-2, patience=30, seed=2)
         models.cnn_train(model, train, val, **cfg)
         decided = np.array([models.cnn_forward(model, m, threshold=0.5).detected
@@ -704,8 +718,8 @@ class TestCnnTrain:
 
 
 class TestPrediction:
-    def test_threshold_extremes(self):
-        model = models.JointCnnModel(seed=6, t_frames=16)
+    def test_threshold_extremes(self, monkeypatch):
+        model = _cnn(monkeypatch, 6, 16)
         rng = np.random.default_rng(2)
         mels = [rng.normal(size=(16, 128)) for _ in range(7)]
         assert all(models.cnn_forward(model, m, threshold=0.0).detected for m in mels)
@@ -714,11 +728,11 @@ class TestPrediction:
 
 
 class TestCheckpointRoundTrip:
-    def test_save_load_preserves_forward(self, tmp_path):
-        model = models.JointCnnModel(seed=7, t_frames=16)
+    def test_save_load_preserves_forward(self, monkeypatch, tmp_path):
+        model = _cnn(monkeypatch, 7, 16)
         model.input_mean, model.input_std = -3.0, 2.0
         nn.save_checkpoint(tmp_path / "m.ckpt", model.named_arrays())
-        twin = models.JointCnnModel(seed=99, t_frames=16)
+        twin = _cnn(monkeypatch, 99, 16)
         twin.load_arrays(nn.load_checkpoint(tmp_path / "m.ckpt"))
         mel = np.random.default_rng(3).normal(size=(16, 128))
         a = models.cnn_forward(model, mel)

@@ -277,7 +277,7 @@ class TestLosses:
             np.testing.assert_allclose(loss, np.log(2.0), atol=1e-12)
 
     def test_cross_entropy_uniform(self):
-        loss, _ = nn.cross_entropy(np.zeros((1, 5)), np.array([3]))
+        loss, _ = nn.cross_entropy(np.zeros((1, 5)), np.array([3]), np.ones(1))
         np.testing.assert_allclose(loss, np.log(5.0), atol=1e-12)
 
     def test_bce_gradient_matches_fd(self):
@@ -342,7 +342,7 @@ class TestSgd:
         assert np.abs(p["p"] - target).max() < 1e-6
 
     def test_velocity_shape_mirrors_param(self):
-        st = nn.OptimizerState(lr=0.1)
+        st = nn.OptimizerState(lr=0.1, momentum=0.0)
         nn.sgd_step({"p": np.zeros((2, 2))}, {"p": np.zeros((2, 2))}, st)
         assert st.velocities["p"].shape == (2, 2)
 
